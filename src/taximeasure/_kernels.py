@@ -1,31 +1,22 @@
 """Summation kernels for the oracle layer.
 
-The kernels are JIT-compiled with numba when it is importable; setting
-TAXI_BACKEND=numpy forces the pure-NumPy implementations instead, and
-TAXI_BACKEND=numba insists on the JIT path (raising if numba is missing).
-Both implementations stay importable for benchmarking regardless of the
-selected backend.
-
-The numba loops use Kahan compensated summation so the telescoping exactness
-of the discrete taxicab sums survives million-point partitions; the NumPy
-fallbacks rely on numpy.sum's pairwise accumulation for the same reason.
+Each kernel sums one elementary closed-form piece per partition cell.
+numpy.sum accumulates pairwise, so the telescoping exactness of the discrete
+taxicab sums survives million-point partitions.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
 
-def polyline_sum_numpy(xs: np.ndarray, fx: np.ndarray) -> float:
+def polyline_sum(xs: np.ndarray, fx: np.ndarray) -> float:
     dx = np.diff(xs)
     df = np.diff(fx)
     return float(np.sum(dx) + np.sum(np.abs(df)))
 
 
-def frustum_sum_numpy(xs: np.ndarray, fx: np.ndarray) -> float:
+def frustum_sum(xs: np.ndarray, fx: np.ndarray) -> float:
     dx = np.diff(xs)
     df = np.diff(fx)
     slant = np.sqrt(dx * dx + 0.5 * df * df)
@@ -34,72 +25,6 @@ def frustum_sum_numpy(xs: np.ndarray, fx: np.ndarray) -> float:
     return float(np.sum(terms))
 
 
-def disk_sum_numpy(xs: np.ndarray, fm: np.ndarray) -> float:
+def disk_sum(xs: np.ndarray, fm: np.ndarray) -> float:
     dx = np.diff(xs)
     return float(np.sum(2.0 * fm * fm * dx))
-
-
-_requested = os.environ.get("TAXI_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(f"TAXI_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
-
-_njit = None
-if _requested != "numpy":
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _njit = None
-
-if _njit is not None:
-
-    @_njit(cache=True)
-    def polyline_sum_numba(xs, fx):  # pragma: no cover - exercised via dispatch
-        total = 0.0
-        comp = 0.0
-        for i in range(xs.shape[0] - 1):
-            term = (xs[i + 1] - xs[i]) + abs(fx[i + 1] - fx[i])
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        return total
-
-    @_njit(cache=True)
-    def frustum_sum_numba(xs, fx):  # pragma: no cover - exercised via dispatch
-        total = 0.0
-        comp = 0.0
-        for i in range(xs.shape[0] - 1):
-            dx = xs[i + 1] - xs[i]
-            df = fx[i + 1] - fx[i]
-            slant = math.sqrt(dx * dx + 0.5 * df * df)
-            chord = math.sqrt(dx * dx + df * df)
-            term = 4.0 * (fx[i] + fx[i + 1]) * (dx + abs(df)) * slant / chord
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        return total
-
-    @_njit(cache=True)
-    def disk_sum_numba(xs, fm):  # pragma: no cover - exercised via dispatch
-        total = 0.0
-        comp = 0.0
-        for i in range(xs.shape[0] - 1):
-            term = 2.0 * fm[i] * fm[i] * (xs[i + 1] - xs[i])
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        return total
-
-    BACKEND = "numba"
-    polyline_sum = polyline_sum_numba
-    frustum_sum = frustum_sum_numba
-    disk_sum = disk_sum_numba
-else:
-    BACKEND = "numpy"
-    polyline_sum = polyline_sum_numpy
-    frustum_sum = frustum_sum_numpy
-    disk_sum = disk_sum_numpy

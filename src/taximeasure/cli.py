@@ -7,7 +7,8 @@ Subcommands:
     plot      render a profile or shape cross-section to SVG
 
 Exit codes: 0 success; 1 verify found a failing case; 2 malformed
-spec/arguments; 3 domain violation; 4 quadrature non-convergence; 5 I/O error.
+spec/arguments; 3 domain violation or a result that overflows a float;
+4 quadrature non-convergence; 5 I/O error.
 
 TAXI_QUAD_TOL overrides the quadrature absolute tolerance for all subcommands.
 """
@@ -28,7 +29,7 @@ from .geometry import AngleRad
 from .profiles import ProfileFunction, parse_profile_spec
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
-_PROFILE_QUANTITIES = ("arclength", "surface", "volume")
+_PROFILE_QUANTITIES = tuple(oracles._ORACLES)
 _QUANTITIES = _PROFILE_QUANTITIES + ("area_scale", "circumference", "area")
 
 
@@ -67,6 +68,9 @@ class MeasureReport:
 
 def _emit_report(report: MeasureReport, as_json: bool) -> None:
     d = report.to_dict()
+    for k, v in d.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise DomainError(f"{k} = {v!r}: the result is not representable as a float")
     if as_json:
         print(json.dumps(d))
         return
@@ -166,19 +170,11 @@ def cmd_measure(args, cfg: QuadratureConfig) -> int:
     if quantity not in _PROFILE_QUANTITIES:
         raise SpecError(f"--profile supports {'/'.join(_PROFILE_QUANTITIES)}, "
                         f"not {quantity!r}")
-    quad_fn = {
-        "arclength": measures.arclength_functional,
-        "surface": measures.surface_of_revolution,
-        "volume": measures.volume_of_revolution,
-    }[quantity]
-    report = MeasureReport(quantity=quantity, quadrature=quad_fn(prof, cfg=cfg), params=raw)
+    report = MeasureReport(quantity=quantity,
+                           quadrature=measures.quadrature_measure(quantity)(prof, cfg=cfg),
+                           params=raw)
     if args.oracle is not None:
-        oracle_fn = {
-            "arclength": oracles.polyline_arclength_oracle,
-            "surface": oracles.frustum_surface_oracle,
-            "volume": oracles.disk_volume_oracle,
-        }[quantity]
-        report.oracle = oracle_fn(prof, n=args.oracle)
+        report.oracle = oracles._ORACLES[quantity](prof, n=args.oracle)
         report.abs_err_oracle = abs(report.oracle - report.quadrature)
     _emit_report(report, args.json)
     return 0
@@ -207,60 +203,44 @@ def _verify_cases() -> list[_VerifyCase]:
 
     cases: list[_VerifyCase] = []
 
-    def add_arclength(case: str, prof: ProfileFunction, analytic: float,
-                      n: int = 10_000, otol: float = 1e-9) -> None:
+    def add(kind: str, case: str, prof: ProfileFunction, analytic: float,
+            n: int = 10_000, otol: float = 1e-9, caps: float = 0.0) -> None:
+        suite = "ellipsoid" if case.startswith("ellipsoid") else kind
         cases.append(_VerifyCase(
-            "arclength", case, analytic,
-            lambda cfg, p=prof: measures.arclength_functional(p, cfg=cfg),
-            n, lambda p=prof, m=n: oracles.polyline_arclength_oracle(p, n=m), otol))
-
-    def add_surface(case: str, prof: ProfileFunction, analytic: float, n: int,
-                    otol: float, caps: float = 0.0) -> None:
-        cases.append(_VerifyCase(
-            "surface" if not case.startswith("ellipsoid") else "ellipsoid",
-            case, analytic,
-            lambda cfg, p=prof, c=caps: measures.surface_of_revolution(p, cfg=cfg) + c,
-            n, lambda p=prof, m=n, c=caps: oracles.frustum_surface_oracle(p, n=m) + c,
-            otol))
-
-    def add_volume(case: str, prof: ProfileFunction, analytic: float, n: int,
-                   otol: float) -> None:
-        cases.append(_VerifyCase(
-            "volume" if not case.startswith("ellipsoid") else "ellipsoid",
-            case, analytic,
-            lambda cfg, p=prof: measures.volume_of_revolution(p, cfg=cfg),
-            n, lambda p=prof, m=n: oracles.disk_volume_oracle(p, n=m), otol))
+            suite, case, analytic,
+            lambda cfg: measures.quadrature_measure(kind)(prof, cfg=cfg) + caps,
+            n, lambda: oracles._ORACLES[kind](prof, n=n) + caps, otol))
 
     for r in (1.0, 2.5):
-        add_arclength(f"taxicab_quadrant_r{r:g}",
-                      profile_linear(-1.0, r, Interval(0.0, r)), 2.0 * r)
-        add_arclength(f"euclidean_quadrant_r{r:g}",
-                      profile_euclidean_circle_quadrant(r), 2.0 * r)
-        add_arclength(f"euclidean_parabola_r{r:g}",
-                      profile_euclidean_parabola_quadrant(r), 2.0 * r)
-    add_arclength("taxicab_halfcircle_r1", profile_taxicab_circle_upper(1.0), 4.0)
+        add("arclength", f"taxicab_quadrant_r{r:g}",
+            profile_linear(-1.0, r, Interval(0.0, r)), 2.0 * r)
+        add("arclength", f"euclidean_quadrant_r{r:g}",
+            profile_euclidean_circle_quadrant(r), 2.0 * r)
+        add("arclength", f"euclidean_parabola_r{r:g}",
+            profile_euclidean_parabola_quadrant(r), 2.0 * r)
+    add("arclength", "taxicab_halfcircle_r1", profile_taxicab_circle_upper(1.0), 4.0)
 
     for r in (0.5, 1.0, 2.0):
         sphere = shapes.SphereSpec(r)
         prof = shapes.revolution_profile(sphere)
-        add_surface(f"sphere_r{r:g}", prof, shapes.sphere_surface(sphere), 2, 1e-12)
-        add_volume(f"sphere_r{r:g}", prof, shapes.sphere_volume(sphere), 100_000, 1e-4)
+        add("surface", f"sphere_r{r:g}", prof, shapes.sphere_surface(sphere), 2, 1e-12)
+        add("volume", f"sphere_r{r:g}", prof, shapes.sphere_volume(sphere), 100_000, 1e-4)
 
     cyl_surface = shapes.CylinderSpec(1.0, 2.0)
-    add_surface("cylinder_r1_h2", shapes.revolution_profile(cyl_surface),
-                shapes.cylinder_lateral_surface(cyl_surface), 5, 1e-12)
+    add("surface", "cylinder_r1_h2", shapes.revolution_profile(cyl_surface),
+        shapes.cylinder_lateral_surface(cyl_surface), 5, 1e-12)
     for r, h in ((1.0, 1.0), (2.0, 3.0), (1.0, 2.0), (0.5, 4.0)):
         cyl = shapes.CylinderSpec(r, h)
-        add_volume(f"cylinder_r{r:g}_h{h:g}", shapes.revolution_profile(cyl),
-                   shapes.cylinder_volume(cyl), 1, 1e-12)
+        add("volume", f"cylinder_r{r:g}_h{h:g}", shapes.revolution_profile(cyl),
+            shapes.cylinder_volume(cyl), 1, 1e-12)
 
     for a, h in ((1.0, 3.0), (1.0, 1.0), (2.0, 5.0)):
         par = shapes.ParaboloidSpec(a, h)
         prof = shapes.revolution_profile(par)
-        add_surface(f"paraboloid_a{a:g}_h{h:g}", prof, shapes.paraboloid_surface(par),
-                    4, 1e-12)
-        add_volume(f"paraboloid_a{a:g}_h{h:g}", prof, shapes.paraboloid_volume(par),
-                   4096, 1e-5)
+        add("surface", f"paraboloid_a{a:g}_h{h:g}", prof, shapes.paraboloid_surface(par),
+            4, 1e-12)
+        add("volume", f"paraboloid_a{a:g}_h{h:g}", prof, shapes.paraboloid_volume(par),
+            4096, 1e-5)
 
     for label, (a, b, s) in (("circle", (1.0, 1.0, 2.0)),
                              ("hexagon", (2.0, 1.0, 4.0)),
@@ -268,10 +248,10 @@ def _verify_cases() -> list[_VerifyCase]:
         ell = shapes.EllipsoidSpec(a, b, s)
         prof = shapes.revolution_profile(ell)
         caps = _caps_area(ell)
-        add_surface(f"ellipsoid_surface_{label}", prof, shapes.ellipsoid_surface(ell),
-                    4, 1e-12, caps=caps)
-        add_volume(f"ellipsoid_volume_{label}", prof, shapes.ellipsoid_volume(ell),
-                   1_000_000, 1e-5)
+        add("surface", f"ellipsoid_surface_{label}", prof, shapes.ellipsoid_surface(ell),
+            4, 1e-12, caps=caps)
+        add("volume", f"ellipsoid_volume_{label}", prof, shapes.ellipsoid_volume(ell),
+            1_000_000, 1e-5)
 
     return cases
 
@@ -360,7 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("--degrees", action="store_true",
                            help="interpret --alpha/--beta in degrees")
     p_measure.add_argument("--oracle", type=int, metavar="N",
-                           help="add a brute-force oracle column with N cells")
+                           help="add a brute-force oracle column with N cells "
+                                f"(1 <= N <= {oracles.MAX_CELLS})")
     p_measure.add_argument("--json", action="store_true", help="emit a JSON object")
     p_measure.set_defaults(func=cmd_measure)
 
@@ -373,7 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="oracle convergence table")
     p_table.add_argument("--profile", required=True, help="profile spec JSON")
     p_table.add_argument("--quantity", required=True, choices=_PROFILE_QUANTITIES)
-    p_table.add_argument("--ns", required=True, help="comma-separated cell counts")
+    p_table.add_argument("--ns", required=True,
+                         help="comma-separated, strictly increasing cell counts "
+                              f"(each 1 <= N <= {oracles.MAX_CELLS})")
     p_table.set_defaults(func=cmd_table)
 
     p_plot = sub.add_parser("plot", help="render a profile or shape to SVG")
@@ -401,6 +384,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (DomainError, IntegrandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"error: the result overflows a float: {exc}", file=sys.stderr)
         return 3
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

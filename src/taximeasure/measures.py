@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,7 +48,8 @@ class RotationAngles:
             object.__setattr__(self, "beta", AngleRad(float(self.beta)))
 
 
-def _resolve_domain(curve, domain: Interval | None) -> Interval:
+def resolve_domain(curve, domain: Interval | None) -> Interval:
+    """The requested domain, or the curve's own when none is given."""
     if domain is None:
         return curve.domain
     if not curve.domain.covers(domain):
@@ -71,9 +73,8 @@ def _check_sample_grid(domain: Interval, breakpoints: list[float]) -> np.ndarray
     return xs
 
 
-def _check_nonnegative(f: ProfileFunction, domain: Interval) -> None:
-    xs = _check_sample_grid(domain, _interior_breakpoints(f, domain))
-    vals = np.asarray(f.evaluate(xs), dtype=float)
+def check_nonnegative_values(xs: np.ndarray, vals: np.ndarray) -> None:
+    """Raise DomainError if a sampled profile value is negative beyond rounding."""
     tol = -1e-12 * max(1.0, float(np.max(np.abs(vals))))
     worst = int(np.argmin(vals))
     if vals[worst] < tol:
@@ -81,17 +82,29 @@ def _check_nonnegative(f: ProfileFunction, domain: Interval) -> None:
             f"profile must be nonnegative on the domain: f({xs[worst]!r}) = {vals[worst]!r}")
 
 
-def _graph_splits(f: ProfileFunction, domain: Interval, cfg: QuadratureConfig) -> list[float]:
-    splits = _interior_breakpoints(f, domain)
-    splits += detect_sign_changes(f.derivative, domain, cfg.kink_scan_points)
-    return splits
+def _check_nonnegative(f: ProfileFunction, domain: Interval) -> None:
+    xs = _check_sample_grid(domain, _interior_breakpoints(f, domain))
+    check_nonnegative_values(xs, np.asarray(f.evaluate(xs), dtype=float))
+
+
+def _splits(curve, domain: Interval, cfg: QuadratureConfig, *derivatives) -> list[float]:
+    """Declared interior breakpoints plus the detected sign changes of each
+    derivative.  A detected point within 1e-13 of the width of a declared one
+    is the same kink found by bisection, which can land just short of it; it
+    is dropped so that the piece ends exactly at the declared point."""
+    declared = _interior_breakpoints(curve, domain)
+    eps = 1e-13 * (domain.hi - domain.lo)
+    detected = [s for d in derivatives
+                for s in detect_sign_changes(d, domain, cfg.kink_scan_points)
+                if all(abs(s - b) > eps for b in declared)]
+    return declared + detected
 
 
 def arclength_functional(f: ProfileFunction, domain: Interval | None = None,
                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Taxicab arc length of the graph of f: integral of 1 + |f'|."""
-    dom = _resolve_domain(f, domain)
-    splits = _graph_splits(f, dom, cfg)
+    dom = resolve_domain(f, domain)
+    splits = _splits(f, dom, cfg, f.derivative)
 
     def integrand(x: float) -> float:
         return 1.0 + abs(f.derivative(x))
@@ -106,7 +119,7 @@ def arclength_monotone_closed(f: ProfileFunction, domain: Interval | None = None
     one-sided neighborhoods of every breakpoint; a strict sign change raises
     MonotonicityError with the witnesses.
     """
-    dom = _resolve_domain(f, domain)
+    dom = resolve_domain(f, domain)
     lo, hi = dom.lo, dom.hi
     if hi > lo:
         inner = np.linspace(lo, hi, _CHECK_GRID + 2)[1:-1]
@@ -130,10 +143,8 @@ def arclength_monotone_closed(f: ProfileFunction, domain: Interval | None = None
 def arclength_parametric_2d(c: ParametricCurve2, domain: Interval | None = None,
                             cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Taxicab arc length of (x(t), y(t)): integral of |x'| + |y'|."""
-    dom = _resolve_domain(c, domain)
-    splits = _interior_breakpoints(c, dom)
-    splits += detect_sign_changes(c.dx, dom, cfg.kink_scan_points)
-    splits += detect_sign_changes(c.dy, dom, cfg.kink_scan_points)
+    dom = resolve_domain(c, domain)
+    splits = _splits(c, dom, cfg, c.dx, c.dy)
 
     def integrand(t: float) -> float:
         return abs(c.dx(t)) + abs(c.dy(t))
@@ -144,11 +155,8 @@ def arclength_parametric_2d(c: ParametricCurve2, domain: Interval | None = None,
 def arclength_parametric_3d(c: ParametricCurve3, domain: Interval | None = None,
                             cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Taxicab arc length of (x(t), y(t), z(t)): integral of |x'| + |y'| + |z'|."""
-    dom = _resolve_domain(c, domain)
-    splits = _interior_breakpoints(c, dom)
-    splits += detect_sign_changes(c.dx, dom, cfg.kink_scan_points)
-    splits += detect_sign_changes(c.dy, dom, cfg.kink_scan_points)
-    splits += detect_sign_changes(c.dz, dom, cfg.kink_scan_points)
+    dom = resolve_domain(c, domain)
+    splits = _splits(c, dom, cfg, c.dx, c.dy, c.dz)
 
     def integrand(t: float) -> float:
         return abs(c.dx(t)) + abs(c.dy(t)) + abs(c.dz(t))
@@ -187,9 +195,9 @@ def surface_of_revolution(f: ProfileFunction, domain: Interval | None = None,
                           cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Lateral taxicab surface area of the solid obtained by revolving f >= 0
     around the x axis."""
-    dom = _resolve_domain(f, domain)
+    dom = resolve_domain(f, domain)
     _check_nonnegative(f, dom)
-    splits = _graph_splits(f, dom, cfg)
+    splits = _splits(f, dom, cfg, f.derivative)
 
     def integrand(x: float) -> float:
         d = float(f.derivative(x))
@@ -207,12 +215,23 @@ def volume_of_revolution(f: ProfileFunction, domain: Interval | None = None,
                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Taxicab volume of the solid obtained by revolving f >= 0 around the
     x axis: integral of (pi_t / 2) * f^2."""
-    dom = _resolve_domain(f, domain)
+    dom = resolve_domain(f, domain)
     _check_nonnegative(f, dom)
-    splits = _interior_breakpoints(f, dom)
+    splits = _splits(f, dom, cfg)
 
     def integrand(x: float) -> float:
         fx = float(f.evaluate(x))
         return 0.5 * PI_T * fx * fx
 
     return integrate(integrand, dom, splits, cfg).value
+
+
+def quadrature_measure(quantity: str) -> Callable:
+    """The quadrature measure of a profile quantity: arclength, surface or volume."""
+    # Built per call so that each name is the function bound in this module
+    # at call time, not a reference captured at import.
+    return {
+        "arclength": arclength_functional,
+        "surface": surface_of_revolution,
+        "volume": volume_of_revolution,
+    }[quantity]

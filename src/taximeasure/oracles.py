@@ -10,8 +10,10 @@ cell:
 
 Because the pieces telescope, the polyline sum is exact on monotone spans at
 any n, and the frustum sum is exact on linear spans; for smooth profiles both
-converge as the partition refines.  None of this imports the quadrature
-module, so the oracles stay a fully independent check on it.
+converge as the partition refines.  The oracle sums never call the
+quadrature engine, so they stay an independent check on it.  This module uses
+quadrature only for convergence_table's config, and measures for the shared
+domain and nonnegativity checks and for the table's reference values.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ from .geometry import Interval
 from .profiles import ProfileFunction
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
+# Largest partition an oracle builds.  It bounds the memory one call can ask
+# for (a few arrays of MAX_CELLS floats) against a cell count from the CLI.
+MAX_CELLS = 10**7
+
 
 class ConvergenceRow(NamedTuple):
     n: int
@@ -35,19 +41,13 @@ class ConvergenceRow(NamedTuple):
     abs_error: float
 
 
-def _resolve_domain(f: ProfileFunction, domain: Interval | None) -> Interval:
-    if domain is None:
-        return f.domain
-    if not f.domain.covers(domain):
-        raise DomainError(
-            f"requested domain [{domain.lo}, {domain.hi}] is not contained in "
-            f"the profile domain [{f.domain.lo}, {f.domain.hi}]")
-    return domain
+def _check_cells(n: int) -> None:
+    if not 1 <= n <= MAX_CELLS:
+        raise DomainError(f"oracle needs 1 <= n <= {MAX_CELLS} cells, got {n}")
 
 
 def _partition(f: ProfileFunction, domain: Interval, n: int) -> np.ndarray:
-    if n < 1:
-        raise DomainError(f"oracle needs n >= 1 cells, got {n}")
+    _check_cells(n)
     xs = np.linspace(domain.lo, domain.hi, n + 1)
     inner = [b for b in f.breakpoints if domain.lo < b < domain.hi]
     if inner:
@@ -55,18 +55,10 @@ def _partition(f: ProfileFunction, domain: Interval, n: int) -> np.ndarray:
     return xs
 
 
-def _check_nonnegative(label: str, xs: np.ndarray, fx: np.ndarray) -> None:
-    tol = -1e-12 * max(1.0, float(np.max(np.abs(fx))))
-    worst = int(np.argmin(fx))
-    if fx[worst] < tol:
-        raise DomainError(
-            f"{label} needs a nonnegative profile: f({xs[worst]!r}) = {fx[worst]!r}")
-
-
 def polyline_arclength_oracle(f: ProfileFunction, domain: Interval | None = None,
                               n: int = 1000) -> float:
     """Sum of taxicab chord lengths over the breakpoint-augmented partition."""
-    dom = _resolve_domain(f, domain)
+    dom = measures.resolve_domain(f, domain)
     xs = _partition(f, dom, n)
     fx = np.ascontiguousarray(f.evaluate(xs), dtype=float)
     return float(polyline_sum(xs, fx))
@@ -75,21 +67,21 @@ def polyline_arclength_oracle(f: ProfileFunction, domain: Interval | None = None
 def frustum_surface_oracle(f: ProfileFunction, domain: Interval | None = None,
                            n: int = 1000) -> float:
     """Sum of taxicab frustum lateral surfaces over the augmented partition."""
-    dom = _resolve_domain(f, domain)
+    dom = measures.resolve_domain(f, domain)
     xs = _partition(f, dom, n)
     fx = np.ascontiguousarray(f.evaluate(xs), dtype=float)
-    _check_nonnegative("frustum_surface_oracle", xs, fx)
+    measures.check_nonnegative_values(xs, fx)
     return float(frustum_sum(xs, fx))
 
 
 def disk_volume_oracle(f: ProfileFunction, domain: Interval | None = None,
                        n: int = 1000) -> float:
     """Midpoint-rule sum of taxicab disk volumes over the augmented partition."""
-    dom = _resolve_domain(f, domain)
+    dom = measures.resolve_domain(f, domain)
     xs = _partition(f, dom, n)
     mids = 0.5 * (xs[:-1] + xs[1:])
     fm = np.ascontiguousarray(f.evaluate(mids), dtype=float)
-    _check_nonnegative("disk_volume_oracle", mids, fm)
+    measures.check_nonnegative_values(mids, fm)
     return float(disk_sum(xs, fm))
 
 
@@ -105,8 +97,8 @@ def convergence_table(kind: str, f: ProfileFunction, domain: Interval | None = N
                       ) -> list[ConvergenceRow]:
     """Oracle values against the quadrature reference for each n in ns.
 
-    The reference is computed once; ns must be non-empty and strictly
-    increasing.
+    The reference is computed once; ns must be non-empty, strictly
+    increasing and within 1..MAX_CELLS.
     """
     if kind not in _ORACLES:
         raise DomainError(f"kind must be one of {sorted(_ORACLES)}, got {kind!r}")
@@ -115,15 +107,10 @@ def convergence_table(kind: str, f: ProfileFunction, domain: Interval | None = N
         raise DomainError("ns must not be empty")
     if any(n2 <= n1 for n1, n2 in zip(ns, ns[1:])):
         raise DomainError(f"ns must be strictly increasing, got {ns}")
-    if ns[0] < 1:
-        raise DomainError(f"oracle needs n >= 1 cells, got {ns[0]}")
+    _check_cells(ns[0])
+    _check_cells(ns[-1])
 
-    reference_fn = {
-        "arclength": measures.arclength_functional,
-        "surface": measures.surface_of_revolution,
-        "volume": measures.volume_of_revolution,
-    }[kind]
-    reference = reference_fn(f, domain, cfg)
+    reference = measures.quadrature_measure(kind)(f, domain, cfg)
     oracle_fn = _ORACLES[kind]
     rows = []
     for n in ns:

@@ -347,7 +347,8 @@ def _as_number(spec_name: str, key: str, value) -> float:
     return float(value)
 
 
-def _take_params(spec_name: str, params: dict, keys: tuple[str, ...]) -> list[float]:
+def take_params(spec_name: str, params, keys: tuple[str, ...]) -> list[float]:
+    """The numbers params holds for keys, in order; exactly those keys allowed."""
     if not isinstance(params, dict):
         raise SpecError(f"{spec_name}: 'params' must be an object, got {params!r}")
     missing = [k for k in keys if k not in params]
@@ -357,6 +358,22 @@ def _take_params(spec_name: str, params: dict, keys: tuple[str, ...]) -> list[fl
     if extra:
         raise SpecError(f"{spec_name}: unexpected parameters {extra}")
     return [_as_number(spec_name, k, params[k]) for k in keys]
+
+
+def _linear_from_params(slope: float, intercept: float, lo: float,
+                        hi: float) -> ProfileFunction:
+    return profile_linear(slope, intercept, Interval(lo, hi))
+
+
+# Catalog name -> (constructor, parameter keys in the constructor's order).
+_CATALOG: dict[str, tuple[Callable[..., ProfileFunction], tuple[str, ...]]] = {
+    "linear": (_linear_from_params, ("slope", "intercept", "lo", "hi")),
+    "euclidean_circle_quadrant": (profile_euclidean_circle_quadrant, ("r",)),
+    "euclidean_parabola_quadrant": (profile_euclidean_parabola_quadrant, ("r",)),
+    "taxicab_circle_upper": (profile_taxicab_circle_upper, ("r",)),
+    "taxicab_parabola": (profile_taxicab_parabola, ("a", "h")),
+    "taxicab_ellipse_upper": (profile_taxicab_ellipse_upper, ("a", "b", "s")),
+}
 
 
 def parse_profile_spec(spec) -> ProfileFunction:
@@ -389,25 +406,7 @@ def parse_profile_spec(spec) -> ProfileFunction:
     if extra:
         raise SpecError(f"profile spec has unexpected keys {extra}")
     name = spec["catalog"]
-    params = spec.get("params", {})
-
-    if name == "linear":
-        slope, intercept, lo, hi = _take_params(name, params,
-                                                ("slope", "intercept", "lo", "hi"))
-        return profile_linear(slope, intercept, Interval(lo, hi))
-    if name == "euclidean_circle_quadrant":
-        (r,) = _take_params(name, params, ("r",))
-        return profile_euclidean_circle_quadrant(r)
-    if name == "euclidean_parabola_quadrant":
-        (r,) = _take_params(name, params, ("r",))
-        return profile_euclidean_parabola_quadrant(r)
-    if name == "taxicab_circle_upper":
-        (r,) = _take_params(name, params, ("r",))
-        return profile_taxicab_circle_upper(r)
-    if name == "taxicab_parabola":
-        a, h = _take_params(name, params, ("a", "h"))
-        return profile_taxicab_parabola(a, h)
-    if name == "taxicab_ellipse_upper":
-        a, b, s = _take_params(name, params, ("a", "b", "s"))
-        return profile_taxicab_ellipse_upper(a, b, s)
-    raise SpecError(f"unknown catalog profile {name!r}")
+    if not isinstance(name, str) or name not in _CATALOG:
+        raise SpecError(f"unknown catalog profile {name!r}")
+    build, keys = _CATALOG[name]
+    return build(*take_params(name, spec.get("params", {}), keys))

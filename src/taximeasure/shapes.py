@@ -14,12 +14,12 @@ ones and scaling by powers of two is exact).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError, SpecError
 from .geometry import PI_T, Interval
 from .profiles import (ProfileFunction, profile_linear, profile_taxicab_circle_upper,
-                       profile_taxicab_ellipse_upper, profile_taxicab_parabola)
+                       profile_taxicab_ellipse_upper, profile_taxicab_parabola, take_params)
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -157,6 +157,17 @@ def revolution_profile(spec) -> ProfileFunction:
     raise SpecError(f"no revolution profile for {spec!r}")
 
 
+# Shape name -> (spec class, parameter keys).  The keys are the dataclass
+# fields, which list them in the constructor's order.
+_SHAPES = {name: (cls, tuple(f.name for f in fields(cls))) for name, cls in (
+    ("circle", CircleSpec),
+    ("sphere", SphereSpec),
+    ("cylinder", CylinderSpec),
+    ("paraboloid", ParaboloidSpec),
+    ("ellipsoid", EllipsoidSpec),
+)}
+
+
 def parse_shape_spec(spec):
     """Build a shape spec from its JSON object form
     {"shape": <name>, "params": {...}}."""
@@ -168,38 +179,7 @@ def parse_shape_spec(spec):
     if "shape" not in spec:
         raise SpecError("shape spec needs a 'shape' key")
     name = spec["shape"]
-    params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise SpecError(f"'params' must be an object, got {params!r}")
-
-    def take(*keys: str) -> list[float]:
-        missing = [k for k in keys if k not in params]
-        if missing:
-            raise SpecError(f"shape {name!r}: missing parameters {missing}")
-        extra_keys = [k for k in params if k not in keys]
-        if extra_keys:
-            raise SpecError(f"shape {name!r}: unexpected parameters {extra_keys}")
-        out = []
-        for k in keys:
-            v = params[k]
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise SpecError(f"shape {name!r}: parameter {k!r} must be a number, got {v!r}")
-            out.append(float(v))
-        return out
-
-    if name == "circle":
-        (r,) = take("r")
-        return CircleSpec(r)
-    if name == "sphere":
-        (r,) = take("r")
-        return SphereSpec(r)
-    if name == "cylinder":
-        r, h = take("r", "h")
-        return CylinderSpec(r, h)
-    if name == "paraboloid":
-        a, h = take("a", "h")
-        return ParaboloidSpec(a, h)
-    if name == "ellipsoid":
-        a, b, s = take("a", "b", "s")
-        return EllipsoidSpec(a, b, s)
-    raise SpecError(f"unknown shape {name!r}")
+    if not isinstance(name, str) or name not in _SHAPES:
+        raise SpecError(f"unknown shape {name!r}")
+    cls, keys = _SHAPES[name]
+    return cls(*take_params(f"shape {name!r}", spec.get("params", {}), keys))

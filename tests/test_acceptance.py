@@ -231,7 +231,7 @@ _GOLDEN_SHAPES = (
 
 
 def _run_cli(argv):
-    env = dict(os.environ, TAXI_BACKEND="numpy")
+    env = dict(os.environ)
     env.pop("TAXI_QUAD_TOL", None)
     proc = subprocess.run([sys.executable, "-m", "taximeasure.cli", *argv],
                           capture_output=True, env=env)

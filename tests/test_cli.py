@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from taximeasure import ConvergenceError, cli
+from taximeasure import ConvergenceError, cli, oracles
 from taximeasure.cli import main
 
 SPHERE = '{"shape": "sphere", "params": {"r": 1}}'
@@ -108,6 +108,26 @@ def test_measure_domain_error_exits_3(capsys):
     assert "r" in err
 
 
+@pytest.mark.parametrize("spec", [
+    '{"shape": "sphere", "params": {"r": 1e200}}',
+    '{"shape": "cylinder", "params": {"r": 1e300, "h": 1e300}}',
+])
+def test_measure_overflowing_volume_exits_3(capsys, spec):
+    code, out, err = run(capsys, ["measure", "--quantity", "volume", "--shape", spec])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", [["--shape", SPHERE], ["--profile", DIAMOND]])
+def test_measure_oracle_cell_bound_exits_3(capsys, source):
+    n = str(oracles.MAX_CELLS + 1)
+    code, out, err = run(capsys, ["measure", "--quantity", "volume", *source, "--oracle", n])
+    assert code == 3
+    assert out == ""
+    assert str(oracles.MAX_CELLS) in err
+
+
 def test_measure_convergence_error_exits_4(capsys, monkeypatch):
     def blow_up(prof, domain=None, cfg=None):
         raise ConvergenceError("stuck", value=1.0, error_estimate=0.5)
@@ -187,6 +207,14 @@ def test_table_rejects_decreasing_ns(capsys):
     code, _, _ = run(capsys, ["table", "--profile", DIAMOND,
                               "--quantity", "volume", "--ns", "16,4"])
     assert code == 3
+
+
+def test_table_rejects_ns_above_cell_bound(capsys):
+    code, out, err = run(capsys, ["table", "--profile", DIAMOND, "--quantity", "volume",
+                                  "--ns", f"4,{oracles.MAX_CELLS + 1}"])
+    assert code == 3
+    assert out == ""
+    assert str(oracles.MAX_CELLS) in err
 
 
 # ---------------------------------------------------------------------------

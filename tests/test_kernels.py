@@ -1,36 +1,7 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 import taximeasure._kernels as kernels
-
-
-def _random_partition(rng, n):
-    xs = np.sort(rng.uniform(-3.0, 3.0, n + 1))
-    xs[0], xs[-1] = -3.0, 3.0
-    fx = rng.uniform(0.1, 2.0, n + 1)
-    return xs, fx
-
-
-def test_backend_is_one_of_the_known_pair():
-    assert kernels.BACKEND in ("numba", "numpy")
-
-
-@pytest.mark.parametrize("n", [1, 2, 17, 1000])
-def test_dispatched_kernels_match_numpy_reference(n):
-    rng = np.random.default_rng(42)
-    xs, fx = _random_partition(rng, n)
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    fm = np.interp(mids, xs, fx)
-    assert kernels.polyline_sum(xs, fx) == pytest.approx(
-        kernels.polyline_sum_numpy(xs, fx), rel=1e-13)
-    assert kernels.frustum_sum(xs, fx) == pytest.approx(
-        kernels.frustum_sum_numpy(xs, fx), rel=1e-13)
-    assert kernels.disk_sum(xs, fm) == pytest.approx(
-        kernels.disk_sum_numpy(xs, fm), rel=1e-13)
 
 
 def test_polyline_sum_telescopes_on_monotone_data():
@@ -40,37 +11,15 @@ def test_polyline_sum_telescopes_on_monotone_data():
     fx = np.sort(rng.uniform(-1.0, 4.0, 100_001))
     expected = (xs[-1] - xs[0]) + (fx[-1] - fx[0])
     assert kernels.polyline_sum(xs, fx) == pytest.approx(expected, abs=1e-12)
-    assert kernels.polyline_sum_numpy(xs, fx) == pytest.approx(expected, abs=1e-12)
 
 
 def test_frustum_sum_constant_profile():
     xs = np.linspace(0.0, 2.0, 6)
     fx = np.full(6, 1.0)
     assert kernels.frustum_sum(xs, fx) == pytest.approx(16.0, abs=1e-13)
-    assert kernels.frustum_sum_numpy(xs, fx) == pytest.approx(16.0, abs=1e-13)
 
 
 def test_disk_sum_constant_profile():
     xs = np.linspace(0.0, 2.0, 6)
     fm = np.full(5, 1.0)
     assert kernels.disk_sum(xs, fm) == pytest.approx(4.0, abs=1e-13)
-    assert kernels.disk_sum_numpy(xs, fm) == pytest.approx(4.0, abs=1e-13)
-
-
-def _run_probe(backend):
-    env = dict(os.environ, TAXI_BACKEND=backend)
-    return subprocess.run(
-        [sys.executable, "-c", "import taximeasure._kernels as k; print(k.BACKEND)"],
-        capture_output=True, text=True, env=env)
-
-
-def test_env_flag_forces_numpy_backend():
-    proc = _run_probe("numpy")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_unknown_backend():
-    proc = _run_probe("cuda")
-    assert proc.returncode != 0
-    assert "TAXI_BACKEND" in proc.stderr

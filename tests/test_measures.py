@@ -283,3 +283,55 @@ def test_double_half_sphere_surface_matches_closed_form():
     f = profile_linear(-1.0, 1.0, Interval(0.0, 1.0))
     assert 2.0 * surface_of_revolution(f) == pytest.approx(
         sphere_surface(SphereSpec(1.0)), abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# zigzags: f' changes sign at every declared breakpoint
+# ---------------------------------------------------------------------------
+
+def _zigzag(n_vertices):
+    if n_vertices == 4:
+        return ((0.0, 0.251), (0.721, 1.704), (1.552, 0.979), (1.827, 1.572))
+    rng = np.random.default_rng(n_vertices)
+    xs = np.cumsum(np.r_[0.0, rng.uniform(0.2, 1.0, n_vertices - 1)])
+    ys = np.where(np.arange(n_vertices) % 2 == 0,
+                  rng.uniform(0.2, 0.8, n_vertices), rng.uniform(1.2, 2.0, n_vertices))
+    return tuple(zip(xs.tolist(), ys.tolist()))
+
+
+def _zigzag_exact(vertices):
+    arc, surface = [], []
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
+        dx, dy = x1 - x0, y1 - y0
+        m = dy / dx
+        arc.append(dx + abs(dy))
+        radical = math.sqrt(1.0 - m * m / (2.0 * (1.0 + m * m)))
+        surface.append(2.0 * 4.0 * (1.0 + abs(m)) * radical * dx * 0.5 * (y0 + y1))
+    return math.fsum(arc), math.fsum(surface)
+
+
+@pytest.mark.parametrize("n_vertices", [4, 5, 7, 10])
+def test_zigzag_pieces_end_at_the_declared_kinks(monkeypatch, n_vertices):
+    import taximeasure.measures as measures
+    from taximeasure import PiecewiseLinearProfile
+
+    samples = []
+
+    def counting_integrate(g, *args, **kwargs):
+        box = [0]
+
+        def counted(x):
+            box[0] += 1
+            return g(x)
+
+        result = integrate(counted, *args, **kwargs)
+        samples.append(box[0])
+        return result
+
+    monkeypatch.setattr(measures, "integrate", counting_integrate)
+    vertices = _zigzag(n_vertices)
+    f = PiecewiseLinearProfile(vertices).to_profile()
+    arc, surface = _zigzag_exact(vertices)
+    assert arclength_functional(f) == pytest.approx(arc, rel=1e-12)
+    assert surface_of_revolution(f) == pytest.approx(surface, rel=1e-12)
+    assert len(samples) == 2 and max(samples) <= 1000

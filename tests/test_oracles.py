@@ -86,6 +86,13 @@ def test_oracles_reject_bad_segment_counts(oracle):
         oracle(f, n=0)
 
 
+@pytest.mark.parametrize("oracle", [polyline_arclength_oracle, frustum_surface_oracle, disk_volume_oracle])
+def test_oracles_reject_more_than_max_cells(oracle):
+    f = profile_linear(0.0, 1.0, Interval(0.0, 1.0))
+    with pytest.raises(DomainError):
+        oracle(f, n=oracles.MAX_CELLS + 1)
+
+
 @pytest.mark.parametrize("oracle", [frustum_surface_oracle, disk_volume_oracle])
 def test_revolution_oracles_reject_negative_profiles(oracle):
     f = profile_linear(0.0, -1.0, Interval(0.0, 1.0))
@@ -132,6 +139,8 @@ def test_convergence_table_validates_inputs():
         convergence_table("arclength", f, ns=())
     with pytest.raises(DomainError):
         convergence_table("arclength", f, ns=(4, 0))
+    with pytest.raises(DomainError):
+        convergence_table("arclength", f, ns=(1, oracles.MAX_CELLS + 1))
 
 
 # ---------------------------------------------------------------------------
