@@ -23,6 +23,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import measures, oracles, shapes, svgplot
 from .errors import ConvergenceError, DomainError, IntegrandError, SpecError
 from .geometry import AngleRad
@@ -66,11 +68,15 @@ class MeasureReport:
         return out
 
 
-def _emit_report(report: MeasureReport, as_json: bool) -> None:
-    d = report.to_dict()
-    for k, v in d.items():
+def _check_finite(values: dict) -> None:
+    for k, v in values.items():
         if isinstance(v, float) and not math.isfinite(v):
             raise DomainError(f"{k} = {v!r}: the result is not representable as a float")
+
+
+def _emit_report(report: MeasureReport, as_json: bool) -> None:
+    d = report.to_dict()
+    _check_finite(d)
     if as_json:
         print(json.dumps(d))
         return
@@ -288,6 +294,8 @@ def cmd_table(args, cfg: QuadratureConfig) -> int:
     except ValueError:
         raise SpecError(f"--ns must be a comma-separated list of integers, got {args.ns!r}")
     rows = oracles.convergence_table(args.quantity, prof, None, ns, cfg)
+    for row in rows:
+        _check_finite(row._asdict())
     print("n,oracle,reference,abs_error")
     for row in rows:
         print(f"{row.n},{_fmt(row.oracle)},{_fmt(row.reference)},{_fmt(row.abs_error)}")
@@ -375,7 +383,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_env()
-        return args.func(args, cfg)
+        # measure and table reject a non-finite result themselves, so NumPy's
+        # overflow warnings would only add lines before their error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args, cfg)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,6 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, detect_sign_changes, i
 # monotonicity).  These are heuristics by design: the declared breakpoints and
 # their one-sided neighborhoods are always included.
 _CHECK_GRID = 1024
-_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,8 @@ def arclength_functional(f: ProfileFunction, domain: Interval | None = None,
     dom = resolve_domain(f, domain)
     splits = _splits(f, dom, cfg, f.derivative)
 
-    def integrand(x: float) -> float:
-        return 1.0 + abs(f.derivative(x))
+    def integrand(x: np.ndarray) -> np.ndarray:
+        return 1.0 + np.abs(f.derivative(x))
 
     return integrate(integrand, dom, splits, cfg).value
 
@@ -146,8 +145,8 @@ def arclength_parametric_2d(c: ParametricCurve2, domain: Interval | None = None,
     dom = resolve_domain(c, domain)
     splits = _splits(c, dom, cfg, c.dx, c.dy)
 
-    def integrand(t: float) -> float:
-        return abs(c.dx(t)) + abs(c.dy(t))
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return np.abs(c.dx(t)) + np.abs(c.dy(t))
 
     return integrate(integrand, dom, splits, cfg).value
 
@@ -158,8 +157,8 @@ def arclength_parametric_3d(c: ParametricCurve3, domain: Interval | None = None,
     dom = resolve_domain(c, domain)
     splits = _splits(c, dom, cfg, c.dx, c.dy, c.dz)
 
-    def integrand(t: float) -> float:
-        return abs(c.dx(t)) + abs(c.dy(t)) + abs(c.dz(t))
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return np.abs(c.dx(t)) + np.abs(c.dy(t)) + np.abs(c.dz(t))
 
     return integrate(integrand, dom, splits, cfg).value
 
@@ -199,14 +198,12 @@ def surface_of_revolution(f: ProfileFunction, domain: Interval | None = None,
     _check_nonnegative(f, dom)
     splits = _splits(f, dom, cfg, f.derivative)
 
-    def integrand(x: float) -> float:
-        d = float(f.derivative(x))
-        dd = d * d
-        if dd > 1e300:
-            radical = _SQRT_HALF
-        else:
-            radical = math.sqrt(1.0 - dd / (2.0 * (1.0 + dd)))
-        return 2.0 * PI_T * float(f.evaluate(x)) * (1.0 + abs(d)) * radical
+    def integrand(x: np.ndarray) -> np.ndarray:
+        d = f.derivative(x)
+        # sqrt(1 - d^2 / (2(1 + d^2))), written so that it tends to sqrt(1/2)
+        # as |d| grows.
+        radical = np.sqrt(0.5 + 0.5 / (1.0 + d * d))
+        return 2.0 * PI_T * f.evaluate(x) * (1.0 + np.abs(d)) * radical
 
     return integrate(integrand, dom, splits, cfg).value
 
@@ -219,8 +216,8 @@ def volume_of_revolution(f: ProfileFunction, domain: Interval | None = None,
     _check_nonnegative(f, dom)
     splits = _splits(f, dom, cfg)
 
-    def integrand(x: float) -> float:
-        fx = float(f.evaluate(x))
+    def integrand(x: np.ndarray) -> np.ndarray:
+        fx = f.evaluate(x)
         return 0.5 * PI_T * fx * fx
 
     return integrate(integrand, dom, splits, cfg).value

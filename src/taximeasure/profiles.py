@@ -5,8 +5,9 @@ interior breakpoints where f' jumps.  The quadrature and oracle layers cut
 their partitions at the declared breakpoints; nothing is auto-detected here,
 so constructors must declare every kink.
 
-Evaluation maps accept either a float or a NumPy array and return a value of
-matching kind.
+Evaluation maps are NumPy expressions: they take an array of abscissas and
+return an array of the same shape.  The quadrature calls them with arrays
+only; a float still works and gives a NumPy scalar.
 """
 
 from __future__ import annotations
@@ -19,12 +20,6 @@ import numpy as np
 
 from .errors import DomainError, SpecError
 from .geometry import Interval
-
-
-def _const_like(x, value: float):
-    if isinstance(x, np.ndarray):
-        return np.full(x.shape, value)
-    return value
 
 
 def _require_finite(label: str, **params: float) -> None:
@@ -132,14 +127,11 @@ class PiecewiseLinearProfile:
         slopes = np.diff(ys) / np.diff(xs)
 
         def evaluate(x):
-            out = np.interp(x, xs, ys)
-            return float(out) if np.ndim(out) == 0 else out
+            return np.interp(x, xs, ys)
 
         def derivative(x):
             # At a vertex the slope of the segment to its right is reported.
-            idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)
-            out = slopes[idx]
-            return float(out) if np.ndim(out) == 0 else out
+            return slopes[np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)]
 
         return ProfileFunction(
             evaluate, derivative, Interval(float(xs[0]), float(xs[-1])),
@@ -159,7 +151,7 @@ def profile_linear(slope: float, intercept: float, domain: Interval) -> ProfileF
         return slope * x + intercept
 
     def derivative(x):
-        return _const_like(x, slope)
+        return np.full(np.shape(x), slope)
 
     return ProfileFunction(evaluate, derivative, domain,
                            label=f"linear(slope={slope:g}, intercept={intercept:g})")
@@ -172,11 +164,11 @@ def profile_euclidean_circle_quadrant(r: float) -> ProfileFunction:
         raise DomainError(f"profile_euclidean_circle_quadrant requires r > 0, got {r}")
 
     def evaluate(x):
-        return np.sqrt(np.maximum(r * r - x * x, 0.0))
+        return np.sqrt(np.maximum((r - x) * (r + x), 0.0))
 
     def derivative(x):
         with np.errstate(divide="ignore"):
-            return -x / np.sqrt(np.maximum(r * r - x * x, 0.0))
+            return -x / np.sqrt(np.maximum((r - x) * (r + x), 0.0))
 
     return ProfileFunction(evaluate, derivative, Interval(0.0, r),
                            label=f"euclidean_circle_quadrant(r={r:g})",
@@ -206,14 +198,10 @@ def profile_taxicab_circle_upper(r: float) -> ProfileFunction:
         raise DomainError(f"profile_taxicab_circle_upper requires r > 0, got {r}")
 
     def evaluate(x):
-        if isinstance(x, np.ndarray):
-            return r - np.abs(x)
-        return r - abs(x)
+        return r - np.abs(x)
 
     def derivative(x):
-        if isinstance(x, np.ndarray):
-            return np.where(x < 0.0, 1.0, -1.0)
-        return 1.0 if x < 0.0 else -1.0
+        return np.where(x < 0.0, 1.0, -1.0)
 
     return ProfileFunction(evaluate, derivative, Interval(-r, r), breakpoints=(0.0,),
                            label=f"taxicab_circle_upper(r={r:g})")
@@ -235,14 +223,10 @@ def profile_taxicab_parabola(a: float, h: float) -> ProfileFunction:
         raise DomainError(f"profile_taxicab_parabola requires a <= h, got a={a}, h={h}")
 
     def evaluate(y):
-        if isinstance(y, np.ndarray):
-            return np.minimum(y, a)
-        return y if y <= a else a
+        return np.minimum(y, a)
 
     def derivative(y):
-        if isinstance(y, np.ndarray):
-            return np.where(y < a, 1.0, 0.0)
-        return 1.0 if y < a else 0.0
+        return np.where(y < a, 1.0, 0.0)
 
     breakpoints = (a,) if a < h else ()
     return ProfileFunction(evaluate, derivative, Interval(0.0, h), breakpoints=breakpoints,
@@ -276,24 +260,10 @@ def profile_taxicab_ellipse_upper(a: float, b: float, s: float) -> ProfileFuncti
     half_s = s / 2.0
 
     def evaluate(x):
-        if isinstance(x, np.ndarray):
-            return np.select([x < p, x <= q], [x + half_s, np.full(x.shape, b)],
-                             default=half_s - x)
-        if x < p:
-            return x + half_s
-        if x <= q:
-            return b
-        return half_s - x
+        return np.where(x < p, x + half_s, np.where(x <= q, b, half_s - x))
 
     def derivative(x):
-        if isinstance(x, np.ndarray):
-            return np.select([x < p, x <= q], [np.full(x.shape, 1.0), np.zeros(x.shape)],
-                             default=-1.0)
-        if x < p:
-            return 1.0
-        if x <= q:
-            return 0.0
-        return -1.0
+        return np.where(x < p, 1.0, np.where(x <= q, 0.0, -1.0))
 
     breakpoints = tuple(sorted({v for v in (p, q) if -a < v < a}))
     return ProfileFunction(evaluate, derivative, Interval(-a, a), breakpoints=breakpoints,

@@ -1,19 +1,20 @@
-"""Adaptive quadrature that tolerates |f'| kinks and endpoint singularities.
+"""Globally adaptive Gauss-Kronrod quadrature over arrays of cells.
 
-The base rule is adaptive Simpson with Richardson error correction.  The
-domain is first cut at every mandatory split point (profile breakpoints plus
-detected derivative sign changes), which restores smoothness inside each
-piece.  The integrand is never evaluated exactly at the domain endpoints:
-every cell endpoint sample is nudged one ulp into the open interval, and the
-two outermost pieces are integrated by peeling geometrically shrinking cells
-toward the endpoint.  Each tail finishes in one of two ways, whichever
-validates first:
+The domain is first cut at every mandatory split point (profile breakpoints
+plus detected derivative sign changes), which restores smoothness inside each
+piece, and each piece starts as one cell.  Every round applies the 15-point
+Kronrod rule and its embedded 7-point Gauss rule to the new cells, takes
+|K15 - G7| as a cell's error, and bisects the cells with the largest errors
+until the summed error is at most max(abs_tol, rel_tol * |value|).  This is
+the QAG scheme of QUADPACK (Piessens et al. 1983), run over NumPy arrays: the
+nodes of all new cells go to the integrand in one call, so integrands take
+and return arrays.
 
-* a Gauss-Legendre rule on the remaining sliver, accepted when it agrees with
-  its own two-halves refinement (smooth tails), or
-* geometric-series extrapolation of the peeled cell sums, accepted when the
-  extrapolated remainder is consistent between consecutive peels (power-law
-  tails such as the inverse square root produced by Euclidean circle arcs).
+The two end pieces are integrated in u = sqrt(|x - e|) for their domain
+endpoint e (x = e +- u^2, Jacobian 2u), which turns integrable power-law
+singularities at the ends, such as the inverse square root of a Euclidean
+circle arc, into smooth integrands.  Abscissas are clipped into the open
+domain, so the integrand is never evaluated at a domain endpoint.
 """
 
 from __future__ import annotations
@@ -22,22 +23,24 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError, IntegrandError
 from .geometry import Interval
 
-# 7-point Gauss-Legendre nodes/weights on [-1, 1]; exact through degree 13.
-_GL7_X = (
-    -0.9491079123427585, -0.7415311855993945, -0.4058451513773972, 0.0,
-    0.4058451513773972, 0.7415311855993945, 0.9491079123427585,
-)
-_GL7_W = (
-    0.1294849661688697, 0.2797053914892766, 0.3818300505051189,
-    0.4179591836734694,
-    0.3818300505051189, 0.2797053914892766, 0.1294849661688697,
-)
-
-# Geometric ratio estimates beyond this are treated as non-contracting.
-_RHO_MAX = 0.95
+# Kronrod nodes and weights on [-1, 1] (QUADPACK qk15), ascending; the odd
+# entries are the 7-point Gauss nodes, weighted by _WG.
+_XK_POS = (0.991455371120812639, 0.949107912342758525, 0.864864423359769073,
+           0.741531185599394440, 0.586087235467691130, 0.405845151377397167,
+           0.207784955007898468)
+_WK_POS = (0.022935322010529225, 0.063092092629978553, 0.104790010322250184,
+           0.140653259715525919, 0.169004726639267903, 0.190350578064785410,
+           0.204432940075298892)
+_XK = np.array([-x for x in _XK_POS] + [0.0] + list(reversed(_XK_POS)))
+_WK = np.array(list(_WK_POS) + [0.209482141084727828] + list(reversed(_WK_POS)))
+_WG = np.array([0.129484966168869693, 0.279705391489276668, 0.381830050505118945,
+                0.417959183673469388,
+                0.381830050505118945, 0.279705391489276668, 0.129484966168869693])
 
 
 @dataclass(frozen=True)
@@ -72,208 +75,15 @@ class QuadratureResult:
     split_points: tuple[float, ...]
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-class _Run:
-    """Per-integration state: the clamped sampler and the work counters."""
-
-    __slots__ = ("g", "open_lo", "open_hi", "subdivisions", "evals_left")
-
-    def __init__(self, g: Callable[[float], float], lo: float, hi: float,
-                 max_evals: int):
-        self.g = g
-        self.open_lo = math.nextafter(lo, hi)
-        self.open_hi = math.nextafter(hi, lo)
-        self.subdivisions = 0
-        self.evals_left = max_evals
-
-    def sample(self, x: float) -> float:
-        # Keep every abscissa strictly inside the open domain; rounding in the
-        # tail arithmetic can otherwise land exactly on an endpoint.
-        if x < self.open_lo:
-            x = self.open_lo
-        elif x > self.open_hi:
-            x = self.open_hi
-        self.evals_left -= 1
-        if self.evals_left < 0:
-            raise _BudgetExceeded
-        v = float(self.g(x))
-        if not math.isfinite(v):
-            raise IntegrandError(x, v)
-        return v
-
-
-def _simpson_cell(run, lo: float, hi: float, tol: float, max_depth: int) -> tuple[float, float]:
-    """Adaptive Simpson on [lo, hi] with endpoint samples nudged inward."""
-    a = math.nextafter(lo, hi)
-    b = math.nextafter(hi, lo)
-    if not a < b:  # cell thinner than two ulps
-        return (hi - lo) * run.sample(0.5 * (lo + hi)), 0.0
-    m = 0.5 * (a + b)
-    fa, fm, fb = run.sample(a), run.sample(m), run.sample(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(x0: float, x2: float, f0: float, f1: float, f2: float,
-            est: float, tol_here: float, depth: int) -> tuple[float, float]:
-        x1 = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + x1)
-        rm = 0.5 * (x1 + x2)
-        flm = run.sample(lm)
-        frm = run.sample(rm)
-        h6 = (x1 - x0) / 6.0
-        left = h6 * (f0 + 4.0 * flm + f1)
-        right = h6 * (f1 + 4.0 * frm + f2)
-        delta = left + right - est
-        if abs(delta) <= 15.0 * tol_here or depth >= max_depth:
-            # Richardson: Simpson halving gains a factor 16, so delta/15
-            # corrects the composite estimate to the next order.
-            return left + right + delta / 15.0, abs(delta) / 15.0
-        run.subdivisions += 1
-        v1, e1 = rec(x0, x1, f0, flm, f1, left, 0.5 * tol_here, depth + 1)
-        v2, e2 = rec(x1, x2, f1, frm, f2, right, 0.5 * tol_here, depth + 1)
-        return v1 + v2, e1 + e2
-
-    return rec(a, b, fa, fm, fb, whole, tol, 0)
-
-
-def _gauss7(run, lo: float, hi: float) -> float:
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    acc = 0.0
-    for xi, wi in zip(_GL7_X, _GL7_W):
-        acc += wi * run.sample(c + h * xi)
-    return h * acc
-
-
-class _FrameSampler:
-    """Adapter exposing a tail frame s in [0, W] (suspect endpoint at s = W)
-    as a run-like object for the Simpson and Gauss helpers.
-
-    Plain frame: x = anchor + direction * s.  Substituted frame:
-    x = suspect - direction * (W - s)^2 with the Jacobian 2(W - s) folded into
-    the sample, which turns half-integer power singularities at the suspect
-    endpoint into smooth integrands.
-    """
-
-    __slots__ = ("base", "anchor", "suspect", "direction", "W", "substituted")
-
-    def __init__(self, base: _Run, anchor: float, suspect: float, W: float,
-                 substituted: bool):
-        self.base = base
-        self.anchor = anchor
-        self.suspect = suspect
-        self.direction = 1.0 if suspect >= anchor else -1.0
-        self.W = W
-        self.substituted = substituted
-
-    def sample(self, s: float) -> float:
-        if self.substituted:
-            t = self.W - s
-            x = self.suspect - self.direction * t * t
-            return 2.0 * t * self.base.sample(x)
-        return self.base.sample(self.anchor + self.direction * s)
-
-    @property
-    def subdivisions(self) -> int:
-        return self.base.subdivisions
-
-    @subdivisions.setter
-    def subdivisions(self, v: int) -> None:
-        self.base.subdivisions = v
-
-
-def _peel(frame: _FrameSampler, tol: float, max_depth: int,
-          k_limit: int) -> tuple[float, float, bool]:
-    """Peel geometrically shrinking cells toward the suspect frame end s = W.
-
-    Returns (value, error, converged); on a False flag the value and error
-    cover only the peeled cells, with the unresolved remainder folded into
-    the error term.
-    """
-    W = frame.W
-    total = 0.0
-    err = 0.0
-    cell_tol = tol / 8.0
-    sums: list[float] = []
-    rhat_prev: float | None = None
-    s_edge = 0.0
-    rem = W
-
-    for _ in range(k_limit):
-        rem *= 0.5
-        s_next = W - rem
-        if not s_next > s_edge:
-            break  # cell width collapsed to the fp grid
-        v, e = _simpson_cell(frame, s_edge, s_next, cell_tol, max_depth)
-        total += v
-        err += e
-        sums.append(v)
-        s_edge = s_next
-
-        # Finisher 1: Gauss-Legendre on the remaining sliver, trusted when it
-        # agrees with its own two-halves refinement.
-        r1 = _gauss7(frame, s_edge, W)
-        s_mid = W - 0.5 * rem
-        r2 = _gauss7(frame, s_edge, s_mid) + _gauss7(frame, s_mid, W)
-        gl_gap = abs(r1 - r2)
-        if gl_gap <= 0.05 * tol:
-            return total + r2, err + gl_gap, True
-
-        # Finisher 2: geometric extrapolation of the peeled cell sums.  For a
-        # pure power tail the cell sums are exactly geometric, and the drift
-        # between consecutive extrapolations tracks the extrapolation bias.
-        if len(sums) >= 3:
-            s0, s1 = sums[-2], sums[-1]
-            if abs(s0) > 1e-305:
-                rho = s1 / s0
-                if 0.0 < rho < _RHO_MAX:
-                    rhat = s1 * rho / (1.0 - rho)
-                    if rhat_prev is not None:
-                        drift = abs(rhat - (rhat_prev - s1))
-                        if drift <= 0.25 * tol:
-                            return total + rhat, err + drift + abs(rhat) * 1e-12, True
-                    rhat_prev = rhat
-                else:
-                    rhat_prev = None
-            else:
-                # Remaining mass is below representable scale; call it done.
-                return total, err + abs(s1), True
-
-    unresolved = abs(sums[-1]) if sums else abs(W)
-    return total, err + unresolved, False
-
-
-def _tail(run: _Run, lo: float, hi: float, tol: float, max_depth: int,
-          toward_hi: bool) -> tuple[float, float]:
-    """Integrate a piece whose lo (toward_hi=False) or hi (toward_hi=True)
-    endpoint may be singular.
-
-    First peels in the original coordinates, which finishes within a few cells
-    for smooth or piecewise-polynomial integrands (and stays exact for them).
-    If that does not validate quickly, the piece is redone under the
-    substitution u = sqrt(|x - suspect endpoint|), whose Jacobian absorbs
-    inverse-square-root singularities entirely.
-    """
-    width = hi - lo
-    if width <= 0.0:
-        return 0.0, 0.0
-    anchor, suspect = (lo, hi) if toward_hi else (hi, lo)
-
-    plain = _FrameSampler(run, anchor, suspect, width, substituted=False)
-    value, err, ok = _peel(plain, tol, max_depth, k_limit=8)
-    if ok:
-        return value, err
-
-    substituted = _FrameSampler(run, anchor, suspect, math.sqrt(width), substituted=True)
-    value, err, ok = _peel(substituted, tol, max_depth, k_limit=max(80, 2 * max_depth))
-    if ok:
-        return value, err
-
-    raise ConvergenceError(
-        f"tail refinement toward {'hi' if toward_hi else 'lo'} did not converge",
-        value=value, error_estimate=err)
+def _call(g: Callable, x: np.ndarray, bad: Callable) -> np.ndarray:
+    """g at the 1-D array x, broadcast to its shape; IntegrandError at the
+    first value flagged by bad."""
+    v = np.broadcast_to(np.asarray(g(x), dtype=float), x.shape)
+    flags = bad(v)
+    if flags.any():
+        i = int(np.argmax(flags))
+        raise IntegrandError(x[i], float(v[i]))
+    return v
 
 
 def _clean_splits(lo: float, hi: float, splits: Iterable[float]) -> list[float]:
@@ -291,63 +101,110 @@ def _clean_splits(lo: float, hi: float, splits: Iterable[float]) -> list[float]:
     return cleaned
 
 
-def integrate(g: Callable[[float], float], domain: Interval,
+def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
               mandatory_splits: Sequence[float] = (),
               cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     """Integrate g over the interval, never sampling its endpoints.
 
-    mandatory_splits are forced cell boundaries; pass every known breakpoint
-    of the integrand.  Raises IntegrandError on a non-finite sample and
-    ConvergenceError when the error estimate cannot be brought below
-    max(abs_tol, rel_tol * |value|).
+    g takes a 1-D array of abscissas and returns the integrand there (a
+    scalar is broadcast).  mandatory_splits are forced cell boundaries; pass
+    every known breakpoint of the integrand.  Raises IntegrandError on a
+    non-finite sample and ConvergenceError when the error estimate cannot be
+    brought below max(abs_tol, rel_tol * |value|).
     """
     lo, hi = domain.lo, domain.hi
     if hi == lo:
         return QuadratureResult(0.0, 0.0, 0, ())
     splits = _clean_splits(lo, hi, mandatory_splits)
-    pts = [lo, *splits, hi]
-    if len(pts) == 2:
-        # Both endpoints are open: cut at the midpoint so each piece has one
-        # closed side for the tail peeling to anchor on.
-        pts = [lo, 0.5 * (lo + hi), hi]
+    # Cut a split-free domain at its midpoint so that each end piece has one
+    # domain endpoint to substitute around.
+    ends = np.array([lo, *(splits or [0.5 * (lo + hi)]), hi])
+    n = len(ends) - 1
 
-    run = _Run(g, lo, hi, cfg.max_evals)
-    n_pieces = len(pts) - 1
-    piece_tol = cfg.abs_tol / (2.0 * n_pieces)
+    # Piece p maps its own coordinate u to x = origin + direction * t(u),
+    # t = u^2 (Jacobian 2u) on the squared end pieces and t = u inside.
+    origin = ends[:-1].copy()
+    origin[-1] = hi
+    direction = np.ones(n)
+    direction[-1] = -1.0
+    squared = np.zeros(n, dtype=bool)
+    squared[[0, -1]] = True
+    open_lo, open_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
 
-    value = 0.0
-    err = 0.0
-    failure = False
-    for i in range(n_pieces):
-        a, b = pts[i], pts[i + 1]
-        try:
-            if i == n_pieces - 1:
-                v, e = _tail(run, a, b, piece_tol, cfg.max_depth, toward_hi=True)
-            elif i == 0:
-                v, e = _tail(run, a, b, piece_tol, cfg.max_depth, toward_hi=False)
-            else:
-                v, e = _simpson_cell(run, a, b, piece_tol, cfg.max_depth)
-        except ConvergenceError as exc:
-            v, e = exc.value, exc.error_estimate
-            failure = True
-        except _BudgetExceeded:
+    def rules(a, b, piece):
+        c = 0.5 * (a + b)[:, None]
+        h = 0.5 * (b - a)
+        u = c + h[:, None] * _XK
+        sq = squared[piece][:, None]
+        o = origin[piece][:, None]
+        x = np.clip(o + direction[piece][:, None] * np.where(sq, u * u, u), open_lo, open_hi)
+        fx = _call(g, x.ravel(), lambda v: ~np.isfinite(v)).reshape(u.shape)
+        # The Jacobian 2u is taken at the abscissa actually sampled, u =
+        # sqrt(|x - e|): rounding x then moves the node slightly in u, where
+        # the integrand is smooth, instead of shifting a 1/sqrt(|x - e|)
+        # singularity by a relative error of order ulp(e) / u^2.
+        fx = fx * np.where(sq, 2.0 * np.sqrt(np.abs(x - o)), 1.0)
+        kronrod = h * (fx @ _WK)
+        return kronrod, np.abs(kronrod - h * (fx[:, 1::2] @ _WG))
+
+    # Cells are [a, b] in the coordinate of their piece, at a bisection
+    # depth.  Each round evaluates the new cells and joins them to the kept.
+    b0 = np.diff(ends)
+    b0[[0, -1]] = np.sqrt(b0[[0, -1]])
+    new = (np.zeros(n), b0, np.arange(n), np.zeros(n, dtype=int))
+    a = b = value = error = np.zeros(0)
+    piece = depth = np.zeros(0, dtype=int)
+    evals = subdivisions = 0
+    total, err = 0.0, math.inf
+    while True:
+        evals += _XK.size * new[0].size
+        if evals > cfg.max_evals:
             raise ConvergenceError(
                 f"quadrature exhausted its evaluation budget ({cfg.max_evals} samples)",
-                value=value, error_estimate=math.inf) from None
-        value += v
-        err += e
+                value=total, error_estimate=err)
+        a, b, piece, depth, value, error = (
+            np.concatenate([old, add]) for old, add in
+            zip((a, b, piece, depth, value, error), (*new, *rules(*new[:3]))))
 
-    if failure or err > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-        raise ConvergenceError("quadrature did not reach the requested tolerance",
-                               value=value, error_estimate=err)
-    return QuadratureResult(value, err, run.subdivisions, tuple(splits))
+        total = float(np.sum(value))
+        err = float(np.sum(error))
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        if err <= tol or not math.isfinite(err):
+            # A non-finite sum of finite samples has overflowed: no bisection
+            # can bring it back, so it is returned for the caller to judge.
+            break
+
+        mid = 0.5 * (a + b)
+        can = (depth < cfg.max_depth) & (a < mid) & (mid < b)
+        stuck = float(np.sum(error[~can]))
+        if stuck >= tol:
+            raise ConvergenceError(
+                "quadrature did not reach the requested tolerance: the cells "
+                "holding the error cannot be bisected further",
+                value=total, error_estimate=err)
+        # Bisect the largest errors until the rest is within half of what the
+        # cells that cannot be bisected leave of the tolerance.
+        order = np.flatnonzero(can)
+        order = order[np.argsort(-error[order], kind="stable")]
+        rest = (err - stuck) - np.cumsum(error[order])
+        pick = order[:1 + np.count_nonzero(rest > 0.5 * (tol - stuck))]
+        subdivisions += pick.size
+        new = (np.concatenate([a[pick], mid[pick]]), np.concatenate([mid[pick], b[pick]]),
+               np.tile(piece[pick], 2), np.tile(depth[pick] + 1, 2))
+        keep = np.ones(a.size, dtype=bool)
+        keep[pick] = False
+        a, b, piece, depth, value, error = (
+            arr[keep] for arr in (a, b, piece, depth, value, error))
+
+    return QuadratureResult(total, err, subdivisions, tuple(splits))
 
 
-def detect_sign_changes(g: Callable[[float], float], domain: Interval,
+def detect_sign_changes(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
                         n_scan: int = DEFAULT_CONFIG.kink_scan_points) -> list[float]:
     """Locate sign changes of g by scanning a uniform midpoint grid (which never
-    touches the domain endpoints) and bisecting each bracketing pair down to
-    1e-13 of the domain width.  Returns the refined abscissas, sorted.
+    touches the domain endpoints) in one array call, then bisecting every
+    bracketing pair together down to 1e-13 of the domain width.  Returns the
+    refined abscissas, sorted.
     """
     if n_scan < 3:
         raise DomainError(f"n_scan must be >= 3, got {n_scan}")
@@ -355,46 +212,29 @@ def detect_sign_changes(g: Callable[[float], float], domain: Interval,
     width = hi - lo
     if width <= 0.0:
         return []
-    step = width / n_scan
-    xs = [lo + (i + 0.5) * step for i in range(n_scan)]
+    xs = lo + (np.arange(n_scan) + 0.5) * (width / n_scan)
+    signs = np.sign(_call(g, xs, np.isnan))
 
-    def sign_at(x: float) -> int:
-        v = float(g(x))
-        if math.isnan(v):
-            raise IntegrandError(x, v)
-        return (v > 0.0) - (v < 0.0)
-
-    found: list[float] = []
+    # A bracket ends at a nonzero sign that differs from the previous nonzero
+    # one, and starts at the scan point just before it.
+    nonzero = np.flatnonzero(signs)
+    flips = np.flatnonzero(signs[nonzero[:-1]] != signs[nonzero[1:]])
+    right = nonzero[flips + 1]
+    a, b = xs[right - 1], xs[right]
+    sign_a = signs[nonzero[flips]]
     target = 1e-13 * width
-    prev_x = xs[0]
-    prev_s = sign_at(prev_x)
-    if prev_s == 0:
-        found.append(prev_x)
-    for x in xs[1:]:
-        s = sign_at(x)
-        if s == 0:
-            found.append(x)
-        elif prev_s != 0 and s != prev_s:
-            a, b, sa = prev_x, x, prev_s
-            while b - a > target:
-                m = 0.5 * (a + b)
-                sm = sign_at(m)
-                if sm == 0:
-                    a = b = m
-                    break
-                if sm == sa:
-                    a = m
-                else:
-                    b = m
-            found.append(0.5 * (a + b))
-        if s != 0:
-            prev_x, prev_s = x, s
-        else:
-            prev_x = x
+    active = np.flatnonzero(b - a > target)
+    while active.size:
+        m = 0.5 * (a[active] + b[active])
+        sm = np.sign(_call(g, m, np.isnan))
+        # An exact zero closes its bracket on the midpoint.
+        a[active] = np.where((sm == sign_a[active]) | (sm == 0.0), m, a[active])
+        b[active] = np.where(sm != sign_a[active], m, b[active])
+        active = active[b[active] - a[active] > target]
 
-    found.sort()
+    found = np.sort(np.concatenate([xs[signs == 0.0], 0.5 * (a + b)]))
     deduped: list[float] = []
-    for x in found:
-        if not deduped or x - deduped[-1] > 1e-13 * width:
+    for x in found.tolist():
+        if not deduped or x - deduped[-1] > target:
             deduped.append(x)
     return deduped

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -215,6 +218,30 @@ def test_table_rejects_ns_above_cell_bound(capsys):
     assert code == 3
     assert out == ""
     assert str(oracles.MAX_CELLS) in err
+
+
+def test_table_rejects_nonfinite_rows(capsys):
+    # Every sample is finite, but the volume sums overflow.
+    profile = ('{"catalog": "linear", "params": '
+               '{"slope": 0, "intercept": 1e153, "lo": 0, "hi": 1000}}')
+    code, out, err = run(capsys, ["table", "--profile", profile, "--quantity", "volume",
+                                  "--ns", "1,2"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_overflowing_oracle_prints_only_the_error_line():
+    env = dict(os.environ)
+    env.pop("TAXI_QUAD_TOL", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "taximeasure", "measure", "--quantity", "volume",
+         "--shape", '{"shape": "cylinder", "params": {"r": 1e300, "h": 1e300}}',
+         "--oracle", "10"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

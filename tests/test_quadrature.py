@@ -17,7 +17,7 @@ coeff = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
 
 def test_kinked_integrand_with_declared_split():
-    res = integrate(lambda x: 1.0 + abs(2.0 * x - 1.0), Interval(0.0, 1.0),
+    res = integrate(lambda x: 1.0 + np.abs(2.0 * x - 1.0), Interval(0.0, 1.0),
                     mandatory_splits=(0.5,))
     assert res.value == pytest.approx(1.5, abs=1e-12)
     assert res.split_points == (0.5,)
@@ -30,7 +30,7 @@ def test_constant_absolute_slope_integrand():
 
 def test_quarter_circle_integrand_with_endpoint_singularity():
     # 1 + x/sqrt(1-x^2) integrates to 2 although f' blows up at x = 1
-    g = lambda x: 1.0 + x / math.sqrt(max(1.0 - x * x, 5e-324))
+    g = lambda x: 1.0 + x / np.sqrt(np.maximum(1.0 - x * x, 5e-324))
     res = integrate(g, Interval(0.0, 1.0))
     assert res.value == pytest.approx(2.0, abs=1e-9)
     assert res.error_estimate >= 0.0
@@ -45,7 +45,8 @@ def test_integrate_never_samples_domain_endpoints():
 
     integrate(g, Interval(0.0, 1.0))
     assert seen
-    assert all(0.0 < x < 1.0 for x in seen)
+    xs = np.concatenate(seen)
+    assert np.all((0.0 < xs) & (xs < 1.0))
 
 
 def test_integrate_zero_width_domain():
@@ -55,7 +56,7 @@ def test_integrate_zero_width_domain():
 
 def test_integrate_reports_nonfinite_sample():
     def g(x):
-        return float("nan") if x > 0.5 else 1.0
+        return np.where(x > 0.5, np.nan, 1.0)
 
     with pytest.raises(IntegrandError) as ei:
         integrate(g, Interval(0.0, 1.0))
@@ -71,13 +72,21 @@ def test_integrate_reports_nonconvergence_with_best_estimate():
 
 
 def test_integrable_power_singularities():
-    res = integrate(lambda x: 1.0 / math.sqrt(x), Interval(0.0, 1.0))
+    res = integrate(lambda x: 1.0 / np.sqrt(x), Interval(0.0, 1.0))
     assert res.value == pytest.approx(2.0, abs=1e-9)
-    res = integrate(lambda x: -math.log(x), Interval(0.0, 1.0))
+    res = integrate(lambda x: -np.log(x), Interval(0.0, 1.0))
     assert res.value == pytest.approx(1.0, abs=1e-9)
     res = integrate(lambda x: (1.0 - x) ** -0.3, Interval(0.0, 1.0))
     assert res.value == pytest.approx(1.0 / 0.7, abs=1e-9)
 
+
+
+@pytest.mark.parametrize("e", np.linspace(0.7, 1.3, 13).tolist())
+def test_endpoint_singularity_is_resolved_to_rounding(e):
+    # x = e - u^2 is rounded to a multiple of ulp(e); the Jacobian is taken at
+    # the rounded abscissa, so the 1/sqrt(e - x) singularity costs no digits
+    res = integrate(lambda x: 1.0 / np.sqrt(e - x), Interval(0.0, e))
+    assert res.value == pytest.approx(2.0 * math.sqrt(e), rel=1e-15, abs=0.0)
 
 def test_mandatory_splits_validation():
     with pytest.raises(DomainError):
@@ -125,7 +134,7 @@ def test_cubics_are_integrated_exactly(coeffs, splits):
 
 def test_piecewise_cubic_with_declared_split_is_exact():
     def g(x):
-        return x ** 3 if x < 0.5 else (x - 0.5) ** 2 + 0.125
+        return np.where(x < 0.5, x ** 3, (x - 0.5) ** 2 + 0.125)
 
     exact = 0.5 ** 4 / 4.0 + (0.5 ** 3 / 3.0 + 0.125 * 0.5)
     res = integrate(g, Interval(0.0, 1.0), mandatory_splits=(0.5,))
@@ -147,7 +156,7 @@ def test_linearity_on_polynomial_pairs(a3, a1, b2, b0, ca, cb):
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.05, max_value=0.95, allow_nan=False))
 def test_interval_additivity_at_arbitrary_cut(frac):
-    g = lambda x: math.sin(3.0 * x) + 2.0
+    g = lambda x: np.sin(3.0 * x) + 2.0
     dom = Interval(0.0, 2.0)
     whole = integrate(g, dom).value
     m = dom.lo + frac * dom.width
@@ -168,21 +177,21 @@ def test_detect_sign_changes_none():
 
 
 def test_detect_sign_changes_multiple_roots():
-    roots = detect_sign_changes(lambda x: math.sin(3.0 * x), Interval(0.1, 3.0))
+    roots = detect_sign_changes(lambda x: np.sin(3.0 * x), Interval(0.1, 3.0))
     assert len(roots) == 2
     assert roots[0] == pytest.approx(math.pi / 3.0, abs=1e-10)
     assert roots[1] == pytest.approx(2.0 * math.pi / 3.0, abs=1e-10)
 
 
 def test_detect_sign_changes_step_function():
-    roots = detect_sign_changes(lambda x: -1.0 if x < 0.25 else 1.0, Interval(-1.0, 1.0))
+    roots = detect_sign_changes(lambda x: np.where(x < 0.25, -1.0, 1.0), Interval(-1.0, 1.0))
     assert len(roots) == 1
     assert roots[0] == pytest.approx(0.25, abs=1e-10)
 
 
 def test_detect_sign_changes_never_samples_endpoints():
     def g(x):
-        assert 0.0 < x < 1.0
+        assert np.all((0.0 < x) & (x < 1.0))
         return x - 0.3
 
     roots = detect_sign_changes(g, Interval(0.0, 1.0))
@@ -196,11 +205,50 @@ def test_detect_sign_changes_rejects_nan():
 
 def test_tight_custom_tolerance_is_respected():
     cfg = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
-    res = integrate(lambda x: math.exp(x), Interval(0.0, 1.0), cfg=cfg)
+    res = integrate(lambda x: np.exp(x), Interval(0.0, 1.0), cfg=cfg)
     assert abs(res.value - (math.e - 1.0)) <= 1e-11
 
 
 def test_budget_exhaustion_is_a_convergence_error():
     cfg = QuadratureConfig(max_evals=200)
     with pytest.raises(ConvergenceError):
-        integrate(lambda x: math.exp(math.sin(40.0 * x)), Interval(0.0, 7.0), cfg=cfg)
+        integrate(lambda x: np.exp(np.sin(40.0 * x)), Interval(0.0, 7.0), cfg=cfg)
+
+
+# ---------------------------------------------------------------------------
+# array contract
+# ---------------------------------------------------------------------------
+
+def test_integrand_receives_one_dimensional_arrays():
+    def g(x):
+        assert isinstance(x, np.ndarray) and np.ndim(x) == 1
+        return np.cos(x)
+
+    assert integrate(g, Interval(0.0, 2.0)).value == pytest.approx(math.sin(2.0), abs=1e-12)
+
+
+def test_smooth_integrand_is_called_once_per_round():
+    calls, points = [0], [0]
+
+    def g(x):
+        calls[0] += 1
+        points[0] += np.size(x)
+        return np.exp(np.sin(3.0 * x))
+
+    integrate(g, Interval(0.0, 3.0))
+    assert calls[0] <= 8
+    assert points[0] >= 30 * calls[0]
+
+
+def test_sign_scan_bisects_every_bracket_in_the_same_call():
+    calls = [0]
+
+    def g(x):
+        calls[0] += 1
+        return np.sin(5.0 * x)
+
+    roots = detect_sign_changes(g, Interval(0.1, 3.0))
+    assert len(roots) == 4
+    # One scan call, then one call per halving of the 257-point grid step
+    # down to 1e-13 of the width (36 halvings).
+    assert calls[0] <= 40
