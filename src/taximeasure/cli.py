@@ -10,7 +10,8 @@ Exit codes: 0 success; 1 verify found a failing case; 2 malformed
 spec/arguments; 3 domain violation or a result that overflows a float;
 4 quadrature non-convergence; 5 I/O error.
 
-TAXI_QUAD_TOL overrides the quadrature absolute tolerance for all subcommands.
+Quadrature runs at the library's default relative tolerance, which holds at
+every magnitude of the input; no option or environment variable changes it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -29,7 +29,6 @@ from . import measures, oracles, shapes, svgplot
 from .errors import ConvergenceError, DomainError, IntegrandError, SpecError
 from .geometry import AngleRad
 from .profiles import ProfileFunction, parse_profile_spec
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 _PROFILE_QUANTITIES = tuple(oracles._ORACLES)
 _QUANTITIES = _PROFILE_QUANTITIES + ("area_scale", "circumference", "area")
@@ -40,7 +39,10 @@ def _fmt(v: float) -> str:
 
 
 def _load_json(text: str):
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SpecError("JSON argument is nested too deeply") from None
 
 
 @dataclass
@@ -130,7 +132,7 @@ def _shape_oracle(spec, quantity: str, n: int) -> float:
     return oracles.disk_volume_oracle(prof, n=n)
 
 
-def cmd_measure(args, cfg: QuadratureConfig) -> int:
+def cmd_measure(args) -> int:
     quantity = args.quantity
     has_angles = args.alpha is not None or args.beta is not None
     n_sources = sum((args.shape is not None, args.profile is not None, has_angles))
@@ -177,7 +179,7 @@ def cmd_measure(args, cfg: QuadratureConfig) -> int:
         raise SpecError(f"--profile supports {'/'.join(_PROFILE_QUANTITIES)}, "
                         f"not {quantity!r}")
     report = MeasureReport(quantity=quantity,
-                           quadrature=measures.quadrature_measure(quantity)(prof, cfg=cfg),
+                           quadrature=measures.quadrature_measure(quantity)(prof),
                            params=raw)
     if args.oracle is not None:
         report.oracle = oracles._ORACLES[quantity](prof, n=args.oracle)
@@ -195,7 +197,7 @@ class _VerifyCase:
     suite: str
     case: str
     analytic: float
-    quad: Callable[[QuadratureConfig], float]
+    quad: Callable[[], float]
     oracle_n: int
     oracle: Callable[[], float]
     oracle_tol: float
@@ -214,7 +216,7 @@ def _verify_cases() -> list[_VerifyCase]:
         suite = "ellipsoid" if case.startswith("ellipsoid") else kind
         cases.append(_VerifyCase(
             suite, case, analytic,
-            lambda cfg: measures.quadrature_measure(kind)(prof, cfg=cfg) + caps,
+            lambda: measures.quadrature_measure(kind)(prof) + caps,
             n, lambda: oracles._ORACLES[kind](prof, n=n) + caps, otol))
 
     for r in (1.0, 2.5):
@@ -262,7 +264,7 @@ def _verify_cases() -> list[_VerifyCase]:
     return cases
 
 
-def cmd_verify(args, cfg: QuadratureConfig) -> int:
+def cmd_verify(args) -> int:
     tol = float(args.tol)
     if not (math.isfinite(tol) and tol > 0.0):
         raise SpecError(f"--tol must be a positive float, got {args.tol!r}")
@@ -271,7 +273,7 @@ def cmd_verify(args, cfg: QuadratureConfig) -> int:
     for case in _verify_cases():
         if args.suite is not None and case.suite != args.suite:
             continue
-        quad = case.quad(cfg)
+        quad = case.quad()
         oracle = case.oracle()
         err_quad = abs(quad - case.analytic)
         err_oracle = abs(oracle - case.analytic)
@@ -287,13 +289,13 @@ def cmd_verify(args, cfg: QuadratureConfig) -> int:
     return 0 if all_passed else 1
 
 
-def cmd_table(args, cfg: QuadratureConfig) -> int:
+def cmd_table(args) -> int:
     prof = parse_profile_spec(_load_json(args.profile))
     try:
         ns = [int(part) for part in args.ns.split(",") if part.strip() != ""]
     except ValueError:
         raise SpecError(f"--ns must be a comma-separated list of integers, got {args.ns!r}")
-    rows = oracles.convergence_table(args.quantity, prof, None, ns, cfg)
+    rows = oracles.convergence_table(args.quantity, prof, None, ns)
     for row in rows:
         _check_finite(row._asdict())
     print("n,oracle,reference,abs_error")
@@ -302,7 +304,7 @@ def cmd_table(args, cfg: QuadratureConfig) -> int:
     return 0
 
 
-def cmd_plot(args, cfg: QuadratureConfig) -> int:
+def cmd_plot(args) -> int:
     n_sources = sum((args.shape is not None, args.profile is not None))
     if n_sources != 1:
         raise SpecError("provide exactly one input: --shape or --profile")
@@ -317,20 +319,6 @@ def cmd_plot(args, cfg: QuadratureConfig) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return 0
-
-
-def _config_from_env() -> QuadratureConfig:
-    raw = os.environ.get("TAXI_QUAD_TOL")
-    if raw is None or raw.strip() == "":
-        return DEFAULT_CONFIG
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise SpecError(f"TAXI_QUAD_TOL must be a float, got {raw!r}") from None
-    try:
-        return QuadratureConfig(abs_tol=tol)
-    except DomainError as exc:
-        raise SpecError(f"TAXI_QUAD_TOL is invalid: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -382,11 +370,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_env()
         # measure and table reject a non-finite result themselves, so NumPy's
         # overflow warnings would only add lines before their error.
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args, cfg)
+            return args.func(args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

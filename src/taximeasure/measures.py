@@ -86,7 +86,7 @@ def _check_nonnegative(f: ProfileFunction, domain: Interval) -> None:
     check_nonnegative_values(xs, np.asarray(f.evaluate(xs), dtype=float))
 
 
-def _splits(curve, domain: Interval, cfg: QuadratureConfig, *derivatives) -> list[float]:
+def _splits(curve, domain: Interval, *derivatives) -> list[float]:
     """Declared interior breakpoints plus the detected sign changes of each
     derivative.  A detected point within 1e-13 of the width of a declared one
     is the same kink found by bisection, which can land just short of it; it
@@ -94,7 +94,7 @@ def _splits(curve, domain: Interval, cfg: QuadratureConfig, *derivatives) -> lis
     declared = _interior_breakpoints(curve, domain)
     eps = 1e-13 * (domain.hi - domain.lo)
     detected = [s for d in derivatives
-                for s in detect_sign_changes(d, domain, cfg.kink_scan_points)
+                for s in detect_sign_changes(d, domain)
                 if all(abs(s - b) > eps for b in declared)]
     return declared + detected
 
@@ -103,7 +103,7 @@ def arclength_functional(f: ProfileFunction, domain: Interval | None = None,
                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Taxicab arc length of the graph of f: integral of 1 + |f'|."""
     dom = resolve_domain(f, domain)
-    splits = _splits(f, dom, cfg, f.derivative)
+    splits = _splits(f, dom, f.derivative)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         return 1.0 + np.abs(f.derivative(x))
@@ -143,7 +143,7 @@ def arclength_parametric_2d(c: ParametricCurve2, domain: Interval | None = None,
                             cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Taxicab arc length of (x(t), y(t)): integral of |x'| + |y'|."""
     dom = resolve_domain(c, domain)
-    splits = _splits(c, dom, cfg, c.dx, c.dy)
+    splits = _splits(c, dom, c.dx, c.dy)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.abs(c.dx(t)) + np.abs(c.dy(t))
@@ -155,7 +155,7 @@ def arclength_parametric_3d(c: ParametricCurve3, domain: Interval | None = None,
                             cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Taxicab arc length of (x(t), y(t), z(t)): integral of |x'| + |y'| + |z'|."""
     dom = resolve_domain(c, domain)
-    splits = _splits(c, dom, cfg, c.dx, c.dy, c.dz)
+    splits = _splits(c, dom, c.dx, c.dy, c.dz)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.abs(c.dx(t)) + np.abs(c.dy(t)) + np.abs(c.dz(t))
@@ -196,7 +196,7 @@ def surface_of_revolution(f: ProfileFunction, domain: Interval | None = None,
     around the x axis."""
     dom = resolve_domain(f, domain)
     _check_nonnegative(f, dom)
-    splits = _splits(f, dom, cfg, f.derivative)
+    splits = _splits(f, dom, f.derivative)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         d = f.derivative(x)
@@ -214,7 +214,7 @@ def volume_of_revolution(f: ProfileFunction, domain: Interval | None = None,
     x axis: integral of (pi_t / 2) * f^2."""
     dom = resolve_domain(f, domain)
     _check_nonnegative(f, dom)
-    splits = _splits(f, dom, cfg)
+    splits = _splits(f, dom)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         fx = f.evaluate(x)

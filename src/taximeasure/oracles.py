@@ -12,8 +12,8 @@ Because the pieces telescope, the polyline sum is exact on monotone spans at
 any n, and the frustum sum is exact on linear spans; for smooth profiles both
 converge as the partition refines.  The oracle sums never call the
 quadrature engine, so they stay an independent check on it.  This module uses
-quadrature only for convergence_table's config, and measures for the shared
-domain and nonnegativity checks and for the table's reference values.
+measures only for the shared domain and nonnegativity checks and for the
+table's reference values.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from ._kernels import disk_sum, frustum_sum, polyline_sum
 from .errors import DomainError
 from .geometry import Interval
 from .profiles import ProfileFunction
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 # Largest partition an oracle builds.  It bounds the memory one call can ask
 # for (a few arrays of MAX_CELLS floats) against a cell count from the CLI.
@@ -93,8 +92,7 @@ _ORACLES = {
 
 
 def convergence_table(kind: str, f: ProfileFunction, domain: Interval | None = None,
-                      ns: Sequence[int] = (), cfg: QuadratureConfig = DEFAULT_CONFIG,
-                      ) -> list[ConvergenceRow]:
+                      ns: Sequence[int] = ()) -> list[ConvergenceRow]:
     """Oracle values against the quadrature reference for each n in ns.
 
     The reference is computed once; ns must be non-empty, strictly
@@ -110,7 +108,7 @@ def convergence_table(kind: str, f: ProfileFunction, domain: Interval | None = N
     _check_cells(ns[0])
     _check_cells(ns[-1])
 
-    reference = measures.quadrature_measure(kind)(f, domain, cfg)
+    reference = measures.quadrature_measure(kind)(f, domain)
     oracle_fn = _ORACLES[kind]
     rows = []
     for n in ns:

@@ -33,8 +33,6 @@ class ProfileFunction:
     """A real function of one variable with exact derivative and declared breakpoints.
 
     breakpoints must be strictly increasing and strictly inside the domain.
-    singular_endpoints lists domain endpoints where |f'| is unbounded but the
-    arc-length integrand stays integrable (e.g. a quarter circle at x = r).
     """
 
     evaluate: Callable
@@ -42,7 +40,6 @@ class ProfileFunction:
     domain: Interval
     breakpoints: tuple[float, ...] = ()
     label: str = ""
-    singular_endpoints: tuple[float, ...] = ()
 
     def __post_init__(self):
         bks = tuple(float(b) for b in self.breakpoints)
@@ -53,8 +50,6 @@ class ProfileFunction:
         if any(b2 <= b1 for b1, b2 in zip(bks, bks[1:])):
             raise DomainError(f"breakpoints must be strictly increasing, got {bks}")
         object.__setattr__(self, "breakpoints", bks)
-        object.__setattr__(self, "singular_endpoints",
-                           tuple(float(s) for s in self.singular_endpoints))
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -163,16 +158,17 @@ def profile_euclidean_circle_quadrant(r: float) -> ProfileFunction:
     if not r > 0.0:
         raise DomainError(f"profile_euclidean_circle_quadrant requires r > 0, got {r}")
 
+    # sqrt(r + x) * sqrt(r - x) neither overflows nor underflows where r^2
+    # would, and r - x is exact near x = r (Sterbenz).
     def evaluate(x):
-        return np.sqrt(np.maximum((r - x) * (r + x), 0.0))
+        return np.sqrt(r + x) * np.sqrt(np.maximum(r - x, 0.0))
 
     def derivative(x):
         with np.errstate(divide="ignore"):
-            return -x / np.sqrt(np.maximum((r - x) * (r + x), 0.0))
+            return -x / evaluate(x)
 
     return ProfileFunction(evaluate, derivative, Interval(0.0, r),
-                           label=f"euclidean_circle_quadrant(r={r:g})",
-                           singular_endpoints=(r,))
+                           label=f"euclidean_circle_quadrant(r={r:g})")
 
 
 def profile_euclidean_parabola_quadrant(r: float) -> ProfileFunction:

@@ -5,10 +5,15 @@ plus detected derivative sign changes), which restores smoothness inside each
 piece, and each piece starts as one cell.  Every round applies the 15-point
 Kronrod rule and its embedded 7-point Gauss rule to the new cells, takes
 |K15 - G7| as a cell's error, and bisects the cells with the largest errors
-until the summed error is at most max(abs_tol, rel_tol * |value|).  This is
-the QAG scheme of QUADPACK (Piessens et al. 1983), run over NumPy arrays: the
-nodes of all new cells go to the integrand in one call, so integrands take
-and return arrays.
+until the summed error is at most rel_tol times the K15 integral of |g|.
+That bound scales with g, so one rel_tol means the same at every magnitude,
+and it equals rel_tol * |value| wherever g keeps one sign, as every measure
+integrand does.  It is 0 only when every sample is 0, and then so is the
+error, so zero and cancelling integrals still stop.  This is the QAG scheme
+of QUADPACK (Piessens et al. 1983), whose resabs is the integral of |g|, run
+over NumPy arrays: the nodes of all new cells go to the integrand in one
+call, so integrands take and return arrays.  A cell is bisected while its
+midpoint is a float strictly inside it; max_evals bounds the work.
 
 The two end pieces are integrated in u = sqrt(|x - e|) for their domain
 endpoint e (x = e +- u^2, Jacobian 2u), which turns integrable power-law
@@ -42,24 +47,18 @@ _WG = np.array([0.129484966168869693, 0.279705391489276668, 0.381830050505118945
                 0.417959183673469388,
                 0.381830050505118945, 0.279705391489276668, 0.129484966168869693])
 
+# Points of the uniform grid on which detect_sign_changes looks for brackets.
+_SCAN_POINTS = 257
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    max_depth: int = 40
-    kink_scan_points: int = 257
     max_evals: int = 500_000
 
     def __post_init__(self):
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be > 0, got {self.abs_tol!r}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
             raise DomainError(f"rel_tol must be > 0, got {self.rel_tol!r}")
-        if self.max_depth < 1:
-            raise DomainError(f"max_depth must be >= 1, got {self.max_depth!r}")
-        if self.kink_scan_points < 3:
-            raise DomainError(f"kink_scan_points must be >= 3, got {self.kink_scan_points!r}")
         if self.max_evals < 100:
             raise DomainError(f"max_evals must be >= 100, got {self.max_evals!r}")
 
@@ -110,7 +109,7 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
     scalar is broadcast).  mandatory_splits are forced cell boundaries; pass
     every known breakpoint of the integrand.  Raises IntegrandError on a
     non-finite sample and ConvergenceError when the error estimate cannot be
-    brought below max(abs_tol, rel_tol * |value|).
+    brought below rel_tol times the integral of |g| within max_evals samples.
     """
     lo, hi = domain.lo, domain.hi
     if hi == lo:
@@ -145,15 +144,15 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
         # singularity by a relative error of order ulp(e) / u^2.
         fx = fx * np.where(sq, 2.0 * np.sqrt(np.abs(x - o)), 1.0)
         kronrod = h * (fx @ _WK)
-        return kronrod, np.abs(kronrod - h * (fx[:, 1::2] @ _WG))
+        return kronrod, np.abs(kronrod - h * (fx[:, 1::2] @ _WG)), h * (np.abs(fx) @ _WK)
 
-    # Cells are [a, b] in the coordinate of their piece, at a bisection
-    # depth.  Each round evaluates the new cells and joins them to the kept.
+    # Cells are [a, b] in the coordinate of their piece.  Each round
+    # evaluates the new cells and joins them to the kept ones.
     b0 = np.diff(ends)
     b0[[0, -1]] = np.sqrt(b0[[0, -1]])
-    new = (np.zeros(n), b0, np.arange(n), np.zeros(n, dtype=int))
-    a = b = value = error = np.zeros(0)
-    piece = depth = np.zeros(0, dtype=int)
+    new = (np.zeros(n), b0, np.arange(n))
+    a = b = value = error = scale = np.zeros(0)
+    piece = np.zeros(0, dtype=int)
     evals = subdivisions = 0
     total, err = 0.0, math.inf
     while True:
@@ -162,20 +161,20 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
             raise ConvergenceError(
                 f"quadrature exhausted its evaluation budget ({cfg.max_evals} samples)",
                 value=total, error_estimate=err)
-        a, b, piece, depth, value, error = (
+        a, b, piece, value, error, scale = (
             np.concatenate([old, add]) for old, add in
-            zip((a, b, piece, depth, value, error), (*new, *rules(*new[:3]))))
+            zip((a, b, piece, value, error, scale), (*new, *rules(*new))))
 
         total = float(np.sum(value))
         err = float(np.sum(error))
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        tol = cfg.rel_tol * float(np.sum(scale))
         if err <= tol or not math.isfinite(err):
             # A non-finite sum of finite samples has overflowed: no bisection
             # can bring it back, so it is returned for the caller to judge.
             break
 
         mid = 0.5 * (a + b)
-        can = (depth < cfg.max_depth) & (a < mid) & (mid < b)
+        can = (a < mid) & (mid < b)
         stuck = float(np.sum(error[~can]))
         if stuck >= tol:
             raise ConvergenceError(
@@ -190,29 +189,27 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
         pick = order[:1 + np.count_nonzero(rest > 0.5 * (tol - stuck))]
         subdivisions += pick.size
         new = (np.concatenate([a[pick], mid[pick]]), np.concatenate([mid[pick], b[pick]]),
-               np.tile(piece[pick], 2), np.tile(depth[pick] + 1, 2))
+               np.tile(piece[pick], 2))
         keep = np.ones(a.size, dtype=bool)
         keep[pick] = False
-        a, b, piece, depth, value, error = (
-            arr[keep] for arr in (a, b, piece, depth, value, error))
+        a, b, piece, value, error, scale = (
+            arr[keep] for arr in (a, b, piece, value, error, scale))
 
     return QuadratureResult(total, err, subdivisions, tuple(splits))
 
 
-def detect_sign_changes(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
-                        n_scan: int = DEFAULT_CONFIG.kink_scan_points) -> list[float]:
+def detect_sign_changes(g: Callable[[np.ndarray], np.ndarray],
+                        domain: Interval) -> list[float]:
     """Locate sign changes of g by scanning a uniform midpoint grid (which never
     touches the domain endpoints) in one array call, then bisecting every
     bracketing pair together down to 1e-13 of the domain width.  Returns the
     refined abscissas, sorted.
     """
-    if n_scan < 3:
-        raise DomainError(f"n_scan must be >= 3, got {n_scan}")
     lo, hi = domain.lo, domain.hi
     width = hi - lo
     if width <= 0.0:
         return []
-    xs = lo + (np.arange(n_scan) + 0.5) * (width / n_scan)
+    xs = lo + (np.arange(_SCAN_POINTS) + 0.5) * (width / _SCAN_POINTS)
     signs = np.sign(_call(g, xs, np.isnan))
 
     # A bracket ends at a nonzero sign that differs from the previous nonzero

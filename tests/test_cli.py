@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -102,6 +101,22 @@ def test_measure_spec_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+DEEP = "[" * 1000 + "]" * 1000
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--quantity", "volume", "--profile", DEEP],
+    ["measure", "--quantity", "volume", "--shape", DEEP],
+    ["plot", "--profile", DIAMOND, "--overlay", DEEP, "--out", "unused.svg"],
+])
+def test_deeply_nested_json_exits_2(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_measure_domain_error_exits_3(capsys):
@@ -232,13 +247,11 @@ def test_table_rejects_nonfinite_rows(capsys):
 
 
 def test_overflowing_oracle_prints_only_the_error_line():
-    env = dict(os.environ)
-    env.pop("TAXI_QUAD_TOL", None)
     proc = subprocess.run(
         [sys.executable, "-m", "taximeasure", "measure", "--quantity", "volume",
          "--shape", '{"shape": "cylinder", "params": {"r": 1e300, "h": 1e300}}',
          "--oracle", "10"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
@@ -279,33 +292,6 @@ def test_plot_unwritable_path_exits_5(capsys, tmp_path):
                                 "--out", str(tmp_path / "missing" / "x.svg")])
     assert code == 5
     assert err.startswith("error:")
-
-
-# ---------------------------------------------------------------------------
-# environment tolerance override
-# ---------------------------------------------------------------------------
-
-def test_env_tol_override_is_honored(capsys, monkeypatch):
-    seen = {}
-    real = cli.measures.arclength_functional
-
-    def spy(prof, domain=None, cfg=None):
-        seen["tol"] = cfg.abs_tol
-        return real(prof, domain, cfg)
-
-    monkeypatch.setattr(cli.measures, "arclength_functional", spy)
-    monkeypatch.setenv("TAXI_QUAD_TOL", "1e-6")
-    code, _, _ = run(capsys, ["measure", "--quantity", "arclength", "--profile", QUADRANT])
-    assert code == 0
-    assert seen["tol"] == 1e-6
-
-
-@pytest.mark.parametrize("value", ["abc", "-1", "0", "nan"])
-def test_env_tol_rejects_bad_values(capsys, monkeypatch, value):
-    monkeypatch.setenv("TAXI_QUAD_TOL", value)
-    code, _, err = run(capsys, ["measure", "--quantity", "volume", "--shape", SPHERE])
-    assert code == 2
-    assert "TAXI_QUAD_TOL" in err
 
 
 def test_measure_output_is_deterministic(capsys):

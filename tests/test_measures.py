@@ -57,6 +57,14 @@ def test_euclidean_quarter_circle_arclength_to_rounding(r):
     f = profile_euclidean_circle_quadrant(r)
     assert arclength_functional(f) == pytest.approx(2.0 * r, rel=2e-15, abs=0.0)
 
+
+@pytest.mark.parametrize("r", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+def test_euclidean_quarter_circle_arclength_at_extreme_radii(r):
+    # r^2 - x^2 would overflow or underflow here
+    f = profile_euclidean_circle_quadrant(r)
+    assert arclength_functional(f) == pytest.approx(2.0 * r, rel=1e-14, abs=0.0)
+
+
 def test_arclength_on_subdomain():
     f = profile_linear(-1.0, 1.0, Interval(0.0, 1.0))
     assert arclength_functional(f, Interval(0.0, 0.5)) == pytest.approx(1.0, abs=1e-10)

@@ -42,7 +42,7 @@ def _family(name: str, lam: float = 1.0) -> ProfileFunction:
     return _sin(lam) if name == "sin" else _catalog(name, lam)
 
 
-@pytest.mark.parametrize("lam", [1e-3, 1e2, 1e4, 1e6])
+@pytest.mark.parametrize("lam", [1e-6, 1e-3, 1e2, 1e4, 1e6])
 @pytest.mark.parametrize("quantity", POWER)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_scale_law(family, quantity, lam):

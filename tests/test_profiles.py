@@ -45,7 +45,6 @@ def test_euclidean_circle_quadrant():
     assert f(0.0) == 1.0
     assert f(0.6) == pytest.approx(0.8, abs=1e-15)
     assert f.domain == Interval(0.0, 1.0)
-    assert f.singular_endpoints == (1.0,)
     g = profile_euclidean_circle_quadrant(2.0)
     assert g.derivative(1.0) == pytest.approx(-1.0 / math.sqrt(3.0), abs=1e-12)
     with pytest.raises(DomainError):
