@@ -6,19 +6,17 @@ quadrature path for arbitrary profiles, and brute-force discretization
 oracles that cross-check both.
 """
 
-from .errors import (ConvergenceError, DomainError, IntegrandError, MonotonicityError,
-                     SpecError, TaximeasureError)
+from .errors import ConvergenceError, DomainError, IntegrandError, SpecError, TaximeasureError
 from .geometry import (PI_T, AngleRad, Interval, Point2, Point3, euclidean_dist_2d,
                        euclidean_dist_3d, segment_angle, taxicab_dist_1d,
                        taxicab_dist_2d, taxicab_dist_3d, taxicab_length_from_angle)
-from .measures import (RotationAngles, arclength_functional, arclength_monotone_closed,
-                       arclength_parametric_2d, arclength_parametric_3d,
-                       area_scaling_factor, surface_of_revolution, taxicab_area_rotated,
-                       volume_of_revolution)
+from .measures import (RotationAngles, arclength_functional, arclength_parametric,
+                       arclength_variation, area_scaling_factor, surface_of_revolution,
+                       taxicab_area_rotated, volume_of_revolution)
 from .oracles import (ConvergenceRow, convergence_table, disk_volume_oracle,
                       frustum_surface_oracle, polyline_arclength_oracle)
-from .profiles import (ParametricCurve2, ParametricCurve3, PiecewiseLinearProfile,
-                       ProfileFunction, derivative_is_consistent, parse_profile_spec,
+from .profiles import (ParametricCurve, PiecewiseLinearProfile, ProfileFunction,
+                       derivative_is_consistent, graph, parse_profile_spec,
                        profile_euclidean_circle_quadrant,
                        profile_euclidean_parabola_quadrant, profile_linear,
                        profile_taxicab_circle_upper, profile_taxicab_ellipse_upper,
@@ -39,15 +37,15 @@ __all__ = [
     "taxicab_dist_1d", "taxicab_dist_2d", "taxicab_dist_3d",
     "euclidean_dist_2d", "euclidean_dist_3d", "segment_angle",
     "taxicab_length_from_angle",
-    "ProfileFunction", "ParametricCurve2", "ParametricCurve3",
+    "ProfileFunction", "ParametricCurve", "graph",
     "PiecewiseLinearProfile", "parse_profile_spec", "derivative_is_consistent",
     "profile_linear", "profile_euclidean_circle_quadrant",
     "profile_euclidean_parabola_quadrant", "profile_taxicab_circle_upper",
     "profile_taxicab_ellipse_upper", "profile_taxicab_parabola",
     "QuadratureConfig", "QuadratureResult", "DEFAULT_CONFIG",
     "integrate", "detect_sign_changes",
-    "RotationAngles", "arclength_functional", "arclength_monotone_closed",
-    "arclength_parametric_2d", "arclength_parametric_3d",
+    "RotationAngles", "arclength_functional", "arclength_parametric",
+    "arclength_variation",
     "area_scaling_factor", "taxicab_area_rotated",
     "surface_of_revolution", "volume_of_revolution",
     "CircleSpec", "SphereSpec", "CylinderSpec", "ParaboloidSpec", "EllipsoidSpec",
@@ -59,6 +57,6 @@ __all__ = [
     "polyline_arclength_oracle", "frustum_surface_oracle", "disk_volume_oracle",
     "convergence_table", "ConvergenceRow",
     "render_profile_svg",
-    "TaximeasureError", "DomainError", "SpecError", "MonotonicityError",
+    "TaximeasureError", "DomainError", "SpecError",
     "IntegrandError", "ConvergenceError",
 ]

@@ -28,7 +28,7 @@ import numpy as np
 from . import measures, oracles, shapes, svgplot
 from .errors import ConvergenceError, DomainError, IntegrandError, SpecError
 from .geometry import AngleRad
-from .profiles import ProfileFunction, parse_profile_spec
+from .profiles import ProfileFunction, graph, parse_profile_spec
 
 _PROFILE_QUANTITIES = tuple(oracles._ORACLES)
 _QUANTITIES = _PROFILE_QUANTITIES + ("area_scale", "circumference", "area")
@@ -181,9 +181,13 @@ def cmd_measure(args) -> int:
     report = MeasureReport(quantity=quantity,
                            quadrature=measures.quadrature_measure(quantity)(prof),
                            params=raw)
+    reference = report.quadrature
+    if quantity == "arclength":
+        report.analytic = reference = measures.arclength_variation(graph(prof))
+        report.abs_err_quad = abs(report.quadrature - report.analytic)
     if args.oracle is not None:
         report.oracle = oracles._ORACLES[quantity](prof, n=args.oracle)
-        report.abs_err_oracle = abs(report.oracle - report.quadrature)
+        report.abs_err_oracle = abs(report.oracle - reference)
     _emit_report(report, args.json)
     return 0
 

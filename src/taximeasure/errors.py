@@ -15,10 +15,6 @@ class SpecError(TaximeasureError, ValueError):
     """A shape or profile specification is structurally malformed."""
 
 
-class MonotonicityError(DomainError):
-    """A closed-form path-independence shortcut was applied to a non-monotone curve."""
-
-
 class IntegrandError(TaximeasureError, ArithmeticError):
     """The integrand returned a non-finite value at a sampled abscissa."""
 

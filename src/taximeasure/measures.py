@@ -1,9 +1,17 @@
 """Taxicab measure operations built on the quadrature engine.
 
-Arc length of a graph y = f(x) integrates 1 + |f'|; a parametric curve
-integrates the sum of its component speeds |dx/dt| + |dy/dt| (+ |dz/dt|).
-For monotone graphs the arc length is path-independent and collapses to the
-closed form (b - a) + |f(b) - f(a)|.
+Taxicab arc length depends only on how far each coordinate travels: it is
+the sum of the total variations of the coordinates (Jordan 1881).  Between
+consecutive turning points t_i (the domain ends, the declared breakpoints
+and the sign changes of each x_k') every coordinate is monotone, so
+
+    L = sum over k and i of |x_k(t_{i+1}) - x_k(t_i)|,
+
+which for the graph of f is (b - a) + sum |f(t_{i+1}) - f(t_i)|.  The same
+length is the integral of the coordinate speeds, sum |x_k'|, or 1 + |f'| for
+a graph.  Quadrature of that integral is right whether or not the kink scan
+found every turning point, and the variation only when it did, so the two
+disagree exactly where the scan missed one.
 
 Rotating a plane region out of a coordinate plane by angles (alpha, beta)
 scales its taxicab area by (|cos a| + |sin a|)(|cos b| + |sin b|).
@@ -22,14 +30,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, MonotonicityError
+from .errors import DomainError
 from .geometry import PI_T, AngleRad, Interval
-from .profiles import ParametricCurve2, ParametricCurve3, ProfileFunction
+from .profiles import ParametricCurve, ProfileFunction
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, detect_sign_changes, integrate
 
-# Grid resolution for the sampled precondition checks (nonnegativity,
-# monotonicity).  These are heuristics by design: the declared breakpoints and
-# their one-sided neighborhoods are always included.
+# Grid resolution for the sampled non-negativity check of surface and volume
+# profiles.  It is a heuristic by design: the declared breakpoints and their
+# one-sided neighborhoods are always included.
 _CHECK_GRID = 1024
 
 
@@ -111,54 +119,33 @@ def arclength_functional(f: ProfileFunction, domain: Interval | None = None,
     return integrate(integrand, dom, splits, cfg).value
 
 
-def arclength_monotone_closed(f: ProfileFunction, domain: Interval | None = None) -> float:
-    """Path-independent arc length (b - a) + |f(b) - f(a)| for monotone f.
-
-    Monotonicity is checked by sampling f' on a uniform interior grid plus
-    one-sided neighborhoods of every breakpoint; a strict sign change raises
-    MonotonicityError with the witnesses.
-    """
-    dom = resolve_domain(f, domain)
-    lo, hi = dom.lo, dom.hi
-    if hi > lo:
-        inner = np.linspace(lo, hi, _CHECK_GRID + 2)[1:-1]
-        bks = _interior_breakpoints(f, dom)
-        if bks:
-            h = 1e-9 * (hi - lo)
-            near = np.array([v for b in bks for v in (b - h, b + h)])
-            inner = np.union1d(inner, np.clip(near, np.nextafter(lo, hi), np.nextafter(hi, lo)))
-        d = np.asarray(f.derivative(inner), dtype=float)
-        pos = d > 0.0
-        neg = d < 0.0
-        if pos.any() and neg.any():
-            xp = float(inner[pos][0])
-            xn = float(inner[neg][0])
-            raise MonotonicityError(
-                "f is not monotone on the domain: "
-                f"f'({xp:.12g}) = {d[pos][0]:.6g} but f'({xn:.12g}) = {d[neg][0]:.6g}")
-    return (hi - lo) + abs(float(f.evaluate(hi)) - float(f.evaluate(lo)))
-
-
-def arclength_parametric_2d(c: ParametricCurve2, domain: Interval | None = None,
-                            cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Taxicab arc length of (x(t), y(t)): integral of |x'| + |y'|."""
+def arclength_variation(c: ParametricCurve, domain: Interval | None = None) -> float:
+    """Taxicab arc length of c as the total variation of its coordinates:
+    sum over k and i of |x_k(t_{i+1}) - x_k(t_i)|, where the t_i are the
+    domain ends, the declared breakpoints and the detected sign changes of
+    every x_k'.  Exact when those include every turning point; a turning
+    point the kink scan misses makes it too small, and arclength_parametric
+    then disagrees with it."""
     dom = resolve_domain(c, domain)
-    splits = _splits(c, dom, c.dx, c.dy)
+    ts = np.array([dom.lo, *sorted(_splits(c, dom, *c.derivatives)), dom.hi])
+    total = 0.0
+    for x in c.coords:
+        v = np.broadcast_to(np.asarray(x(ts), dtype=float), ts.shape)
+        # math.fsum rounds only the total: where the differences are exact
+        # (Sterbenz), a monotone coordinate split at many points still sums
+        # to its end-to-end difference.
+        total += math.fsum(np.abs(np.diff(v)))
+    return total
+
+
+def arclength_parametric(c: ParametricCurve, domain: Interval | None = None,
+                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Taxicab arc length of c by quadrature: integral of sum |x_k'|."""
+    dom = resolve_domain(c, domain)
+    splits = _splits(c, dom, *c.derivatives)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return np.abs(c.dx(t)) + np.abs(c.dy(t))
-
-    return integrate(integrand, dom, splits, cfg).value
-
-
-def arclength_parametric_3d(c: ParametricCurve3, domain: Interval | None = None,
-                            cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Taxicab arc length of (x(t), y(t), z(t)): integral of |x'| + |y'| + |z'|."""
-    dom = resolve_domain(c, domain)
-    splits = _splits(c, dom, c.dx, c.dy, c.dz)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.abs(c.dx(t)) + np.abs(c.dy(t)) + np.abs(c.dz(t))
+        return sum(np.abs(d(t)) for d in c.derivatives)
 
     return integrate(integrand, dom, splits, cfg).value
 

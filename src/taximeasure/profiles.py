@@ -28,6 +28,19 @@ def _require_finite(label: str, **params: float) -> None:
             raise DomainError(f"{label}: {name} must be finite, got {v!r}")
 
 
+def _checked_breakpoints(breakpoints, domain: Interval) -> tuple[float, ...]:
+    """breakpoints as floats, checked to be strictly increasing and strictly
+    inside the domain."""
+    bks = tuple(float(b) for b in breakpoints)
+    lo, hi = domain.lo, domain.hi
+    for b in bks:
+        if not lo < b < hi:
+            raise DomainError(f"breakpoint {b} is not strictly inside [{lo}, {hi}]")
+    if any(b2 <= b1 for b1, b2 in zip(bks, bks[1:])):
+        raise DomainError(f"breakpoints must be strictly increasing, got {bks}")
+    return bks
+
+
 @dataclass(frozen=True)
 class ProfileFunction:
     """A real function of one variable with exact derivative and declared breakpoints.
@@ -42,59 +55,39 @@ class ProfileFunction:
     label: str = ""
 
     def __post_init__(self):
-        bks = tuple(float(b) for b in self.breakpoints)
-        lo, hi = self.domain.lo, self.domain.hi
-        for b in bks:
-            if not lo < b < hi:
-                raise DomainError(f"breakpoint {b} is not strictly inside [{lo}, {hi}]")
-        if any(b2 <= b1 for b1, b2 in zip(bks, bks[1:])):
-            raise DomainError(f"breakpoints must be strictly increasing, got {bks}")
-        object.__setattr__(self, "breakpoints", bks)
+        object.__setattr__(self, "breakpoints",
+                           _checked_breakpoints(self.breakpoints, self.domain))
 
     def __call__(self, x):
         return self.evaluate(x)
 
 
 @dataclass(frozen=True)
-class ParametricCurve2:
-    """Plane curve (x(t), y(t)) with exact component derivatives."""
+class ParametricCurve:
+    """Curve t -> (x_1(t), ..., x_n(t)) in any dimension n, with the exact
+    derivative of each coordinate and declared breakpoints, checked as for
+    ProfileFunction."""
 
-    x: Callable
-    y: Callable
-    dx: Callable
-    dy: Callable
+    coords: tuple[Callable, ...]
+    derivatives: tuple[Callable, ...]
     domain: Interval
     breakpoints: tuple[float, ...] = ()
     label: str = ""
 
     def __post_init__(self):
-        bks = tuple(float(b) for b in self.breakpoints)
-        for b in bks:
-            if not self.domain.lo < b < self.domain.hi:
-                raise DomainError(f"breakpoint {b} is not strictly inside the domain")
-        object.__setattr__(self, "breakpoints", bks)
+        n, m = len(self.coords), len(self.derivatives)
+        if n == 0 or n != m:
+            raise DomainError(f"a curve needs one derivative per coordinate, got "
+                              f"{n} coordinates and {m} derivatives")
+        object.__setattr__(self, "breakpoints",
+                           _checked_breakpoints(self.breakpoints, self.domain))
 
 
-@dataclass(frozen=True)
-class ParametricCurve3:
-    """Space curve (x(t), y(t), z(t)) with exact component derivatives."""
-
-    x: Callable
-    y: Callable
-    z: Callable
-    dx: Callable
-    dy: Callable
-    dz: Callable
-    domain: Interval
-    breakpoints: tuple[float, ...] = ()
-    label: str = ""
-
-    def __post_init__(self):
-        bks = tuple(float(b) for b in self.breakpoints)
-        for b in bks:
-            if not self.domain.lo < b < self.domain.hi:
-                raise DomainError(f"breakpoint {b} is not strictly inside the domain")
-        object.__setattr__(self, "breakpoints", bks)
+def graph(f: ProfileFunction) -> ParametricCurve:
+    """The graph of f as the curve t -> (t, f(t))."""
+    return ParametricCurve((lambda t: t, f.evaluate),
+                           (lambda t: np.ones(np.shape(t)), f.derivative),
+                           f.domain, f.breakpoints, f.label)
 
 
 @dataclass(frozen=True)
@@ -277,7 +270,9 @@ def derivative_is_consistent(profile: ProfileFunction, n_points: int = 64,
 
     Sample points keep a margin of 1e-4 of the domain width away from
     endpoints and breakpoints, and the step shrinks near those boundaries so
-    the check stays meaningful next to singular endpoints.
+    the check stays meaningful next to singular endpoints.  They are drawn
+    uniformly from the gaps between boundaries that are wider than twice the
+    margin; DomainError is raised when there is no such gap.
     """
     lo, hi = profile.domain.lo, profile.domain.hi
     w = hi - lo
@@ -285,22 +280,24 @@ def derivative_is_consistent(profile: ProfileFunction, n_points: int = 64,
         return True
     rng = np.random.default_rng(seed)
     margin = 1e-4 * w
-    boundaries = np.array([lo, hi, *profile.breakpoints], dtype=float)
+    boundaries = np.array([lo, *profile.breakpoints, hi], dtype=float)
+    starts, ends = boundaries[:-1] + margin, boundaries[1:] - margin
+    wide = ends > starts
+    if not wide.any():
+        raise DomainError(f"{profile.label or 'profile'}: no gap between breakpoints "
+                          f"is wider than twice the sampling margin {margin!r}")
+    starts, ends = starts[wide], ends[wide]
+    lengths = ends - starts
+    gap = rng.choice(lengths.size, n_points, p=lengths / np.sum(lengths))
+    xs = rng.uniform(starts[gap], ends[gap])
 
-    kept: list[float] = []
-    while len(kept) < n_points:
-        x = float(rng.uniform(lo, hi))
-        if np.min(np.abs(boundaries - x)) >= margin:
-            kept.append(x)
-
-    for x in kept:
-        dist = float(np.min(np.abs(boundaries - x)))
-        h = min(1e-6 * w, 1e-3 * dist)
-        fd = (float(profile.evaluate(x + h)) - float(profile.evaluate(x - h))) / (2.0 * h)
-        exact = float(profile.derivative(x))
-        if abs(fd - exact) > max(1e-6, 1e-6 * abs(exact)):
-            return False
-    return True
+    right = np.searchsorted(boundaries, xs)
+    dist = np.minimum(xs - boundaries[right - 1], boundaries[right] - xs)
+    h = np.minimum(1e-6 * w, 1e-3 * dist)
+    fd = (np.asarray(profile.evaluate(xs + h), dtype=float)
+          - np.asarray(profile.evaluate(xs - h), dtype=float)) / (2.0 * h)
+    exact = np.asarray(profile.derivative(xs), dtype=float)
+    return bool(np.all(np.abs(fd - exact) <= np.maximum(1e-6, 1e-6 * np.abs(exact))))
 
 
 # ---------------------------------------------------------------------------

@@ -200,16 +200,19 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
 
 def detect_sign_changes(g: Callable[[np.ndarray], np.ndarray],
                         domain: Interval) -> list[float]:
-    """Locate sign changes of g by scanning a uniform midpoint grid (which never
-    touches the domain endpoints) in one array call, then bisecting every
-    bracketing pair together down to 1e-13 of the domain width.  Returns the
-    refined abscissas, sorted.
+    """Locate sign changes of g by scanning a uniform midpoint grid, closed by
+    the first and last floats inside the domain so that the two end
+    half-cells are scanned too, in one array call; then bisect every
+    bracketing pair together down to 1e-13 of the domain width.  The domain
+    endpoints themselves are never sampled.  Returns the refined abscissas,
+    sorted.
     """
     lo, hi = domain.lo, domain.hi
     width = hi - lo
     if width <= 0.0:
         return []
-    xs = lo + (np.arange(_SCAN_POINTS) + 0.5) * (width / _SCAN_POINTS)
+    grid = lo + (np.arange(_SCAN_POINTS) + 0.5) * (width / _SCAN_POINTS)
+    xs = np.concatenate([[math.nextafter(lo, hi)], grid, [math.nextafter(hi, lo)]])
     signs = np.sign(_call(g, xs, np.isnan))
 
     # A bracket ends at a nonzero sign that differs from the previous nonzero

@@ -27,7 +27,7 @@ from taximeasure import (
     RotationAngles,
     SphereSpec,
     arclength_functional,
-    arclength_monotone_closed,
+    arclength_variation,
     area_scaling_factor,
     circle_area,
     cli,
@@ -36,6 +36,7 @@ from taximeasure import (
     ellipsoid_surface,
     ellipsoid_volume,
     frustum_surface_oracle,
+    graph,
     paraboloid_surface,
     paraboloid_volume,
     polyline_arclength_oracle,
@@ -111,7 +112,7 @@ def test_acceptance_02_monotone_closed_form_suite(capsys):
         start = time.perf_counter()
         cfg = QuadratureConfig(rel_tol=1e-12)
         for prof in _random_monotone_profiles(200):
-            closed = arclength_monotone_closed(prof)
+            closed = arclength_variation(graph(prof))
             quad = arclength_functional(prof, cfg=cfg)
             assert quad == pytest.approx(closed, abs=1e-8)
         assert time.perf_counter() - start < 5.0

@@ -53,7 +53,7 @@ def test_measure_profile_arclength(capsys):
                                 "--profile", QUADRANT, "--json"])
     assert code == 0
     obj = json.loads(out)
-    assert "analytic" not in obj
+    assert obj["analytic"] == pytest.approx(2.0, abs=1e-12)
     assert obj["quadrature"] == pytest.approx(2.0, abs=1e-8)
 
 

@@ -2,27 +2,27 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from taximeasure import (
     AngleRad,
     DomainError,
     Interval,
-    MonotonicityError,
     RotationAngles,
     arclength_functional,
-    arclength_monotone_closed,
-    arclength_parametric_2d,
-    arclength_parametric_3d,
+    arclength_parametric,
+    arclength_variation,
     area_scaling_factor,
     surface_of_revolution,
     taxicab_area_rotated,
     volume_of_revolution,
 )
+from taximeasure.oracles import polyline_arclength_oracle
 from taximeasure.profiles import (
-    ParametricCurve2,
-    ParametricCurve3,
+    ParametricCurve,
+    PiecewiseLinearProfile,
     ProfileFunction,
+    graph,
     profile_euclidean_circle_quadrant,
     profile_euclidean_parabola_quadrant,
     profile_linear,
@@ -79,66 +79,50 @@ def test_arclength_taxicab_halfcircle():
 
 def test_monotone_closed_exponential():
     f = _profile(np.exp, np.exp, 0.0, 1.0)
-    assert arclength_monotone_closed(f) == pytest.approx(math.e, abs=1e-12)
+    assert arclength_variation(graph(f)) == pytest.approx(math.e, abs=1e-12)
 
 
 def test_monotone_closed_constant():
     f = profile_linear(0.0, 5.0, Interval(2.0, 7.0))
-    assert arclength_monotone_closed(f) == 5.0
+    assert arclength_variation(graph(f)) == 5.0
 
 
 def test_monotone_closed_quarter_circle():
     f = profile_euclidean_circle_quadrant(1.0)
-    assert arclength_monotone_closed(f) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_monotone_closed_rejects_non_monotone_with_witnesses():
-    f = _profile(np.sin, np.cos, 0.0, 3.0)
-    with pytest.raises(MonotonicityError) as ei:
-        arclength_monotone_closed(f)
-    assert "f'(" in str(ei.value)
-
-
-def test_monotone_closed_checks_breakpoint_neighborhoods():
-    # derivative flips sign only at the declared kink
-    f = profile_taxicab_circle_upper(1.0)
-    with pytest.raises(MonotonicityError):
-        arclength_monotone_closed(f)
+    assert arclength_variation(graph(f)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_parametric_2d_quarter_circle():
-    c = ParametricCurve2(np.cos, np.sin,
-                         lambda t: -np.sin(t), np.cos,
-                         Interval(0.0, math.pi / 2.0))
-    assert arclength_parametric_2d(c) == pytest.approx(2.0, abs=1e-9)
+    c = ParametricCurve((np.cos, np.sin), (lambda t: -np.sin(t), np.cos),
+                        Interval(0.0, math.pi / 2.0))
+    assert arclength_parametric(c) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_parametric_2d_full_circle():
-    c = ParametricCurve2(np.cos, np.sin,
-                         lambda t: -np.sin(t), np.cos,
-                         Interval(0.0, 2.0 * math.pi))
-    assert arclength_parametric_2d(c) == pytest.approx(8.0, abs=1e-8)
+    c = ParametricCurve((np.cos, np.sin), (lambda t: -np.sin(t), np.cos),
+                        Interval(0.0, 2.0 * math.pi))
+    assert arclength_parametric(c) == pytest.approx(8.0, abs=1e-8)
 
 
 def test_parametric_2d_diagonal():
-    c = ParametricCurve2(lambda t: t, lambda t: t,
-                         lambda t: 1.0, lambda t: 1.0, Interval(0.0, 1.0))
-    assert arclength_parametric_2d(c) == pytest.approx(2.0, abs=1e-12)
+    c = ParametricCurve((lambda t: t, lambda t: t), (lambda t: 1.0, lambda t: 1.0),
+                        Interval(0.0, 1.0))
+    assert arclength_parametric(c) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_parametric_3d_segment():
-    c = ParametricCurve3(lambda t: t, lambda t: 2.0 * t, lambda t: 3.0 * t,
-                         lambda t: 1.0, lambda t: 2.0, lambda t: 3.0,
-                         Interval(0.0, 1.0))
-    assert arclength_parametric_3d(c) == pytest.approx(6.0, abs=1e-12)
+    c = ParametricCurve((lambda t: t, lambda t: 2.0 * t, lambda t: 3.0 * t),
+                        (lambda t: 1.0, lambda t: 2.0, lambda t: 3.0),
+                        Interval(0.0, 1.0))
+    assert arclength_parametric(c) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_parametric_3d_helix_quarter_turn():
-    c = ParametricCurve3(np.cos, np.sin, lambda t: t,
-                         lambda t: -np.sin(t), np.cos, lambda t: 1.0,
-                         Interval(0.0, math.pi / 2.0))
+    c = ParametricCurve((np.cos, np.sin, lambda t: t),
+                        (lambda t: -np.sin(t), np.cos, lambda t: 1.0),
+                        Interval(0.0, math.pi / 2.0))
     expected = 2.0 + math.pi / 2.0
-    assert arclength_parametric_3d(c) == pytest.approx(expected, abs=1e-9)
+    assert arclength_parametric(c) == pytest.approx(expected, abs=1e-9)
     # discrete taxicab polyline over the same curve agrees
     ts = np.linspace(0.0, math.pi / 2.0, 100_001)
     xs, ys, zs = np.cos(ts), np.sin(ts), ts
@@ -148,10 +132,10 @@ def test_parametric_3d_helix_quarter_turn():
 
 
 def test_parametric_3d_axis_parallel():
-    c = ParametricCurve3(lambda t: t, lambda t: 0.0, lambda t: 0.0,
-                         lambda t: 1.0, lambda t: 0.0, lambda t: 0.0,
-                         Interval(0.0, 4.0))
-    assert arclength_parametric_3d(c) == pytest.approx(4.0, abs=1e-12)
+    c = ParametricCurve((lambda t: t, lambda t: 0.0, lambda t: 0.0),
+                        (lambda t: 1.0, lambda t: 0.0, lambda t: 0.0),
+                        Interval(0.0, 4.0))
+    assert arclength_parametric(c) == pytest.approx(4.0, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -164,7 +148,7 @@ def test_path_independence_random_monotone_cubics(c3, c2, c1, decreasing):
     ev = lambda x: sgn * ((c3 * x + c2) * x + c1) * x
     dv = lambda x: sgn * ((3.0 * c3 * x + 2.0 * c2) * x + c1)
     f = _profile(ev, dv, 0.0, 1.5)
-    assert arclength_functional(f) == pytest.approx(arclength_monotone_closed(f), abs=1e-8)
+    assert arclength_functional(f) == pytest.approx(arclength_variation(graph(f)), abs=1e-8)
 
 
 @pytest.mark.parametrize("prof", [
@@ -173,9 +157,13 @@ def test_path_independence_random_monotone_cubics(c3, c2, c1, decreasing):
     profile_taxicab_circle_upper(1.0),
 ])
 def test_parametric_consistency_with_graph_form(prof):
-    c = ParametricCurve2(lambda t: t, prof.evaluate, lambda t: 1.0, prof.derivative,
-                         prof.domain, breakpoints=prof.breakpoints)
-    assert arclength_parametric_2d(c) == pytest.approx(arclength_functional(prof), abs=1e-9)
+    c = ParametricCurve((lambda t: t, prof.evaluate), (lambda t: 1.0, prof.derivative),
+                        prof.domain, breakpoints=prof.breakpoints)
+    assert arclength_parametric(c) == pytest.approx(arclength_functional(prof), abs=1e-9)
+    assert arclength_parametric(graph(prof)) == pytest.approx(arclength_functional(prof),
+                                                              abs=1e-9)
+    assert arclength_variation(graph(prof)) == pytest.approx(arclength_functional(prof),
+                                                             abs=1e-9)
 
 
 @settings(max_examples=20, deadline=None)
@@ -189,6 +177,54 @@ def test_taxicab_arclength_dominates_euclidean(a, b):
     euclid = integrate(lambda x: np.hypot(1.0, dv(x)), f.domain).value
     assert taxi >= euclid - 1e-9
     assert taxi >= f.domain.width - 1e-12
+
+
+@st.composite
+def _zigzags(draw):
+    n = draw(st.integers(min_value=3, max_value=40))
+    dxs = draw(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=n - 1,
+                        max_size=n - 1))
+    ys = draw(st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=n, max_size=n))
+    xs = np.concatenate([[0.0], np.cumsum(dxs)]).tolist()
+    return PiecewiseLinearProfile(tuple(zip(xs, ys))).to_profile()
+
+
+@st.composite
+def _single_sines(draw):
+    # s * (sin(omega x + phi) + 1.5) on [0, length] with omega * length <= 100,
+    # so consecutive roots of f' lie several scan cells apart.
+    s = draw(st.floats(min_value=0.01, max_value=100.0))
+    length = draw(st.floats(min_value=0.1, max_value=20.0))
+    omega = draw(st.floats(min_value=0.1, max_value=100.0)) / length
+    phi = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+    return _profile(lambda x: s * (np.sin(omega * x + phi) + 1.5),
+                    lambda x: s * omega * np.cos(omega * x + phi), 0.0, length,
+                    label=f"{s!r} * (sin({omega!r} x + {phi!r}) + 1.5)")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_zigzags(), _single_sines()))
+# f' has a root within half a scan cell of x = 0
+@example(_profile(lambda x: np.sin(45.0 * x + 4.625) + 1.5,
+                  lambda x: 45.0 * np.cos(45.0 * x + 4.625), 0.0, 1.0))
+def test_variation_equals_quadrature(f):
+    assert arclength_variation(graph(f)) == pytest.approx(arclength_functional(f),
+                                                         rel=1e-12, abs=0.0)
+
+
+def test_variation_disagrees_where_the_kink_scan_misses_a_bump():
+    # f' underflows to 0 at every scan point, so the scan finds no turning
+    # point and the variation sees a flat graph; quadrature and the polyline
+    # oracle both see the bump of height 1 (length 1 + 2).
+    w = 5e-5
+    f = _profile(lambda x: np.exp(-((x - 0.3) / w) ** 2),
+                 lambda x: -2.0 * (x - 0.3) / w ** 2 * np.exp(-((x - 0.3) / w) ** 2),
+                 0.0, 1.0)
+    variation = arclength_variation(graph(f))
+    assert variation == pytest.approx(1.0, abs=1e-12)
+    for other in (arclength_functional(f), polyline_arclength_oracle(f, n=1_000_000)):
+        assert other == pytest.approx(3.0, abs=1e-9)
+        assert other - variation > 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from taximeasure import DomainError, Interval, SpecError
 from taximeasure.profiles import (
-    ParametricCurve2,
+    ParametricCurve,
     PiecewiseLinearProfile,
     ProfileFunction,
     derivative_is_consistent,
@@ -140,6 +141,17 @@ def test_catalog_derivative_consistency(prof):
     assert derivative_is_consistent(prof)
 
 
+def test_derivative_consistency_without_room_to_sample_raises():
+    # vertex spacing 5e-5 is below twice the 1e-4 sampling margin, so no
+    # point qualifies; the check used to draw candidates forever
+    xs = np.linspace(0.0, 1.0, 20_001)
+    prof = PiecewiseLinearProfile(tuple(zip(xs.tolist(), np.sin(40.0 * xs).tolist())))
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        derivative_is_consistent(prof.to_profile())
+    assert time.perf_counter() - start < 1.0
+
+
 def test_profile_function_breakpoint_validation():
     ev = lambda x: x
     dv = lambda x: 1.0
@@ -154,9 +166,14 @@ def test_profile_function_breakpoint_validation():
 
 
 def test_parametric_curve_breakpoint_validation():
-    with pytest.raises(DomainError):
-        ParametricCurve2(math.cos, math.sin, lambda t: -math.sin(t), math.cos,
-                         Interval(0.0, 1.0), breakpoints=(2.0,))
+    circle = (np.cos, np.sin)
+    speeds = (lambda t: -np.sin(t), np.cos)
+    for derivatives, breakpoints in ((speeds, (2.0,)),        # outside the domain
+                                     (speeds, (0.6, 0.4)),    # unordered
+                                     (speeds, (0.4, 0.4)),    # duplicate
+                                     (speeds[:1], ())):       # one derivative short
+        with pytest.raises(DomainError):
+            ParametricCurve(circle, derivatives, Interval(0.0, 1.0), breakpoints=breakpoints)
 
 
 def test_piecewise_linear_profile():

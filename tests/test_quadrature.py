@@ -201,6 +201,12 @@ def test_detect_sign_changes_never_samples_endpoints():
     assert roots[0] == pytest.approx(0.3, abs=1e-10)
 
 
+def test_detect_sign_changes_scans_the_end_half_cells():
+    # both roots lie between a domain end and the nearest midpoint-grid point
+    roots = detect_sign_changes(lambda x: (x - 0.001) * (x - 0.999), Interval(0.0, 1.0))
+    assert roots == pytest.approx([0.001, 0.999], abs=1e-12)
+
+
 def test_detect_sign_changes_rejects_nan():
     with pytest.raises(IntegrandError):
         detect_sign_changes(lambda x: float("nan"), Interval(0.0, 1.0))
