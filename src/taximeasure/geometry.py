@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 # Ratio of taxicab circumference to diameter.  Exact: the taxicab circle of
@@ -64,6 +66,33 @@ class Interval:
 
     def covers(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
+
+
+def sorted_insert(grid: np.ndarray, points) -> np.ndarray:
+    """The sorted union of a strictly increasing grid and some points, as
+    numpy's union1d returns it, without sorting a large grid.
+
+    The points may come in any order and repeat.  Into a large grid, each
+    one not already on it is inserted at its searchsorted position: one copy
+    of the grid instead of a sort of it.  A small grid, or one with points
+    of comparable number, is sorted together with them.  Unlike union1d,
+    whose np.unique imports numpy.ma, it imports nothing.
+    """
+    pts = np.asarray(points, dtype=float).ravel()
+    # Sorting grid and points together costs ~8 ns per element; inserting
+    # costs ~70 ns per point plus np.insert's ~15 us, the price of sorting
+    # ~2,000 elements.
+    if grid.size < 16 * pts.size + 2048:
+        merged = np.sort(np.concatenate([grid, pts]))
+        fresh = np.ones(merged.size, dtype=bool)
+        np.not_equal(merged[1:], merged[:-1], out=fresh[1:])
+        return merged[fresh]
+    pts = np.sort(pts)
+    fresh = np.ones(pts.size, dtype=bool)
+    np.not_equal(pts[1:], pts[:-1], out=fresh[1:])
+    at = np.searchsorted(grid, pts)
+    fresh &= grid[np.minimum(at, grid.size - 1)] != pts
+    return np.insert(grid, at[fresh], pts[fresh])
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .geometry import PI_T, AngleRad, Interval
+from .geometry import PI_T, AngleRad, Interval, sorted_insert
 from .profiles import ParametricCurve, ProfileFunction
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, detect_sign_changes, integrate
 
@@ -76,13 +76,24 @@ def _check_sample_grid(domain: Interval, breakpoints: list[float]) -> np.ndarray
     if breakpoints:
         h = 1e-9 * (hi - lo)
         near = np.array([v for b in breakpoints for v in (b - h, b, b + h)])
-        xs = np.union1d(xs, np.clip(near, lo, hi))
+        xs = sorted_insert(xs, np.clip(near, lo, hi))
     return xs
 
 
-def check_nonnegative_values(xs: np.ndarray, vals: np.ndarray) -> None:
-    """Raise DomainError if a sampled profile value is negative beyond rounding."""
-    tol = -1e-12 * max(1.0, float(np.max(np.abs(vals))))
+def lowest_sample(xs: np.ndarray, vals: np.ndarray) -> tuple:
+    """The first lowest sample of a profile and the largest |value|:
+    (x, f(x), max |f|)."""
+    worst = int(np.argmin(vals))
+    return xs[worst], vals[worst], np.max(np.abs(vals))
+
+
+def check_nonnegative(lows: list[tuple]) -> None:
+    """Raise DomainError if a sampled profile value is negative beyond
+    rounding, -1e-12 * max(1, max |f|).  lows holds the lowest_sample of each
+    block of samples, in sample order, so the message names the first lowest
+    sample of all of them."""
+    xs, vals, peaks = zip(*lows)
+    tol = -1e-12 * max(1.0, float(np.max(peaks)))
     worst = int(np.argmin(vals))
     if vals[worst] < tol:
         raise DomainError(
@@ -91,20 +102,17 @@ def check_nonnegative_values(xs: np.ndarray, vals: np.ndarray) -> None:
 
 def _check_nonnegative(f: ProfileFunction, domain: Interval) -> None:
     xs = _check_sample_grid(domain, _interior_breakpoints(f, domain))
-    check_nonnegative_values(xs, np.asarray(f.evaluate(xs), dtype=float))
+    check_nonnegative([lowest_sample(xs, np.asarray(f.evaluate(xs), dtype=float))])
 
 
 def _splits(curve, domain: Interval, *derivatives) -> list[float]:
     """Declared interior breakpoints plus the detected sign changes of each
-    derivative.  A detected point within 1e-13 of the width of a declared one
-    is the same kink found by bisection, which can land just short of it; it
-    is dropped so that the piece ends exactly at the declared point."""
+    derivative.  The scan is told the declared points, so it neither bisects
+    towards them nor returns them a second time: each piece ends exactly at
+    a declared point."""
     declared = _interior_breakpoints(curve, domain)
-    eps = 1e-13 * (domain.hi - domain.lo)
-    detected = [s for d in derivatives
-                for s in detect_sign_changes(d, domain)
-                if all(abs(s - b) > eps for b in declared)]
-    return declared + detected
+    return declared + [s for d in derivatives
+                       for s in detect_sign_changes(d, domain, declared)]
 
 
 def arclength_functional(f: ProfileFunction, domain: Interval | None = None,

@@ -14,6 +14,14 @@ converge as the partition refines.  The oracle sums never call the
 quadrature engine, so they stay an independent check on it.  This module uses
 measures only for the shared domain and nonnegativity checks and for the
 table's reference values.
+
+The partition is walked in blocks of BLOCK cells.  Each block evaluates the
+profile on its own nodes (midpoints for the disk), records its lowest sample
+for the nonnegativity check and writes its summands into one buffer of all
+cells, so a call holds the partition, that buffer and one block's
+temporaries: about 3 floats per cell for the polyline, which keeps dx and
+|df| apart, and 2 for the others.  One numpy.sum over the buffer then adds
+the cells in the same pairwise order as a sum over full-length arrays.
 """
 
 from __future__ import annotations
@@ -25,12 +33,16 @@ import numpy as np
 from . import measures
 from ._kernels import disk_sum, frustum_sum, polyline_sum
 from .errors import DomainError
-from .geometry import Interval
+from .geometry import Interval, sorted_insert
 from .profiles import ProfileFunction
 
 # Largest partition an oracle builds.  It bounds the memory one call can ask
-# for (a few arrays of MAX_CELLS floats) against a cell count from the CLI.
+# for (three arrays of MAX_CELLS floats) against a cell count from the CLI.
 MAX_CELLS = 10**7
+
+# Cells per block: the nodes, values and kernel temporaries of one block,
+# 128 KiB each, stay in L2.
+BLOCK = 1 << 14
 
 
 class ConvergenceRow(NamedTuple):
@@ -50,8 +62,19 @@ def _partition(f: ProfileFunction, domain: Interval, n: int) -> np.ndarray:
     xs = np.linspace(domain.lo, domain.hi, n + 1)
     inner = [b for b in f.breakpoints if domain.lo < b < domain.hi]
     if inner:
-        xs = np.union1d(xs, np.asarray(inner, dtype=float))
+        xs = sorted_insert(xs, inner)
     return xs
+
+
+def _blocks(xs: np.ndarray):
+    """(first cell, nodes) of each block of at most BLOCK cells of the
+    partition xs; neighbouring blocks share their end node."""
+    for i in range(0, xs.size - 1, BLOCK):
+        yield i, xs[i:i + BLOCK + 1]
+
+
+def _values(f: ProfileFunction, xs: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(f.evaluate(xs), dtype=float)
 
 
 def polyline_arclength_oracle(f: ProfileFunction, domain: Interval | None = None,
@@ -59,8 +82,10 @@ def polyline_arclength_oracle(f: ProfileFunction, domain: Interval | None = None
     """Sum of taxicab chord lengths over the breakpoint-augmented partition."""
     dom = measures.resolve_domain(f, domain)
     xs = _partition(f, dom, n)
-    fx = np.ascontiguousarray(f.evaluate(xs), dtype=float)
-    return float(polyline_sum(xs, fx))
+    terms = np.empty((2, xs.size - 1))
+    for i, x in _blocks(xs):
+        polyline_sum(x, _values(f, x), terms[:, i:i + x.size - 1])
+    return float(np.sum(terms[0]) + np.sum(terms[1]))
 
 
 def frustum_surface_oracle(f: ProfileFunction, domain: Interval | None = None,
@@ -68,9 +93,14 @@ def frustum_surface_oracle(f: ProfileFunction, domain: Interval | None = None,
     """Sum of taxicab frustum lateral surfaces over the augmented partition."""
     dom = measures.resolve_domain(f, domain)
     xs = _partition(f, dom, n)
-    fx = np.ascontiguousarray(f.evaluate(xs), dtype=float)
-    measures.check_nonnegative_values(xs, fx)
-    return float(frustum_sum(xs, fx))
+    terms = np.empty(xs.size - 1)
+    lows = []
+    for i, x in _blocks(xs):
+        fx = _values(f, x)
+        lows.append(measures.lowest_sample(x, fx))
+        frustum_sum(x, fx, terms[i:i + x.size - 1])
+    measures.check_nonnegative(lows)
+    return float(np.sum(terms))
 
 
 def disk_volume_oracle(f: ProfileFunction, domain: Interval | None = None,
@@ -78,10 +108,15 @@ def disk_volume_oracle(f: ProfileFunction, domain: Interval | None = None,
     """Midpoint-rule sum of taxicab disk volumes over the augmented partition."""
     dom = measures.resolve_domain(f, domain)
     xs = _partition(f, dom, n)
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    fm = np.ascontiguousarray(f.evaluate(mids), dtype=float)
-    measures.check_nonnegative_values(mids, fm)
-    return float(disk_sum(xs, fm))
+    terms = np.empty(xs.size - 1)
+    lows = []
+    for i, x in _blocks(xs):
+        mids = 0.5 * (x[:-1] + x[1:])
+        fm = _values(f, mids)
+        lows.append(measures.lowest_sample(mids, fm))
+        disk_sum(x, fm, terms[i:i + mids.size])
+    measures.check_nonnegative(lows)
+    return float(np.sum(terms))
 
 
 _ORACLES = {

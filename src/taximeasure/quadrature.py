@@ -199,13 +199,20 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
 
 
 def detect_sign_changes(g: Callable[[np.ndarray], np.ndarray],
-                        domain: Interval) -> list[float]:
+                        domain: Interval, known: Sequence[float] = ()) -> list[float]:
     """Locate sign changes of g by scanning a uniform midpoint grid, closed by
     the first and last floats inside the domain so that the two end
     half-cells are scanned too, in one array call; then bisect every
-    bracketing pair together down to 1e-13 of the domain width.  The domain
-    endpoints themselves are never sampled.  Returns the refined abscissas,
-    sorted.
+    bracketing pair together down to 1e-13 of the domain width, or to the
+    float spacing where that is wider.  The domain endpoints themselves are
+    never sampled.  Returns the refined abscissas, sorted.
+
+    known holds points the caller already splits at, such as declared
+    breakpoints.  The two floats next to each join the scan, so the bracket
+    around a sign change at a known point is two floats wide and needs no
+    bisection, while a sign change beside it still gets a bracket of its
+    own.  A point found within 1e-13 of the width of a known one is that
+    point again and is left out.
     """
     lo, hi = domain.lo, domain.hi
     width = hi - lo
@@ -213,6 +220,11 @@ def detect_sign_changes(g: Callable[[np.ndarray], np.ndarray],
         return []
     grid = lo + (np.arange(_SCAN_POINTS) + 0.5) * (width / _SCAN_POINTS)
     xs = np.concatenate([[math.nextafter(lo, hi)], grid, [math.nextafter(hi, lo)]])
+    if len(known):
+        ks = np.asarray(known, dtype=float)
+        near = np.concatenate([np.nextafter(ks, lo), np.nextafter(ks, hi)])
+        # A point scanned twice is harmless: both copies have the same sign.
+        xs = np.sort(np.concatenate([xs, np.minimum(np.maximum(near, xs[0]), xs[-1])]))
     signs = np.sign(_call(g, xs, np.isnan))
 
     # A bracket ends at a nonzero sign that differs from the previous nonzero
@@ -223,18 +235,30 @@ def detect_sign_changes(g: Callable[[np.ndarray], np.ndarray],
     a, b = xs[right - 1], xs[right]
     sign_a = signs[nonzero[flips]]
     target = 1e-13 * width
-    active = np.flatnonzero(b - a > target)
+    # Far from 0 on a narrow domain, adjacent floats can lie further apart
+    # than target, and the midpoint of two of them rounds onto one of them.
+    # A bracket wider than the largest float spacing in the domain always
+    # has its midpoint strictly inside.
+    stop = max(target, math.ulp(max(abs(lo), abs(hi))))
+    active = np.flatnonzero(b - a > stop)
     while active.size:
         m = 0.5 * (a[active] + b[active])
         sm = np.sign(_call(g, m, np.isnan))
         # An exact zero closes its bracket on the midpoint.
         a[active] = np.where((sm == sign_a[active]) | (sm == 0.0), m, a[active])
         b[active] = np.where(sm != sign_a[active], m, b[active])
-        active = active[b[active] - a[active] > target]
+        active = active[b[active] - a[active] > stop]
 
     found = np.sort(np.concatenate([xs[signs == 0.0], 0.5 * (a + b)]))
     deduped: list[float] = []
     for x in found.tolist():
         if not deduped or x - deduped[-1] > target:
             deduped.append(x)
-    return deduped
+    if not len(known) or not deduped:
+        return deduped
+    # Keep what lies further than target from its nearest known point.
+    pts, ks = np.array(deduped), np.sort(ks)
+    at = np.searchsorted(ks, pts)
+    gap = np.minimum(np.abs(pts - ks[np.maximum(at - 1, 0)]),
+                     np.abs(pts - ks[np.minimum(at, ks.size - 1)]))
+    return pts[gap > target].tolist()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import sorted_insert
 from .profiles import ProfileFunction
 
 _WIDTH = 720
@@ -26,7 +27,7 @@ def _fmt(v: float) -> str:
 def _sample_curve(profile: ProfileFunction, samples: int) -> tuple[np.ndarray, np.ndarray]:
     xs = np.linspace(profile.domain.lo, profile.domain.hi, samples)
     if profile.breakpoints:
-        xs = np.union1d(xs, np.asarray(profile.breakpoints, dtype=float))
+        xs = sorted_insert(xs, profile.breakpoints)
     ys = np.asarray(profile.evaluate(xs), dtype=float)
     return xs, ys
 

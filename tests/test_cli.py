@@ -119,6 +119,15 @@ def test_deeply_nested_json_exits_2(capsys, monkeypatch, tmp_path, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_measure_on_a_domain_a_few_hundred_floats_wide_ends(capsys):
+    # Near x = 1 the domain is 450 float spacings wide, so 1e-13 of its width
+    # is below one spacing; the kink scan must still stop bisecting.
+    tent = '{"piecewise_linear": [[1, 1], [1.00000000000004, 1.5], [1.0000000000001, 1]]}'
+    code, out, err = run(capsys, ["measure", "--quantity", "surface", "--profile", tent])
+    assert code == 0 and err == ""
+    assert out.startswith("quantity = surface\n")
+
+
 def test_measure_domain_error_exits_3(capsys):
     code, _, err = run(capsys, ["measure", "--quantity", "volume", "--shape",
                                 '{"shape": "sphere", "params": {"r": -1}}'])
@@ -255,6 +264,21 @@ def test_overflowing_oracle_prints_only_the_error_line():
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_oracle_measure_leaves_numpy_ma_unimported():
+    # numpy.ma costs a cold process ~15 ms to import; np.unique pulls it in.
+    code = ("import sys\n"
+            "from taximeasure.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "assert code == 0, code\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "measure", "--quantity", "volume", "--shape", SPHERE,
+         "--oracle", "64"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 # ---------------------------------------------------------------------------

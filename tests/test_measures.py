@@ -385,3 +385,17 @@ def test_zigzag_pieces_end_at_the_declared_kinks(monkeypatch, n_vertices):
     assert arclength_functional(f) == pytest.approx(arc, rel=1e-12)
     assert surface_of_revolution(f) == pytest.approx(surface, rel=1e-12)
     assert len(samples) == 2 and max(samples) <= 1000
+
+
+def test_kink_scan_skips_the_declared_kink_of_the_taxicab_circle():
+    # f' flips at the declared breakpoint 0: the scan needs no bisection.
+    f = profile_taxicab_circle_upper(1.0)
+    calls = []
+
+    def derivative(x):
+        calls.append(np.size(x))
+        return f.derivative(x)
+
+    counted = ProfileFunction(f.evaluate, derivative, f.domain, f.breakpoints)
+    assert arclength_variation(graph(counted)) == 4.0
+    assert len(calls) <= 1

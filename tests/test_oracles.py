@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from taximeasure import (
     DomainError,
     Interval,
     PiecewiseLinearProfile,
+    ProfileFunction,
     SphereSpec,
     arclength_functional,
     convergence_table,
@@ -18,6 +20,7 @@ from taximeasure import (
     profile_euclidean_circle_quadrant,
     profile_linear,
     profile_taxicab_circle_upper,
+    revolution_profile,
     sphere_surface,
 )
 
@@ -212,3 +215,131 @@ def test_oracles_never_touch_the_quadrature_engine(monkeypatch):
     assert polyline_arclength_oracle(f, n=16) == pytest.approx(4.0, abs=1e-12)
     assert frustum_surface_oracle(f, n=16) == pytest.approx(8.0 * SQRT3, abs=1e-12)
     assert disk_volume_oracle(f, n=1000) == pytest.approx(4.0 / 3.0, abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# blocked oracles: the same floats as one pass over full-length arrays
+# ---------------------------------------------------------------------------
+
+B = oracles.BLOCK
+
+
+def _full_partition(f, n):
+    xs = np.linspace(f.domain.lo, f.domain.hi, n + 1)
+    inner = [b for b in f.breakpoints if f.domain.lo < b < f.domain.hi]
+    if inner:
+        xs = np.union1d(xs, np.asarray(inner, dtype=float))
+    return xs
+
+
+def _full_polyline(f, n):
+    xs = _full_partition(f, n)
+    fx = np.asarray(f.evaluate(xs), dtype=float)
+    return float(np.sum(np.diff(xs)) + np.sum(np.abs(np.diff(fx))))
+
+
+def _full_frustum(f, n):
+    xs = _full_partition(f, n)
+    fx = np.asarray(f.evaluate(xs), dtype=float)
+    dx, df = np.diff(xs), np.diff(fx)
+    slant = np.sqrt(dx * dx + 0.5 * df * df)
+    chord = np.sqrt(dx * dx + df * df)
+    return float(np.sum(4.0 * (fx[:-1] + fx[1:]) * (dx + np.abs(df)) * slant / chord))
+
+
+def _full_disk(f, n):
+    xs = _full_partition(f, n)
+    fm = np.asarray(f.evaluate(0.5 * (xs[:-1] + xs[1:])), dtype=float)
+    return float(np.sum(2.0 * fm * fm * np.diff(xs)))
+
+
+def _wavy(breakpoints):
+    """A smooth positive profile with a kink at each breakpoint."""
+    bps = np.asarray(breakpoints, dtype=float)
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        return 2.0 + np.sin(7.0 * x) + 0.3 * np.abs(x[..., None] - bps).sum(axis=-1)
+
+    def derivative(x):
+        x = np.asarray(x, dtype=float)
+        return 7.0 * np.cos(7.0 * x) + 0.3 * np.sign(x[..., None] - bps).sum(axis=-1)
+
+    return ProfileFunction(evaluate, derivative, Interval(0.0, 1.0), tuple(breakpoints))
+
+
+def _edge_cases(n):
+    """Breakpoints that land on, just before and just after the first block
+    edge of the augmented partition, and one that is already a grid node."""
+    g = np.linspace(0.0, 1.0, n + 1)
+    cases = [()]
+    for node in (B - 1, B, B + 1):
+        # The only inserted point lands between g[node - 1] and g[node], so
+        # it becomes node `node` of the partition.
+        if node <= n:
+            cases.append((0.5 * (g[node - 1] + g[node]),))
+    if B < n:
+        cases.append((float(g[B]),))
+    return cases
+
+
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 7])
+@pytest.mark.parametrize("oracle, reference", [
+    (polyline_arclength_oracle, _full_polyline),
+    (frustum_surface_oracle, _full_frustum),
+    (disk_volume_oracle, _full_disk),
+])
+def test_blocked_oracles_equal_full_array_sums(n, oracle, reference):
+    for bps in _edge_cases(n):
+        f = _wavy(bps)
+        assert oracle(f, n=n) == reference(f, n), bps
+
+
+def _full_check_message(xs, vals):
+    """The nonnegativity message of one pass over all samples."""
+    worst = int(np.argmin(vals))
+    return f"profile must be nonnegative on the domain: f({xs[worst]!r}) = {vals[worst]!r}"
+
+
+@pytest.mark.parametrize("evaluate", [
+    # The lowest sample lies in the third block.
+    lambda x: np.abs(x - 0.7) - 0.1,
+    # Every sample ties for lowest: the first one is named.
+    lambda x: np.full(np.shape(x), -1.0),
+])
+def test_negative_profile_error_names_the_first_lowest_sample(evaluate):
+    f = ProfileFunction(evaluate, lambda x: np.zeros(np.shape(x)), Interval(0.0, 1.0))
+    n = 3 * B + 7
+    xs = np.linspace(0.0, 1.0, n + 1)
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    with pytest.raises(DomainError) as surface:
+        frustum_surface_oracle(f, n=n)
+    assert str(surface.value) == _full_check_message(xs, evaluate(xs))
+    with pytest.raises(DomainError) as volume:
+        disk_volume_oracle(f, n=n)
+    assert str(volume.value) == _full_check_message(mids, evaluate(mids))
+
+
+def test_nonnegativity_tolerance_takes_the_peak_of_every_block():
+    # -1e-12 * max|f| is rounding: a peak in the last block excuses a small
+    # negative value in the first, whose own peak is 1.
+    def evaluate(x):
+        return np.where(x < 0.1, -1e-9, np.where(x > 0.9, 1e4, 1.0))
+
+    f = ProfileFunction(evaluate, lambda x: np.zeros(np.shape(x)), Interval(0.0, 1.0))
+    assert disk_volume_oracle(f, n=3 * B) > 0.0
+
+
+@pytest.mark.parametrize("oracle", [polyline_arclength_oracle, frustum_surface_oracle,
+                                    disk_volume_oracle])
+def test_oracle_memory_is_bounded_per_cell(oracle):
+    f = revolution_profile(SphereSpec(1.0))
+    n = 10**6
+    oracle(f, n=1000)
+    tracemalloc.start()
+    try:
+        oracle(f, n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * (n + 1)

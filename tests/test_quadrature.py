@@ -212,6 +212,40 @@ def test_detect_sign_changes_rejects_nan():
         detect_sign_changes(lambda x: float("nan"), Interval(0.0, 1.0))
 
 
+def _counted(g):
+    calls = []
+
+    def wrapped(x):
+        calls.append(np.size(x))
+        return g(x)
+
+    return wrapped, calls
+
+
+def test_detect_sign_changes_does_not_bisect_towards_a_known_point():
+    g, calls = _counted(lambda x: np.where(x < 0.3, 1.0, -1.0))
+    assert detect_sign_changes(g, Interval(0.0, 1.0), known=[0.3]) == []
+    assert len(calls) == 1
+
+
+def test_detect_sign_changes_finds_a_root_beside_a_known_point():
+    # g keeps its sign across the known kink at 0.3 and changes it 1e-4
+    # further on, inside the same scan cell.
+    def g(x):
+        return np.where(x < 0.3, 1.0, 0.3001 - x)
+
+    assert detect_sign_changes(g, Interval(0.0, 1.0), known=[0.3]) == pytest.approx(
+        [0.3001], abs=1e-12)
+
+
+def test_detect_sign_changes_stops_at_the_float_spacing():
+    # 1e-13 of this width is below the spacing of floats near 1e6, so the
+    # bisection must stop at adjacent floats instead.
+    lo, root = 1e6, 1e6 + 4e-7
+    roots = detect_sign_changes(lambda x: x - root, Interval(lo, lo + 1e-6), known=[lo + 5e-7])
+    assert roots == pytest.approx([root], abs=2.0 * math.ulp(lo))
+
+
 def test_tight_custom_tolerance_is_respected():
     cfg = QuadratureConfig(rel_tol=1e-12)
     res = integrate(lambda x: np.exp(x), Interval(0.0, 1.0), cfg=cfg)
