@@ -12,26 +12,41 @@ spec/arguments; 3 domain violation or a result that overflows a float;
 
 Quadrature runs at the library's default relative tolerance, which holds at
 every magnitude of the input; no option or environment variable changes it.
+
+Only the paths that evaluate a profile import NumPy and the array modules:
+the profile and oracle branches of measure, and verify, table and plot.  A
+shape's closed form and a malformed spec are answered without them, so such
+a process does not pay for loading NumPy.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from . import measures, oracles, shapes, svgplot
+from . import shapes
 from .errors import ConvergenceError, DomainError, IntegrandError, SpecError
-from .geometry import AngleRad
-from .profiles import ProfileFunction, graph, parse_profile_spec
+from .geometry import MAX_CELLS, AngleRad
 
-_PROFILE_QUANTITIES = tuple(oracles._ORACLES)
+# The quantities of oracles._ORACLES, in its order.
+_PROFILE_QUANTITIES = ("arclength", "surface", "volume")
 _QUANTITIES = _PROFILE_QUANTITIES + ("area_scale", "circumference", "area")
+
+
+@contextlib.contextmanager
+def _array_path():
+    """Import NumPy for a path that evaluates profiles, and silence its
+    overflow warnings there: measure and table reject a non-finite result
+    themselves, so the warnings would only add lines before their error."""
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        yield
 
 
 def _fmt(v: float) -> str:
@@ -122,14 +137,17 @@ def _caps_area(spec) -> float:
 
 
 def _shape_oracle(spec, quantity: str, n: int) -> float:
-    prof = shapes.revolution_profile(spec)
-    if isinstance(spec, shapes.CircleSpec):
-        if quantity == "circumference":
-            return 2.0 * oracles.polyline_arclength_oracle(prof, n=n)
+    if isinstance(spec, shapes.CircleSpec) and quantity != "circumference":
         raise SpecError("no oracle is defined for the flat circle area")
-    if quantity == "surface":
-        return oracles.frustum_surface_oracle(prof, n=n) + _caps_area(spec)
-    return oracles.disk_volume_oracle(prof, n=n)
+    from . import oracles
+
+    with _array_path():
+        prof = shapes.revolution_profile(spec)
+        if isinstance(spec, shapes.CircleSpec):
+            return 2.0 * oracles.polyline_arclength_oracle(prof, n=n)
+        if quantity == "surface":
+            return oracles.frustum_surface_oracle(prof, n=n) + _caps_area(spec)
+        return oracles.disk_volume_oracle(prof, n=n)
 
 
 def cmd_measure(args) -> int:
@@ -148,6 +166,8 @@ def cmd_measure(args) -> int:
             alpha, beta = math.radians(alpha), math.radians(beta)
         if args.oracle is not None:
             raise SpecError("no oracle is defined for area_scale")
+        from . import measures
+
         angles = measures.RotationAngles(AngleRad(alpha), AngleRad(beta))
         report = MeasureReport(
             quantity=quantity,
@@ -174,20 +194,24 @@ def cmd_measure(args) -> int:
         return 0
 
     raw = _load_json(args.profile)
-    prof = parse_profile_spec(raw)
-    if quantity not in _PROFILE_QUANTITIES:
-        raise SpecError(f"--profile supports {'/'.join(_PROFILE_QUANTITIES)}, "
-                        f"not {quantity!r}")
-    report = MeasureReport(quantity=quantity,
-                           quadrature=measures.quadrature_measure(quantity)(prof),
-                           params=raw)
-    reference = report.quadrature
-    if quantity == "arclength":
-        report.analytic = reference = measures.arclength_variation(graph(prof))
-        report.abs_err_quad = abs(report.quadrature - report.analytic)
-    if args.oracle is not None:
-        report.oracle = oracles._ORACLES[quantity](prof, n=args.oracle)
-        report.abs_err_oracle = abs(report.oracle - reference)
+    from . import measures, oracles
+    from .profiles import graph, parse_profile_spec
+
+    with _array_path():
+        prof = parse_profile_spec(raw)
+        if quantity not in _PROFILE_QUANTITIES:
+            raise SpecError(f"--profile supports {'/'.join(_PROFILE_QUANTITIES)}, "
+                            f"not {quantity!r}")
+        report = MeasureReport(quantity=quantity,
+                               quadrature=measures.quadrature_measure(quantity)(prof),
+                               params=raw)
+        reference = report.quadrature
+        if quantity == "arclength":
+            report.analytic = reference = measures.arclength_variation(graph(prof))
+            report.abs_err_quad = abs(report.quadrature - report.analytic)
+        if args.oracle is not None:
+            report.oracle = oracles._ORACLES[quantity](prof, n=args.oracle)
+            report.abs_err_oracle = abs(report.oracle - reference)
     _emit_report(report, args.json)
     return 0
 
@@ -208,8 +232,9 @@ class _VerifyCase:
 
 
 def _verify_cases() -> list[_VerifyCase]:
+    from . import measures, oracles
     from .geometry import Interval
-    from .profiles import (profile_euclidean_circle_quadrant,
+    from .profiles import (ProfileFunction, profile_euclidean_circle_quadrant,
                            profile_euclidean_parabola_quadrant, profile_linear,
                            profile_taxicab_circle_upper)
 
@@ -268,6 +293,7 @@ def _verify_cases() -> list[_VerifyCase]:
     return cases
 
 
+@_array_path()
 def cmd_verify(args) -> int:
     tol = float(args.tol)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -293,7 +319,11 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+@_array_path()
 def cmd_table(args) -> int:
+    from . import oracles
+    from .profiles import parse_profile_spec
+
     prof = parse_profile_spec(_load_json(args.profile))
     try:
         ns = [int(part) for part in args.ns.split(",") if part.strip() != ""]
@@ -308,7 +338,11 @@ def cmd_table(args) -> int:
     return 0
 
 
+@_array_path()
 def cmd_plot(args) -> int:
+    from . import svgplot
+    from .profiles import parse_profile_spec
+
     n_sources = sum((args.shape is not None, args.profile is not None))
     if n_sources != 1:
         raise SpecError("provide exactly one input: --shape or --profile")
@@ -341,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="interpret --alpha/--beta in degrees")
     p_measure.add_argument("--oracle", type=int, metavar="N",
                            help="add a brute-force oracle column with N cells "
-                                f"(1 <= N <= {oracles.MAX_CELLS})")
+                                f"(1 <= N <= {MAX_CELLS})")
     p_measure.add_argument("--json", action="store_true", help="emit a JSON object")
     p_measure.set_defaults(func=cmd_measure)
 
@@ -356,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--quantity", required=True, choices=_PROFILE_QUANTITIES)
     p_table.add_argument("--ns", required=True,
                          help="comma-separated, strictly increasing cell counts "
-                              f"(each 1 <= N <= {oracles.MAX_CELLS})")
+                              f"(each 1 <= N <= {MAX_CELLS})")
     p_table.set_defaults(func=cmd_table)
 
     p_plot = sub.add_parser("plot", help="render a profile or shape to SVG")
@@ -374,10 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # measure and table reject a non-finite result themselves, so NumPy's
-        # overflow warnings would only add lines before their error.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+        return args.func(args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,6 +2,10 @@
 
 In the taxicab metric the unit circle is the diamond |x| + |y| = 1, whose
 circumference is 8, so the circle constant is 4 rather than 3.14159...
+
+This module holds scalar types and the checks of spec parameters only; it
+does not import NumPy, so the shape closed forms and the spec errors of a
+command-line process never load it.
 """
 
 from __future__ import annotations
@@ -9,15 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError
+from .errors import DomainError, SpecError
 
 # Ratio of taxicab circumference to diameter.  Exact: the taxicab circle of
 # radius r is a diamond with four sides of taxicab length 2r.
 PI_T: float = 4.0
 
 _TWO_PI = 2.0 * math.pi
+
+# Largest partition an oracle builds.  It bounds the memory one call can ask
+# for (three arrays of MAX_CELLS floats) against a cell count from the CLI,
+# whose help text reads it here without loading NumPy.
+MAX_CELLS = 10**7
 
 
 def _require_finite(label: str, *values: float) -> None:
@@ -66,33 +73,6 @@ class Interval:
 
     def covers(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
-
-
-def sorted_insert(grid: np.ndarray, points) -> np.ndarray:
-    """The sorted union of a strictly increasing grid and some points, as
-    numpy's union1d returns it, without sorting a large grid.
-
-    The points may come in any order and repeat.  Into a large grid, each
-    one not already on it is inserted at its searchsorted position: one copy
-    of the grid instead of a sort of it.  A small grid, or one with points
-    of comparable number, is sorted together with them.  Unlike union1d,
-    whose np.unique imports numpy.ma, it imports nothing.
-    """
-    pts = np.asarray(points, dtype=float).ravel()
-    # Sorting grid and points together costs ~8 ns per element; inserting
-    # costs ~70 ns per point plus np.insert's ~15 us, the price of sorting
-    # ~2,000 elements.
-    if grid.size < 16 * pts.size + 2048:
-        merged = np.sort(np.concatenate([grid, pts]))
-        fresh = np.ones(merged.size, dtype=bool)
-        np.not_equal(merged[1:], merged[:-1], out=fresh[1:])
-        return merged[fresh]
-    pts = np.sort(pts)
-    fresh = np.ones(pts.size, dtype=bool)
-    np.not_equal(pts[1:], pts[:-1], out=fresh[1:])
-    at = np.searchsorted(grid, pts)
-    fresh &= grid[np.minimum(at, grid.size - 1)] != pts
-    return np.insert(grid, at[fresh], pts[fresh])
 
 
 @dataclass(frozen=True)
@@ -153,3 +133,22 @@ def taxicab_length_from_angle(d_e: float, theta: "AngleRad | float") -> float:
         raise DomainError(f"taxicab_length_from_angle: d_e must be >= 0, got {d_e}")
     t = _angle_value(theta)
     return d_e * (abs(math.cos(t)) + abs(math.sin(t)))
+
+
+def _as_number(spec_name: str, key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{spec_name}: parameter {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def take_params(spec_name: str, params, keys: tuple[str, ...]) -> list[float]:
+    """The numbers params holds for keys, in order; exactly those keys allowed."""
+    if not isinstance(params, dict):
+        raise SpecError(f"{spec_name}: 'params' must be an object, got {params!r}")
+    missing = [k for k in keys if k not in params]
+    if missing:
+        raise SpecError(f"{spec_name}: missing parameters {missing}")
+    extra = [k for k in params if k not in keys]
+    if extra:
+        raise SpecError(f"{spec_name}: unexpected parameters {extra}")
+    return [_as_number(spec_name, k, params[k]) for k in keys]

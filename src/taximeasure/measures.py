@@ -31,8 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .geometry import PI_T, AngleRad, Interval, sorted_insert
-from .profiles import ParametricCurve, ProfileFunction
+from .geometry import PI_T, AngleRad, Interval
+from .profiles import ParametricCurve, ProfileFunction, sorted_insert
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, detect_sign_changes, integrate
 
 # Grid resolution for the sampled non-negativity check of surface and volume

@@ -26,6 +26,7 @@ the cells in the same pairwise order as a sum over full-length arrays.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,12 +34,8 @@ import numpy as np
 from . import measures
 from ._kernels import disk_sum, frustum_sum, polyline_sum
 from .errors import DomainError
-from .geometry import Interval, sorted_insert
-from .profiles import ProfileFunction
-
-# Largest partition an oracle builds.  It bounds the memory one call can ask
-# for (three arrays of MAX_CELLS floats) against a cell count from the CLI.
-MAX_CELLS = 10**7
+from .geometry import MAX_CELLS, Interval
+from .profiles import ProfileFunction, sorted_insert
 
 # Cells per block: the nodes, values and kernel temporaries of one block,
 # 128 KiB each, stay in L2.
@@ -59,7 +56,15 @@ def _check_cells(n: int) -> None:
 
 def _partition(f: ProfileFunction, domain: Interval, n: int) -> np.ndarray:
     _check_cells(n)
-    xs = np.linspace(domain.lo, domain.hi, n + 1)
+    lo, hi = domain.lo, domain.hi
+    xs = np.linspace(lo, hi, n + 1)
+    # On a domain narrower than a few float spacings per cell, linspace
+    # repeats nodes, and the frustum term of a zero-width cell is 0/0: keep
+    # each node once.  Any wider domain has strictly increasing nodes and
+    # skips this.  A zero-width domain is left as it is: without its
+    # repeated nodes it would have no cell.
+    if 0.0 < hi - lo < 8.0 * n * math.ulp(max(abs(lo), abs(hi))):
+        xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
     inner = [b for b in f.breakpoints if domain.lo < b < domain.hi]
     if inner:
         xs = sorted_insert(xs, inner)

@@ -2,8 +2,9 @@
 
 A ProfileFunction bundles a curve f with its exact derivative and the list of
 interior breakpoints where f' jumps.  The quadrature and oracle layers cut
-their partitions at the declared breakpoints; nothing is auto-detected here,
-so constructors must declare every kink.
+their partitions at the declared breakpoints (sorted_insert puts them into a
+sampling grid); nothing is auto-detected here, so constructors must declare
+every kink.
 
 Evaluation maps are NumPy expressions: they take an array of abscissas and
 return an array of the same shape.  The quadrature calls them with arrays
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .geometry import Interval
+from .geometry import Interval, _as_number, take_params
 
 
 def _require_finite(label: str, **params: float) -> None:
@@ -39,6 +40,33 @@ def _checked_breakpoints(breakpoints, domain: Interval) -> tuple[float, ...]:
     if any(b2 <= b1 for b1, b2 in zip(bks, bks[1:])):
         raise DomainError(f"breakpoints must be strictly increasing, got {bks}")
     return bks
+
+
+def sorted_insert(grid: np.ndarray, points) -> np.ndarray:
+    """The sorted union of a strictly increasing grid and some points, as
+    numpy's union1d returns it, without sorting a large grid.
+
+    The points may come in any order and repeat.  Into a large grid, each
+    one not already on it is inserted at its searchsorted position: one copy
+    of the grid instead of a sort of it.  A small grid, or one with points
+    of comparable number, is sorted together with them.  Unlike union1d,
+    whose np.unique imports numpy.ma, it imports nothing.
+    """
+    pts = np.asarray(points, dtype=float).ravel()
+    # Sorting grid and points together costs ~8 ns per element; inserting
+    # costs ~70 ns per point plus np.insert's ~15 us, the price of sorting
+    # ~2,000 elements.
+    if grid.size < 16 * pts.size + 2048:
+        merged = np.sort(np.concatenate([grid, pts]))
+        fresh = np.ones(merged.size, dtype=bool)
+        np.not_equal(merged[1:], merged[:-1], out=fresh[1:])
+        return merged[fresh]
+    pts = np.sort(pts)
+    fresh = np.ones(pts.size, dtype=bool)
+    np.not_equal(pts[1:], pts[:-1], out=fresh[1:])
+    at = np.searchsorted(grid, pts)
+    fresh &= grid[np.minimum(at, grid.size - 1)] != pts
+    return np.insert(grid, at[fresh], pts[fresh])
 
 
 @dataclass(frozen=True)
@@ -303,25 +331,6 @@ def derivative_is_consistent(profile: ProfileFunction, n_points: int = 64,
 # ---------------------------------------------------------------------------
 # JSON profile specs
 # ---------------------------------------------------------------------------
-
-def _as_number(spec_name: str, key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"{spec_name}: parameter {key!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def take_params(spec_name: str, params, keys: tuple[str, ...]) -> list[float]:
-    """The numbers params holds for keys, in order; exactly those keys allowed."""
-    if not isinstance(params, dict):
-        raise SpecError(f"{spec_name}: 'params' must be an object, got {params!r}")
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise SpecError(f"{spec_name}: missing parameters {missing}")
-    extra = [k for k in params if k not in keys]
-    if extra:
-        raise SpecError(f"{spec_name}: unexpected parameters {extra}")
-    return [_as_number(spec_name, k, params[k]) for k in keys]
-
 
 def _linear_from_params(slope: float, intercept: float, lo: float,
                         hi: float) -> ProfileFunction:

@@ -9,17 +9,22 @@ The expressions are arranged so the degenerate-case identities hold exactly
 in floating point (for example a paraboloid with h = a is exactly half a
 sphere, because its surface and volume terms are 2x-scalings of the sphere
 ones and scaling by powers of two is exact).
+
+The closed forms are Python float arithmetic.  Only revolution_profile, which
+builds an array-evaluated profile, imports the profiles module and NumPy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, SpecError
-from .geometry import PI_T, Interval
-from .profiles import (ProfileFunction, profile_linear, profile_taxicab_circle_upper,
-                       profile_taxicab_ellipse_upper, profile_taxicab_parabola, take_params)
+from .geometry import PI_T, Interval, take_params
+
+if TYPE_CHECKING:
+    from .profiles import ProfileFunction
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -146,6 +151,9 @@ def ellipsoid_cap_radius(spec: EllipsoidSpec) -> float:
 def revolution_profile(spec) -> ProfileFunction:
     """Radius profile whose revolution generates the shape (the upper-half
     cross-section curve for the 2D circle)."""
+    from .profiles import (profile_linear, profile_taxicab_circle_upper,
+                           profile_taxicab_ellipse_upper, profile_taxicab_parabola)
+
     if isinstance(spec, (CircleSpec, SphereSpec)):
         return profile_taxicab_circle_upper(spec.r)
     if isinstance(spec, CylinderSpec):

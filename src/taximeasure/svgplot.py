@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import sorted_insert
-from .profiles import ProfileFunction
+from .profiles import ProfileFunction, sorted_insert
 
 _WIDTH = 720
 _HEIGHT = 480

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from taximeasure import ConvergenceError, cli, oracles
+from taximeasure import ConvergenceError, cli, measures, oracles
 from taximeasure.cli import main
 
 SPHERE = '{"shape": "sphere", "params": {"r": 1}}'
@@ -155,11 +155,18 @@ def test_measure_oracle_cell_bound_exits_3(capsys, source):
     assert str(oracles.MAX_CELLS) in err
 
 
+def test_profile_quantities_are_the_oracle_quantities():
+    # cli spells them out so that building its parser imports no array module.
+    assert cli._PROFILE_QUANTITIES == tuple(oracles._ORACLES)
+
+
 def test_measure_convergence_error_exits_4(capsys, monkeypatch):
     def blow_up(prof, domain=None, cfg=None):
         raise ConvergenceError("stuck", value=1.0, error_estimate=0.5)
 
-    monkeypatch.setattr(cli.measures, "arclength_functional", blow_up)
+    # measure imports measures when it evaluates a profile and looks the
+    # function up on it then.
+    monkeypatch.setattr(measures, "arclength_functional", blow_up)
     code, _, err = run(capsys, ["measure", "--quantity", "arclength", "--profile", QUADRANT])
     assert code == 4
     assert "stuck" in err

@@ -1,7 +1,6 @@
 import math
 import pathlib
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +19,6 @@ from taximeasure import (
     taxicab_dist_3d,
     taxicab_length_from_angle,
 )
-from taximeasure.geometry import sorted_insert
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -176,40 +174,6 @@ def test_length_from_angle_band(d_e, theta):
 
 def test_euclidean_3d_helper():
     assert euclidean_dist_3d(Point3(0, 0, 0), Point3(1, 2, 2)) == pytest.approx(3.0)
-
-
-# ---------------------------------------------------------------------------
-# sorted_insert: union1d without sorting the grid
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("seed", range(20))
-@pytest.mark.parametrize("largest", [3000, 300_000])
-def test_sorted_insert_equals_union1d(seed, largest):
-    # Grids up to 3,000 points are merged by one sort, larger ones with few
-    # points by insertion.
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, largest))
-    grid = np.sort(rng.uniform(-5.0, 5.0, n))
-    grid = grid[np.concatenate(([True], np.diff(grid) > 0))]
-    k = int(rng.integers(0, 40))
-    # Points off the grid, on it (ends included), outside its range and
-    # repeated, in no particular order.
-    points = np.concatenate([rng.uniform(-6.0, 6.0, k),
-                             rng.choice(grid, size=min(k, grid.size)),
-                             grid[[0, -1]]])
-    points = np.concatenate([points, points[: k // 2]])
-    rng.shuffle(points)
-    got = sorted_insert(grid, points)
-    want = np.union1d(grid, points)
-    assert got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
-
-
-def test_sorted_insert_takes_any_sequence():
-    grid = np.linspace(0.0, 1.0, 5)
-    assert sorted_insert(grid, [0.6, 0.1, 0.6, 0.25]).tolist() == [
-        0.0, 0.1, 0.25, 0.5, 0.6, 0.75, 1.0]
-    assert sorted_insert(grid, ()).tolist() == grid.tolist()
 
 
 def test_no_union1d_in_the_sources():

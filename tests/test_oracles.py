@@ -185,6 +185,45 @@ def test_partition_includes_interior_breakpoints():
     assert np.all(np.diff(xs) > 0)
 
 
+NARROW = Interval(1.0, 1.000000000000001)  # five float spacings wide
+
+
+@pytest.mark.parametrize("oracle", [polyline_arclength_oracle, frustum_surface_oracle,
+                                    disk_volume_oracle])
+def test_oracles_on_a_domain_narrower_than_n_float_spacings(oracle):
+    # linspace repeats nodes here, and the frustum term of a zero-width cell
+    # was 0/0.  The partition keeps each node once, so every n beyond the
+    # number of floats in the domain sums the same cells.
+    f = profile_linear(1.0, 1.0, NARROW)
+    xs = oracles._partition(f, NARROW, 100)
+    assert xs.size == 6 and np.all(np.diff(xs) > 0)
+    value = oracle(f, n=100)
+    assert math.isfinite(value) and value > 0.0
+    assert oracle(f, n=10_000) == value
+    tent = PiecewiseLinearProfile(((1.0, 1.0), (1.0000000000000004, 1.5),
+                                   (1.000000000000001, 1.0))).to_profile()
+    assert math.isfinite(oracle(tent, n=100_000))
+
+
+def test_polyline_on_a_narrow_domain_is_exact():
+    # The chord sum telescopes on a monotone span whatever the partition.
+    f = profile_linear(1.0, 1.0, NARROW)
+    assert polyline_arclength_oracle(f, n=100) == pytest.approx(
+        polyline_arclength_oracle(f, n=1), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lo", [1.0, -1.0, 0.5, 1e6, -3.7e-5, 2.0**-60, -(2.0**60)])
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 4096])
+def test_linspace_nodes_are_distinct_above_the_narrow_domain_gate(lo, n):
+    # Above 8 n float spacings the partition is linspace unchanged, which
+    # holds only if linspace's nodes are already strictly increasing there.
+    for factor in (1.0, 1.01, 1.5):
+        hi = lo + 8.0 * n * math.ulp(abs(lo)) * factor
+        while hi - lo < 8.0 * n * math.ulp(max(abs(lo), abs(hi))):
+            hi = math.nextafter(hi, math.inf)
+        assert np.all(np.diff(np.linspace(lo, hi, n + 1)) > 0)
+
+
 def test_breakpoint_augmentation_matters():
     # a uniform n=3 partition straddles the kink of the taxicab circle and
     # underestimates the length; the augmented partition nails it
