@@ -20,7 +20,8 @@ _HOMES = {
         "PI_T", "AngleRad", "Interval", "Point2", "Point3",
         "taxicab_dist_1d", "taxicab_dist_2d", "taxicab_dist_3d",
         "euclidean_dist_2d", "euclidean_dist_3d", "segment_angle",
-        "taxicab_length_from_angle"),
+        "taxicab_length_from_angle",
+        "RotationAngles", "area_scaling_factor", "taxicab_area_rotated"),
     "profiles": (
         "ProfileFunction", "ParametricCurve", "graph",
         "PiecewiseLinearProfile", "parse_profile_spec", "derivative_is_consistent",
@@ -31,9 +32,7 @@ _HOMES = {
         "QuadratureConfig", "QuadratureResult", "DEFAULT_CONFIG",
         "integrate", "detect_sign_changes"),
     "measures": (
-        "RotationAngles", "arclength_functional", "arclength_parametric",
-        "arclength_variation",
-        "area_scaling_factor", "taxicab_area_rotated",
+        "arclength_functional", "arclength_parametric", "arclength_variation",
         "surface_of_revolution", "volume_of_revolution"),
     "shapes": (
         "CircleSpec", "SphereSpec", "CylinderSpec", "ParaboloidSpec", "EllipsoidSpec",

@@ -15,8 +15,8 @@ every magnitude of the input; no option or environment variable changes it.
 
 Only the paths that evaluate a profile import NumPy and the array modules:
 the profile and oracle branches of measure, and verify, table and plot.  A
-shape's closed form and a malformed spec are answered without them, so such
-a process does not pay for loading NumPy.
+shape's closed form, the rotated-plane area_scale and a malformed spec are
+answered without them, so such a process does not pay for loading NumPy.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 from . import shapes
 from .errors import ConvergenceError, DomainError, IntegrandError, SpecError
-from .geometry import MAX_CELLS, AngleRad
+from .geometry import MAX_CELLS, AngleRad, RotationAngles, area_scaling_factor
 
 # The quantities of oracles._ORACLES, in its order.
 _PROFILE_QUANTITIES = ("arclength", "surface", "volume")
@@ -166,12 +166,10 @@ def cmd_measure(args) -> int:
             alpha, beta = math.radians(alpha), math.radians(beta)
         if args.oracle is not None:
             raise SpecError("no oracle is defined for area_scale")
-        from . import measures
-
-        angles = measures.RotationAngles(AngleRad(alpha), AngleRad(beta))
+        angles = RotationAngles(AngleRad(alpha), AngleRad(beta))
         report = MeasureReport(
             quantity=quantity,
-            analytic=measures.area_scaling_factor(angles),
+            analytic=area_scaling_factor(angles),
             params={"alpha": args.alpha, "beta": args.beta if args.beta is not None else 0.0,
                     "degrees": bool(args.degrees)})
         _emit_report(report, args.json)

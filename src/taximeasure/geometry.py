@@ -3,9 +3,13 @@
 In the taxicab metric the unit circle is the diamond |x| + |y| = 1, whose
 circumference is 8, so the circle constant is 4 rather than 3.14159...
 
-This module holds scalar types and the checks of spec parameters only; it
-does not import NumPy, so the shape closed forms and the spec errors of a
-command-line process never load it.
+Rotating a plane region out of a coordinate plane by angles (alpha, beta)
+scales its taxicab area by (|cos a| + |sin a|)(|cos b| + |sin b|).
+
+This module holds scalar types, these scalar closed forms and the checks of
+spec parameters; it does not import NumPy, so the shape closed forms, the
+rotated-plane area and the spec errors of a command-line process never load
+it.
 """
 
 from __future__ import annotations
@@ -91,6 +95,20 @@ class AngleRad:
         object.__setattr__(self, "value", v)
 
 
+@dataclass(frozen=True)
+class RotationAngles:
+    """Tilt angles of a rotated plane against two coordinate axes."""
+
+    alpha: AngleRad
+    beta: AngleRad
+
+    def __post_init__(self):
+        if not isinstance(self.alpha, AngleRad):
+            object.__setattr__(self, "alpha", AngleRad(float(self.alpha)))
+        if not isinstance(self.beta, AngleRad):
+            object.__setattr__(self, "beta", AngleRad(float(self.beta)))
+
+
 def _angle_value(theta: "AngleRad | float") -> float:
     if isinstance(theta, AngleRad):
         return theta.value
@@ -133,6 +151,33 @@ def taxicab_length_from_angle(d_e: float, theta: "AngleRad | float") -> float:
         raise DomainError(f"taxicab_length_from_angle: d_e must be >= 0, got {d_e}")
     t = _angle_value(theta)
     return d_e * (abs(math.cos(t)) + abs(math.sin(t)))
+
+
+def area_scaling_factor(angles: RotationAngles) -> float:
+    """Taxicab area multiplier of a plane tilted by (alpha, beta).
+
+    The mathematical range is [1, 2]; the product is clamped to it so the
+    boundary identities survive floating-point rounding of the angles.
+    """
+    a = angles.alpha.value
+    b = angles.beta.value
+    fa = abs(math.cos(a)) + abs(math.sin(a))
+    fb = abs(math.cos(b)) + abs(math.sin(b))
+    # Angles that are right-angle multiples must scale by exactly 1, but
+    # sin(pi) evaluates to ~1.2e-16 and rounds |cos|+|sin| up one ulp; snap
+    # each factor back (near a multiple of pi/2 the factor is 1 + distance).
+    if fa < 1.0 + 4e-16:
+        fa = 1.0
+    if fb < 1.0 + 4e-16:
+        fb = 1.0
+    return min(2.0, max(1.0, fa * fb))
+
+
+def taxicab_area_rotated(area_e: float, angles: RotationAngles) -> float:
+    """Taxicab area of a rotated plane region of ordinary area area_e."""
+    if not math.isfinite(area_e) or area_e < 0.0:
+        raise DomainError(f"area_e must be finite and >= 0, got {area_e!r}")
+    return area_e * area_scaling_factor(angles)
 
 
 def _as_number(spec_name: str, key: str, value) -> float:

@@ -13,9 +13,6 @@ a graph.  Quadrature of that integral is right whether or not the kink scan
 found every turning point, and the variation only when it did, so the two
 disagree exactly where the scan missed one.
 
-Rotating a plane region out of a coordinate plane by angles (alpha, beta)
-scales its taxicab area by (|cos a| + |sin a|)(|cos b| + |sin b|).
-
 For a solid of revolution with radius profile f >= 0:
 
     surface = integral of 2*pi_t * f * (1 + |f'|) * sqrt(1 - f'^2 / (2(1 + f'^2)))
@@ -25,13 +22,15 @@ For a solid of revolution with radius profile f >= 0:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .geometry import PI_T, AngleRad, Interval
+from .geometry import PI_T, Interval
+# The rotated-plane area is scalar and lives in geometry; measures still
+# offers its names.
+from .geometry import RotationAngles, area_scaling_factor, taxicab_area_rotated
 from .profiles import ParametricCurve, ProfileFunction, sorted_insert
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, detect_sign_changes, integrate
 
@@ -39,20 +38,6 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, detect_sign_changes, i
 # profiles.  It is a heuristic by design: the declared breakpoints and their
 # one-sided neighborhoods are always included.
 _CHECK_GRID = 1024
-
-
-@dataclass(frozen=True)
-class RotationAngles:
-    """Tilt angles of a rotated plane against two coordinate axes."""
-
-    alpha: AngleRad
-    beta: AngleRad
-
-    def __post_init__(self):
-        if not isinstance(self.alpha, AngleRad):
-            object.__setattr__(self, "alpha", AngleRad(float(self.alpha)))
-        if not isinstance(self.beta, AngleRad):
-            object.__setattr__(self, "beta", AngleRad(float(self.beta)))
 
 
 def resolve_domain(curve, domain: Interval | None) -> Interval:
@@ -91,7 +76,9 @@ def check_nonnegative(lows: list[tuple]) -> None:
     """Raise DomainError if a sampled profile value is negative beyond
     rounding, -1e-12 * max(1, max |f|).  lows holds the lowest_sample of each
     block of samples, in sample order, so the message names the first lowest
-    sample of all of them."""
+    sample of all of them.  A partition without cells has no block."""
+    if not lows:
+        return
     xs, vals, peaks = zip(*lows)
     tol = -1e-12 * max(1.0, float(np.max(peaks)))
     worst = int(np.argmin(vals))
@@ -107,7 +94,7 @@ def _check_nonnegative(f: ProfileFunction, domain: Interval) -> None:
 
 def _splits(curve, domain: Interval, *derivatives) -> list[float]:
     """Declared interior breakpoints plus the detected sign changes of each
-    derivative.  The scan is told the declared points, so it neither bisects
+    derivative.  The scan is told the declared points, so it neither refines
     towards them nor returns them a second time: each piece ends exactly at
     a declared point."""
     declared = _interior_breakpoints(curve, domain)
@@ -156,33 +143,6 @@ def arclength_parametric(c: ParametricCurve, domain: Interval | None = None,
         return sum(np.abs(d(t)) for d in c.derivatives)
 
     return integrate(integrand, dom, splits, cfg).value
-
-
-def area_scaling_factor(angles: RotationAngles) -> float:
-    """Taxicab area multiplier of a plane tilted by (alpha, beta).
-
-    The mathematical range is [1, 2]; the product is clamped to it so the
-    boundary identities survive floating-point rounding of the angles.
-    """
-    a = angles.alpha.value
-    b = angles.beta.value
-    fa = abs(math.cos(a)) + abs(math.sin(a))
-    fb = abs(math.cos(b)) + abs(math.sin(b))
-    # Angles that are right-angle multiples must scale by exactly 1, but
-    # sin(pi) evaluates to ~1.2e-16 and rounds |cos|+|sin| up one ulp; snap
-    # each factor back (near a multiple of pi/2 the factor is 1 + distance).
-    if fa < 1.0 + 4e-16:
-        fa = 1.0
-    if fb < 1.0 + 4e-16:
-        fb = 1.0
-    return min(2.0, max(1.0, fa * fb))
-
-
-def taxicab_area_rotated(area_e: float, angles: RotationAngles) -> float:
-    """Taxicab area of a rotated plane region of ordinary area area_e."""
-    if not math.isfinite(area_e) or area_e < 0.0:
-        raise DomainError(f"area_e must be finite and >= 0, got {area_e!r}")
-    return area_e * area_scaling_factor(angles)
 
 
 def surface_of_revolution(f: ProfileFunction, domain: Interval | None = None,

@@ -61,9 +61,9 @@ def _partition(f: ProfileFunction, domain: Interval, n: int) -> np.ndarray:
     # On a domain narrower than a few float spacings per cell, linspace
     # repeats nodes, and the frustum term of a zero-width cell is 0/0: keep
     # each node once.  Any wider domain has strictly increasing nodes and
-    # skips this.  A zero-width domain is left as it is: without its
-    # repeated nodes it would have no cell.
-    if 0.0 < hi - lo < 8.0 * n * math.ulp(max(abs(lo), abs(hi))):
+    # skips this.  A zero-width domain keeps one node and has no cell, so
+    # every oracle sums to 0 there, as the quadrature does.
+    if hi - lo < 8.0 * n * math.ulp(max(abs(lo), abs(hi))):
         xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
     inner = [b for b in f.breakpoints if domain.lo < b < domain.hi]
     if inner:

@@ -47,8 +47,10 @@ _WG = np.array([0.129484966168869693, 0.279705391489276668, 0.381830050505118945
                 0.417959183673469388,
                 0.381830050505118945, 0.279705391489276668, 0.129484966168869693])
 
-# Points of the uniform grid on which detect_sign_changes looks for brackets.
+# Points of the uniform grid on which detect_sign_changes looks for brackets,
+# and of the grid it then places inside each bracket per round of refinement.
 _SCAN_POINTS = 257
+_FRACTIONS = np.arange(1, _SCAN_POINTS + 1) / (_SCAN_POINTS + 1)
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,9 @@ class QuadratureResult:
 def _call(g: Callable, x: np.ndarray, bad: Callable) -> np.ndarray:
     """g at the 1-D array x, broadcast to its shape; IntegrandError at the
     first value flagged by bad."""
-    v = np.broadcast_to(np.asarray(g(x), dtype=float), x.shape)
+    v = np.asarray(g(x), dtype=float)
+    if v.shape != x.shape:
+        v = np.broadcast_to(v, x.shape)
     flags = bad(v)
     if flags.any():
         i = int(np.argmax(flags))
@@ -202,15 +206,20 @@ def detect_sign_changes(g: Callable[[np.ndarray], np.ndarray],
                         domain: Interval, known: Sequence[float] = ()) -> list[float]:
     """Locate sign changes of g by scanning a uniform midpoint grid, closed by
     the first and last floats inside the domain so that the two end
-    half-cells are scanned too, in one array call; then bisect every
-    bracketing pair together down to 1e-13 of the domain width, or to the
-    float spacing where that is wider.  The domain endpoints themselves are
-    never sampled.  Returns the refined abscissas, sorted.
+    half-cells are scanned too, in one array call; then refine every
+    bracketing pair together, each round placing the same number of evenly
+    spaced points inside every bracket in one call and keeping the cell
+    where the sign first changes (multisection), down to 1e-13 of the
+    domain width, or to the float spacing where that is wider.  A round
+    shrinks a bracket 258-fold, so five rounds follow the scan.  A refining
+    point where g is exactly 0 ends its bracket's refinement there.  The
+    domain endpoints themselves are never sampled.  Returns the refined
+    abscissas, sorted.
 
     known holds points the caller already splits at, such as declared
     breakpoints.  The two floats next to each join the scan, so the bracket
     around a sign change at a known point is two floats wide and needs no
-    bisection, while a sign change beside it still gets a bracket of its
+    refinement, while a sign change beside it still gets a bracket of its
     own.  A point found within 1e-13 of the width of a known one is that
     point again and is left out.
     """
@@ -236,17 +245,24 @@ def detect_sign_changes(g: Callable[[np.ndarray], np.ndarray],
     sign_a = signs[nonzero[flips]]
     target = 1e-13 * width
     # Far from 0 on a narrow domain, adjacent floats can lie further apart
-    # than target, and the midpoint of two of them rounds onto one of them.
-    # A bracket wider than the largest float spacing in the domain always
-    # has its midpoint strictly inside.
+    # than target.  A bracket wider than the largest float spacing in the
+    # domain always has its midpoint, the middle one of the refining points,
+    # strictly inside, so every round narrows every bracket.
     stop = max(target, math.ulp(max(abs(lo), abs(hi))))
     active = np.flatnonzero(b - a > stop)
     while active.size:
-        m = 0.5 * (a[active] + b[active])
-        sm = np.sign(_call(g, m, np.isnan))
-        # An exact zero closes its bracket on the midpoint.
-        a[active] = np.where((sm == sign_a[active]) | (sm == 0.0), m, a[active])
-        b[active] = np.where(sm != sign_a[active], m, b[active])
+        aa, ba, sa = a[active], b[active], sign_a[active]
+        inner = aa[:, None] + (ba - aa)[:, None] * _FRACTIONS
+        s = np.sign(_call(g, inner.ravel(), np.isnan)).reshape(inner.shape)
+        # Each bracket ends at its first point whose sign differs from
+        # sign_a (b's always does) and starts at the point before it.
+        # An exact zero closes the bracket on itself.
+        nodes = np.column_stack([aa, inner, ba])
+        s = np.column_stack([s, -sa])
+        rows = np.arange(active.size)
+        k = np.argmax(s != sa[:, None], axis=1)
+        b[active] = nodes[rows, k + 1]
+        a[active] = np.where(s[rows, k] == 0.0, b[active], nodes[rows, k])
         active = active[b[active] - a[active] > stop]
 
     found = np.sort(np.concatenate([xs[signs == 0.0], 0.5 * (a + b)]))

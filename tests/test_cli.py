@@ -128,6 +128,16 @@ def test_measure_on_a_domain_a_few_hundred_floats_wide_ends(capsys):
     assert out.startswith("quantity = surface\n")
 
 
+@pytest.mark.parametrize("quantity", ["arclength", "surface", "volume"])
+def test_measure_with_an_oracle_on_a_zero_width_domain_is_zero(capsys, quantity):
+    point = '{"catalog": "linear", "params": {"slope": 1, "intercept": 1, "lo": 1, "hi": 1}}'
+    code, out, err = run(capsys, ["measure", "--quantity", quantity, "--profile", point,
+                                  "--oracle", "10", "--json"])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["quadrature"] == 0.0 and report["oracle"] == 0.0
+
+
 def test_measure_domain_error_exits_3(capsys):
     code, _, err = run(capsys, ["measure", "--quantity", "volume", "--shape",
                                 '{"shape": "sphere", "params": {"r": -1}}'])

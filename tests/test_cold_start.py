@@ -55,6 +55,10 @@ CIRCLE = '{"shape": "circle", "params": {"r": 1}}'
     (["measure", "--quantity", "volume", "--shape", SPHERE, "--json"], 0,
      json.dumps({"quantity": "volume", "analytic": 4.0 / 3.0,
                  "params": json.loads(SPHERE)}) + "\n"),
+    (["measure", "--quantity", "area_scale", "--alpha", "45", "--beta", "45", "--degrees",
+      "--json"], 0,
+     '{"quantity": "area_scale", "analytic": 1.9999999999999996, '
+     '"params": {"alpha": 45.0, "beta": 45.0, "degrees": true}}\n'),
     (["measure", "--quantity", "area", "--shape", CIRCLE, "--json", "--oracle", "64"], 2, ""),
     (["measure", "--quantity", "volume", "--shape", '{"shape": "sphere", '], 2, ""),
     (["measure", "--quantity", "volume",

@@ -212,6 +212,18 @@ def test_polyline_on_a_narrow_domain_is_exact():
         polyline_arclength_oracle(f, n=1), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("oracle", [polyline_arclength_oracle, frustum_surface_oracle,
+                                    disk_volume_oracle])
+@pytest.mark.parametrize("lo", [1.0, 0.0, -2.5e8])
+def test_oracles_on_a_zero_width_domain_are_zero(oracle, lo):
+    # One node and no cell: the frustum term of a zero-width cell was 0/0.
+    dom = Interval(lo, lo)
+    f = profile_linear(1.0, abs(lo) + 1.0, dom)
+    assert oracles._partition(f, dom, 10).tolist() == [lo]
+    for n in (1, 10, 4096):
+        assert oracle(f, n=n) == 0.0
+
+
 @pytest.mark.parametrize("lo", [1.0, -1.0, 0.5, 1e6, -3.7e-5, 2.0**-60, -(2.0**60)])
 @pytest.mark.parametrize("n", [1, 2, 7, 100, 4096])
 def test_linspace_nodes_are_distinct_above_the_narrow_domain_gate(lo, n):

@@ -246,6 +246,35 @@ def test_detect_sign_changes_stops_at_the_float_spacing():
     assert roots == pytest.approx([root], abs=2.0 * math.ulp(lo))
 
 
+def test_detect_sign_changes_refines_every_bracket_on_its_own_grid():
+    # One scan call, then each round cuts every bracket into 258 cells: five
+    # rounds take the 257-point grid step below 1e-13 of the width, where
+    # halving it took 36.
+    g, calls = _counted(lambda x: np.sin(5.0 * x))
+    dom = Interval(0.1, 3.0)
+    roots = detect_sign_changes(g, dom)
+    assert len(calls) <= 7
+    assert len(roots) == 4
+    for k, root in enumerate(roots, start=1):
+        assert abs(root - k * math.pi / 5.0) <= 1e-13 * dom.width
+
+
+def test_detect_sign_changes_returns_an_exact_zero_of_the_scan_once():
+    # The midpoint grid of [-1, 1] holds 0.0 itself.
+    assert detect_sign_changes(lambda x: x, Interval(-1.0, 1.0)) == [0.0]
+
+
+def test_detect_sign_changes_closes_a_bracket_on_an_exact_zero_inside_it():
+    # g is exactly 0 on a band 2e-9 wide that no scan point hits; the first
+    # refining point to land in it ends the refinement there.
+    def g(x):
+        return np.where(np.abs(x - 0.3) <= 1e-9, 0.0, x - 0.3)
+
+    roots = detect_sign_changes(g, Interval(0.0, 1.0))
+    assert len(roots) == 1
+    assert g(np.array(roots))[0] == 0.0
+
+
 def test_tight_custom_tolerance_is_respected():
     cfg = QuadratureConfig(rel_tol=1e-12)
     res = integrate(lambda x: np.exp(x), Interval(0.0, 1.0), cfg=cfg)
