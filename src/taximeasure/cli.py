@@ -13,6 +13,10 @@ spec/arguments; 3 domain violation or a result that overflows a float;
 Quadrature runs at the library's default relative tolerance, which holds at
 every magnitude of the input; no option or environment variable changes it.
 
+A shape's closed forms, flat end caps and revolution profile come from the
+shapes registry (shapes.closed_form, caps_area, revolution_profile); verify's
+shape rows are its spec, quantity, cell count and tolerance, nothing more.
+
 Only the paths that evaluate a profile import NumPy and the array modules:
 the profile and oracle branches of measure, and verify, table and plot.  A
 shape's closed form, the rotated-plane area_scale and a malformed spec are
@@ -27,11 +31,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import shapes
 from .errors import ConvergenceError, DomainError, IntegrandError, SpecError
-from .geometry import MAX_CELLS, AngleRad, RotationAngles, area_scaling_factor
+from .geometry import MAX_CELLS, AngleRad, Interval, RotationAngles, area_scaling_factor
+
+if TYPE_CHECKING:
+    from .profiles import ProfileFunction
 
 # The quantities of oracles._ORACLES, in its order.
 _PROFILE_QUANTITIES = ("arclength", "surface", "volume")
@@ -106,48 +113,17 @@ def _emit_report(report: MeasureReport, as_json: bool) -> None:
             print(f"{k} = {v}")
 
 
-def _analytic_quantity(spec, quantity: str) -> float:
-    table: dict[tuple[type, str], Callable] = {
-        (shapes.CircleSpec, "circumference"): shapes.circle_circumference,
-        (shapes.CircleSpec, "area"): shapes.circle_area,
-        (shapes.SphereSpec, "surface"): shapes.sphere_surface,
-        (shapes.SphereSpec, "volume"): shapes.sphere_volume,
-        (shapes.CylinderSpec, "surface"): shapes.cylinder_lateral_surface,
-        (shapes.CylinderSpec, "volume"): shapes.cylinder_volume,
-        (shapes.ParaboloidSpec, "surface"): shapes.paraboloid_surface,
-        (shapes.ParaboloidSpec, "volume"): shapes.paraboloid_volume,
-        (shapes.EllipsoidSpec, "surface"): shapes.ellipsoid_surface,
-        (shapes.EllipsoidSpec, "volume"): shapes.ellipsoid_volume,
-    }
-    fn = table.get((type(spec), quantity))
-    if fn is None:
-        raise SpecError(
-            f"quantity {quantity!r} is not defined for shape {type(spec).__name__}")
-    return fn(spec)
-
-
-def _caps_area(spec) -> float:
-    """Flat end-cap area of an ellipsoid (the lateral revolution integral and
-    the frustum oracle do not see the caps, the closed form does)."""
-    if isinstance(spec, shapes.EllipsoidSpec):
-        c = shapes.ellipsoid_cap_radius(spec)
-        if c > 0.0:
-            return 2.0 * shapes.circle_area(shapes.CircleSpec(c))
-    return 0.0
-
-
 def _shape_oracle(spec, quantity: str, n: int) -> float:
-    if isinstance(spec, shapes.CircleSpec) and quantity != "circumference":
+    if quantity == "area":
         raise SpecError("no oracle is defined for the flat circle area")
     from . import oracles
 
     with _array_path():
         prof = shapes.revolution_profile(spec)
-        if isinstance(spec, shapes.CircleSpec):
-            return 2.0 * oracles.polyline_arclength_oracle(prof, n=n)
-        if quantity == "surface":
-            return oracles.frustum_surface_oracle(prof, n=n) + _caps_area(spec)
-        return oracles.disk_volume_oracle(prof, n=n)
+        if quantity == "circumference":  # twice the circle's upper half
+            return 2.0 * oracles._ORACLES["arclength"](prof, n=n)
+        caps = shapes.caps_area(spec) if quantity == "surface" else 0.0
+        return oracles._ORACLES[quantity](prof, n=n) + caps
 
 
 def cmd_measure(args) -> int:
@@ -183,7 +159,7 @@ def cmd_measure(args) -> int:
         raw = _load_json(args.shape)
         spec = shapes.parse_shape_spec(raw)
         report = MeasureReport(quantity=quantity,
-                               analytic=_analytic_quantity(spec, quantity),
+                               analytic=shapes.closed_form(spec, quantity),
                                params=raw)
         if args.oracle is not None:
             report.oracle = _shape_oracle(spec, quantity, args.oracle)
@@ -220,100 +196,79 @@ def cmd_measure(args) -> int:
 
 @dataclass(frozen=True)
 class _VerifyCase:
+    """A row of verify: kind's quadrature and oracle on profile, plus caps."""
+
     suite: str
     case: str
+    kind: str
+    profile: ProfileFunction
     analytic: float
-    quad: Callable[[], float]
-    oracle_n: int
-    oracle: Callable[[], float]
-    oracle_tol: float
+    caps: float = 0.0
+    oracle_n: int = 10_000
+    oracle_tol: float = 1e-9
 
 
 def _verify_cases() -> list[_VerifyCase]:
-    from . import measures, oracles
-    from .geometry import Interval
-    from .profiles import (ProfileFunction, profile_euclidean_circle_quadrant,
+    from .profiles import (profile_euclidean_circle_quadrant,
                            profile_euclidean_parabola_quadrant, profile_linear,
                            profile_taxicab_circle_upper)
 
     cases: list[_VerifyCase] = []
-
-    def add(kind: str, case: str, prof: ProfileFunction, analytic: float,
-            n: int = 10_000, otol: float = 1e-9, caps: float = 0.0) -> None:
-        suite = "ellipsoid" if case.startswith("ellipsoid") else kind
-        cases.append(_VerifyCase(
-            suite, case, analytic,
-            lambda: measures.quadrature_measure(kind)(prof) + caps,
-            n, lambda: oracles._ORACLES[kind](prof, n=n) + caps, otol))
-
     for r in (1.0, 2.5):
-        add("arclength", f"taxicab_quadrant_r{r:g}",
-            profile_linear(-1.0, r, Interval(0.0, r)), 2.0 * r)
-        add("arclength", f"euclidean_quadrant_r{r:g}",
-            profile_euclidean_circle_quadrant(r), 2.0 * r)
-        add("arclength", f"euclidean_parabola_r{r:g}",
-            profile_euclidean_parabola_quadrant(r), 2.0 * r)
-    add("arclength", "taxicab_halfcircle_r1", profile_taxicab_circle_upper(1.0), 4.0)
+        for case, prof in ((f"taxicab_quadrant_r{r:g}", profile_linear(-1.0, r, Interval(0.0, r))),
+                           (f"euclidean_quadrant_r{r:g}", profile_euclidean_circle_quadrant(r)),
+                           (f"euclidean_parabola_r{r:g}", profile_euclidean_parabola_quadrant(r))):
+            cases.append(_VerifyCase("arclength", case, "arclength", prof, 2.0 * r))
+    cases.append(_VerifyCase("arclength", "taxicab_halfcircle_r1", "arclength",
+                             profile_taxicab_circle_upper(1.0), 4.0))
+
+    def add(kind: str, case: str, spec, n: int, tol: float) -> None:
+        suite = "ellipsoid" if case.startswith("ellipsoid") else kind
+        caps = shapes.caps_area(spec) if kind == "surface" else 0.0
+        cases.append(_VerifyCase(suite, case, kind, shapes.revolution_profile(spec),
+                                 shapes.closed_form(spec, kind), caps, n, tol))
 
     for r in (0.5, 1.0, 2.0):
-        sphere = shapes.SphereSpec(r)
-        prof = shapes.revolution_profile(sphere)
-        add("surface", f"sphere_r{r:g}", prof, shapes.sphere_surface(sphere), 2, 1e-12)
-        add("volume", f"sphere_r{r:g}", prof, shapes.sphere_volume(sphere), 100_000, 1e-4)
-
-    cyl_surface = shapes.CylinderSpec(1.0, 2.0)
-    add("surface", "cylinder_r1_h2", shapes.revolution_profile(cyl_surface),
-        shapes.cylinder_lateral_surface(cyl_surface), 5, 1e-12)
+        add("surface", f"sphere_r{r:g}", shapes.SphereSpec(r), 2, 1e-12)
+        add("volume", f"sphere_r{r:g}", shapes.SphereSpec(r), 100_000, 1e-4)
+    add("surface", "cylinder_r1_h2", shapes.CylinderSpec(1.0, 2.0), 5, 1e-12)
     for r, h in ((1.0, 1.0), (2.0, 3.0), (1.0, 2.0), (0.5, 4.0)):
-        cyl = shapes.CylinderSpec(r, h)
-        add("volume", f"cylinder_r{r:g}_h{h:g}", shapes.revolution_profile(cyl),
-            shapes.cylinder_volume(cyl), 1, 1e-12)
-
+        add("volume", f"cylinder_r{r:g}_h{h:g}", shapes.CylinderSpec(r, h), 1, 1e-12)
     for a, h in ((1.0, 3.0), (1.0, 1.0), (2.0, 5.0)):
-        par = shapes.ParaboloidSpec(a, h)
-        prof = shapes.revolution_profile(par)
-        add("surface", f"paraboloid_a{a:g}_h{h:g}", prof, shapes.paraboloid_surface(par),
-            4, 1e-12)
-        add("volume", f"paraboloid_a{a:g}_h{h:g}", prof, shapes.paraboloid_volume(par),
-            4096, 1e-5)
-
-    for label, (a, b, s) in (("circle", (1.0, 1.0, 2.0)),
-                             ("hexagon", (2.0, 1.0, 4.0)),
-                             ("octagon", (2.0, 1.5, 5.0))):
-        ell = shapes.EllipsoidSpec(a, b, s)
-        prof = shapes.revolution_profile(ell)
-        caps = _caps_area(ell)
-        add("surface", f"ellipsoid_surface_{label}", prof, shapes.ellipsoid_surface(ell),
-            4, 1e-12, caps=caps)
-        add("volume", f"ellipsoid_volume_{label}", prof, shapes.ellipsoid_volume(ell),
-            1_000_000, 1e-5)
-
+        add("surface", f"paraboloid_a{a:g}_h{h:g}", shapes.ParaboloidSpec(a, h), 4, 1e-12)
+        add("volume", f"paraboloid_a{a:g}_h{h:g}", shapes.ParaboloidSpec(a, h), 4096, 1e-5)
+    for label, ell in (("circle", shapes.EllipsoidSpec(1.0, 1.0, 2.0)),
+                       ("hexagon", shapes.EllipsoidSpec(2.0, 1.0, 4.0)),
+                       ("octagon", shapes.EllipsoidSpec(2.0, 1.5, 5.0))):
+        add("surface", f"ellipsoid_surface_{label}", ell, 4, 1e-12)
+        add("volume", f"ellipsoid_volume_{label}", ell, 1_000_000, 1e-5)
     return cases
 
 
 @_array_path()
 def cmd_verify(args) -> int:
+    from . import measures, oracles
+
     tol = float(args.tol)
     if not (math.isfinite(tol) and tol > 0.0):
         raise SpecError(f"--tol must be a positive float, got {args.tol!r}")
     rows = []
     all_passed = True
-    for case in _verify_cases():
+    for case in sorted(_verify_cases(), key=lambda case: (case.suite, case.case)):
         if args.suite is not None and case.suite != args.suite:
             continue
-        quad = case.quad()
-        oracle = case.oracle()
+        quad = measures.quadrature_measure(case.kind)(case.profile) + case.caps
+        oracle = oracles._ORACLES[case.kind](case.profile, n=case.oracle_n) + case.caps
         err_quad = abs(quad - case.analytic)
         err_oracle = abs(oracle - case.analytic)
         passed = err_quad <= tol and err_oracle <= case.oracle_tol
         all_passed = all_passed and passed
-        rows.append((case.suite, case.case, case.analytic, quad, case.oracle_n,
-                     oracle, err_quad, err_oracle, passed))
-    rows.sort(key=lambda row: (row[0], row[1]))
+        rows.append(",".join((case.suite, case.case, _fmt(case.analytic), _fmt(quad),
+                              str(case.oracle_n), _fmt(oracle), _fmt(err_quad),
+                              _fmt(err_oracle), "true" if passed else "false")))
     print("suite,case,analytic,quadrature,oracle_n,oracle,abs_err_quad,abs_err_oracle,pass")
-    for suite, case, analytic, quad, n, oracle, eq, eo, passed in rows:
-        print(",".join((suite, case, _fmt(analytic), _fmt(quad), str(n), _fmt(oracle),
-                        _fmt(eq), _fmt(eo), "true" if passed else "false")))
+    for row in rows:
+        print(row)
     return 0 if all_passed else 1
 
 

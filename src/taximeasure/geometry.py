@@ -183,7 +183,11 @@ def taxicab_area_rotated(area_e: float, angles: RotationAngles) -> float:
 def _as_number(spec_name: str, key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{spec_name}: parameter {key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{spec_name}: parameter {key!r} is an integer too large "
+                          f"for a float") from None
 
 
 def take_params(spec_name: str, params, keys: tuple[str, ...]) -> list[float]:

@@ -21,12 +21,7 @@ import numpy as np
 
 from .errors import DomainError, SpecError
 from .geometry import Interval, _as_number, take_params
-
-
-def _require_finite(label: str, **params: float) -> None:
-    for name, v in params.items():
-        if not math.isfinite(v):
-            raise DomainError(f"{label}: {name} must be finite, got {v!r}")
+from .shapes import CircleSpec, EllipsoidSpec, ParaboloidSpec, _require_positive
 
 
 def _checked_breakpoints(breakpoints, domain: Interval) -> tuple[float, ...]:
@@ -161,7 +156,9 @@ class PiecewiseLinearProfile:
 # ---------------------------------------------------------------------------
 
 def profile_linear(slope: float, intercept: float, domain: Interval) -> ProfileFunction:
-    _require_finite("profile_linear", slope=slope, intercept=intercept)
+    for name, v in (("slope", slope), ("intercept", intercept)):
+        if not math.isfinite(v):
+            raise DomainError(f"profile_linear: {name} must be finite, got {v!r}")
 
     def evaluate(x):
         return slope * x + intercept
@@ -175,9 +172,7 @@ def profile_linear(slope: float, intercept: float, domain: Interval) -> ProfileF
 
 def profile_euclidean_circle_quadrant(r: float) -> ProfileFunction:
     """f(x) = sqrt(r^2 - x^2) on [0, r]; |f'| is unbounded at x = r."""
-    _require_finite("profile_euclidean_circle_quadrant", r=r)
-    if not r > 0.0:
-        raise DomainError(f"profile_euclidean_circle_quadrant requires r > 0, got {r}")
+    _require_positive("profile_euclidean_circle_quadrant", r=r)
 
     # sqrt(r + x) * sqrt(r - x) neither overflows nor underflows where r^2
     # would, and r - x is exact near x = r (Sterbenz).
@@ -194,9 +189,7 @@ def profile_euclidean_circle_quadrant(r: float) -> ProfileFunction:
 
 def profile_euclidean_parabola_quadrant(r: float) -> ProfileFunction:
     """f(x) = r - x^2/r on [0, r]: a smooth monotone arc from (0, r) to (r, 0)."""
-    _require_finite("profile_euclidean_parabola_quadrant", r=r)
-    if not r > 0.0:
-        raise DomainError(f"profile_euclidean_parabola_quadrant requires r > 0, got {r}")
+    _require_positive("profile_euclidean_parabola_quadrant", r=r)
 
     def evaluate(x):
         return r - x * x / r
@@ -210,9 +203,7 @@ def profile_euclidean_parabola_quadrant(r: float) -> ProfileFunction:
 
 def profile_taxicab_circle_upper(r: float) -> ProfileFunction:
     """Upper half of the taxicab circle of radius r: f(x) = r - |x| on [-r, r]."""
-    _require_finite("profile_taxicab_circle_upper", r=r)
-    if not r > 0.0:
-        raise DomainError(f"profile_taxicab_circle_upper requires r > 0, got {r}")
+    CircleSpec(r)  # checks r as the circle does
 
     def evaluate(x):
         return r - np.abs(x)
@@ -233,11 +224,7 @@ def profile_taxicab_parabola(a: float, h: float) -> ProfileFunction:
     Revolving it about the axis gives the taxicab paraboloid of apex half-width
     a and height h.
     """
-    _require_finite("profile_taxicab_parabola", a=a, h=h)
-    if not a > 0.0:
-        raise DomainError(f"profile_taxicab_parabola requires a > 0, got a={a}")
-    if not a <= h:
-        raise DomainError(f"profile_taxicab_parabola requires a <= h, got a={a}, h={h}")
+    ParaboloidSpec(a, h)  # checks a and h as the paraboloid does
 
     def evaluate(y):
         return np.minimum(y, a)
@@ -261,16 +248,7 @@ def profile_taxicab_ellipse_upper(a: float, b: float, s: float) -> ProfileFuncti
     s = 2a collapses the flat top's x-extent to the degenerate hexagon case,
     and additionally a = b gives the taxicab circle of radius a.
     """
-    _require_finite("profile_taxicab_ellipse_upper", a=a, b=b, s=s)
-    if not b > 0.0:
-        raise DomainError(f"profile_taxicab_ellipse_upper requires b > 0, got b={b}")
-    if not a >= b:
-        raise DomainError(f"profile_taxicab_ellipse_upper requires a >= b, got a={a}, b={b}")
-    if not s >= 2.0 * a:
-        raise DomainError(f"profile_taxicab_ellipse_upper requires s >= 2a, got s={s}, a={a}")
-    if not s <= 2.0 * (a + b):
-        raise DomainError(
-            f"profile_taxicab_ellipse_upper requires s <= 2(a + b), got s={s}, a={a}, b={b}")
+    EllipsoidSpec(a, b, s)  # checks a, b and s as the ellipsoid does
 
     p = b - s / 2.0   # end of the rising side
     q = s / 2.0 - b   # start of the falling side

@@ -10,6 +10,9 @@ in floating point (for example a paraboloid with h = a is exactly half a
 sphere, because its surface and volume terms are 2x-scalings of the sphere
 ones and scaling by powers of two is exact).
 
+_SHAPES is the one table of shapes.  parse_shape_spec, closed_form, caps_area
+and revolution_profile all read it, so a new shape is one entry there.
+
 The closed forms are Python float arithmetic.  Only revolution_profile, which
 builds an array-evaluated profile, imports the profiles module and NumPy.
 """
@@ -17,11 +20,11 @@ builds an array-evaluated profile, imports the profiles module and NumPy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
+from dataclasses import astuple, dataclass, fields
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, SpecError
-from .geometry import PI_T, Interval, take_params
+from .geometry import PI_T, take_params
 
 if TYPE_CHECKING:
     from .profiles import ProfileFunction
@@ -148,32 +151,71 @@ def ellipsoid_cap_radius(spec: EllipsoidSpec) -> float:
     return spec.s / 2.0 - spec.a
 
 
+def _ellipsoid_caps_area(spec: EllipsoidSpec) -> float:
+    c = ellipsoid_cap_radius(spec)
+    return PI_T * c * c
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """A shape: its spec class, the catalog profile whose revolution
+    generates it and that profile's parameters from a spec, its closed form
+    per quantity, and the area of the flat end caps the revolution leaves
+    out."""
+
+    spec: type
+    profile: str
+    closed_forms: dict[str, Callable[..., float]]
+    profile_params: Callable[..., tuple] = astuple
+    caps_area: Callable[..., float] = lambda spec: 0.0
+
+
+_SHAPES = {
+    "circle": _Shape(CircleSpec, "taxicab_circle_upper",
+                     {"circumference": circle_circumference, "area": circle_area}),
+    "sphere": _Shape(SphereSpec, "taxicab_circle_upper",
+                     {"surface": sphere_surface, "volume": sphere_volume}),
+    "cylinder": _Shape(CylinderSpec, "linear",
+                       {"surface": cylinder_lateral_surface, "volume": cylinder_volume},
+                       profile_params=lambda spec: (0.0, spec.r, 0.0, spec.h)),
+    "paraboloid": _Shape(ParaboloidSpec, "taxicab_parabola",
+                         {"surface": paraboloid_surface, "volume": paraboloid_volume}),
+    "ellipsoid": _Shape(EllipsoidSpec, "taxicab_ellipse_upper",
+                        {"surface": ellipsoid_surface, "volume": ellipsoid_volume},
+                        caps_area=_ellipsoid_caps_area),
+}
+_BY_SPEC = {shape.spec: shape for shape in _SHAPES.values()}
+
+
+def _shape_of(spec) -> _Shape:
+    shape = _BY_SPEC.get(type(spec))
+    if shape is None:
+        raise SpecError(f"{spec!r} is not a shape spec")
+    return shape
+
+
+def closed_form(spec, quantity: str) -> float:
+    """The closed form of quantity for the shape spec describes."""
+    fn = _shape_of(spec).closed_forms.get(quantity)
+    if fn is None:
+        raise SpecError(
+            f"quantity {quantity!r} is not defined for shape {type(spec).__name__}")
+    return fn(spec)
+
+
+def caps_area(spec) -> float:
+    """Area of the flat end caps that revolving the profile leaves out."""
+    return _shape_of(spec).caps_area(spec)
+
+
 def revolution_profile(spec) -> ProfileFunction:
     """Radius profile whose revolution generates the shape (the upper-half
     cross-section curve for the 2D circle)."""
-    from .profiles import (profile_linear, profile_taxicab_circle_upper,
-                           profile_taxicab_ellipse_upper, profile_taxicab_parabola)
+    from .profiles import _CATALOG
 
-    if isinstance(spec, (CircleSpec, SphereSpec)):
-        return profile_taxicab_circle_upper(spec.r)
-    if isinstance(spec, CylinderSpec):
-        return profile_linear(0.0, spec.r, Interval(0.0, spec.h))
-    if isinstance(spec, ParaboloidSpec):
-        return profile_taxicab_parabola(spec.a, spec.h)
-    if isinstance(spec, EllipsoidSpec):
-        return profile_taxicab_ellipse_upper(spec.a, spec.b, spec.s)
-    raise SpecError(f"no revolution profile for {spec!r}")
-
-
-# Shape name -> (spec class, parameter keys).  The keys are the dataclass
-# fields, which list them in the constructor's order.
-_SHAPES = {name: (cls, tuple(f.name for f in fields(cls))) for name, cls in (
-    ("circle", CircleSpec),
-    ("sphere", SphereSpec),
-    ("cylinder", CylinderSpec),
-    ("paraboloid", ParaboloidSpec),
-    ("ellipsoid", EllipsoidSpec),
-)}
+    shape = _shape_of(spec)
+    build, _ = _CATALOG[shape.profile]
+    return build(*shape.profile_params(spec))
 
 
 def parse_shape_spec(spec):
@@ -189,5 +231,6 @@ def parse_shape_spec(spec):
     name = spec["shape"]
     if not isinstance(name, str) or name not in _SHAPES:
         raise SpecError(f"unknown shape {name!r}")
-    cls, keys = _SHAPES[name]
+    cls = _SHAPES[name].spec
+    keys = tuple(f.name for f in fields(cls))
     return cls(*take_params(f"shape {name!r}", spec.get("params", {}), keys))

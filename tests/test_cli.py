@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from taximeasure import ConvergenceError, cli, measures, oracles
+from taximeasure import ConvergenceError, cli, measures, oracles, shapes
 from taximeasure.cli import main
 
 SPHERE = '{"shape": "sphere", "params": {"r": 1}}'
@@ -46,6 +46,44 @@ def test_measure_shape_with_oracle(capsys):
     obj = json.loads(out)
     assert obj["oracle"] == pytest.approx(obj["analytic"], abs=1e-12)
     assert obj["abs_err_oracle"] <= 1e-12
+
+
+# Every (shape, quantity) pair with a closed form; the ellipsoid has caps.
+SHAPE_QUANTITIES = [
+    ({"shape": "circle", "params": {"r": 1.3}}, "circumference"),
+    ({"shape": "circle", "params": {"r": 1.3}}, "area"),
+    ({"shape": "sphere", "params": {"r": 0.8}}, "surface"),
+    ({"shape": "sphere", "params": {"r": 0.8}}, "volume"),
+    ({"shape": "cylinder", "params": {"r": 1.1, "h": 2.3}}, "surface"),
+    ({"shape": "cylinder", "params": {"r": 1.1, "h": 2.3}}, "volume"),
+    ({"shape": "paraboloid", "params": {"a": 0.9, "h": 2.5}}, "surface"),
+    ({"shape": "paraboloid", "params": {"a": 0.9, "h": 2.5}}, "volume"),
+    ({"shape": "ellipsoid", "params": {"a": 2.0, "b": 1.5, "s": 5.0}}, "surface"),
+    ({"shape": "ellipsoid", "params": {"a": 2.0, "b": 1.5, "s": 5.0}}, "volume"),
+]
+
+
+@pytest.mark.parametrize("spec,quantity", SHAPE_QUANTITIES,
+                         ids=[f"{spec['shape']}-{q}" for spec, q in SHAPE_QUANTITIES])
+def test_measure_every_shape_oracle_against_its_closed_form(capsys, spec, quantity):
+    n = 64
+    code, out, err = run(capsys, ["measure", "--quantity", quantity, "--shape",
+                                  json.dumps(spec), "--oracle", str(n), "--json"])
+    if quantity == "area":
+        assert code == 2 and out == "" and "no oracle" in err
+        return
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    analytic, oracle = report["analytic"], report["oracle"]
+    if quantity == "volume":
+        # The disk sum samples f at cell midpoints: on a piece of slope at
+        # most 1 it falls short of the integral of 2 f^2 by at most dx^3 / 6
+        # per cell, and the cells are at most width / n wide.
+        width = shapes.revolution_profile(shapes.parse_shape_spec(spec)).domain.width
+        shortfall = width ** 3 / (6.0 * n * n)
+        assert analytic - shortfall - 1e-12 * analytic <= oracle <= analytic * (1.0 + 1e-12)
+    else:
+        assert oracle == pytest.approx(analytic, rel=1e-12)
 
 
 def test_measure_profile_arclength(capsys):
@@ -154,6 +192,13 @@ def test_measure_overflowing_volume_exits_3(capsys, spec):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_measure_integer_parameter_too_large_for_a_float_exits_3(capsys):
+    spec = '{"shape": "sphere", "params": {"r": 1%s}}' % ("0" * 400)
+    code, out, err = run(capsys, ["measure", "--quantity", "volume", "--shape", spec])
+    assert code == 3 and out == ""
+    assert err == "error: shape 'sphere': parameter 'r' is an integer too large for a float\n"
 
 
 @pytest.mark.parametrize("source", [["--shape", SPHERE], ["--profile", DIAMOND]])

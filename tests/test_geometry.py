@@ -19,6 +19,7 @@ from taximeasure import (
     taxicab_dist_3d,
     taxicab_length_from_angle,
 )
+from taximeasure.geometry import take_params
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -108,6 +109,12 @@ def test_interval_validation():
         Interval(1.0, 0.0)
     with pytest.raises(DomainError):
         Interval(0.0, float("nan"))
+
+
+def test_an_integer_too_large_for_a_float_is_a_domain_error_naming_it():
+    assert take_params("shape 'sphere'", {"r": 10 ** 300}, ("r",)) == [1e300]
+    with pytest.raises(DomainError, match="shape 'sphere': parameter 'r'"):
+        take_params("shape 'sphere'", {"r": 10 ** 400}, ("r",))
 
 
 def test_segment_angle():

@@ -310,17 +310,3 @@ def test_smooth_integrand_is_called_once_per_round():
     integrate(g, Interval(0.0, 3.0))
     assert calls[0] <= 8
     assert points[0] >= 30 * calls[0]
-
-
-def test_sign_scan_bisects_every_bracket_in_the_same_call():
-    calls = [0]
-
-    def g(x):
-        calls[0] += 1
-        return np.sin(5.0 * x)
-
-    roots = detect_sign_changes(g, Interval(0.1, 3.0))
-    assert len(roots) == 4
-    # One scan call, then one call per halving of the 257-point grid step
-    # down to 1e-13 of the width (36 halvings).
-    assert calls[0] <= 40

@@ -1,4 +1,7 @@
+import json
 import math
+from dataclasses import fields
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,6 +31,13 @@ from taximeasure import (
     surface_of_revolution,
     volume_of_revolution,
 )
+from taximeasure.cli import main
+from taximeasure.profiles import (
+    profile_taxicab_circle_upper,
+    profile_taxicab_ellipse_upper,
+    profile_taxicab_parabola,
+)
+from taximeasure.shapes import caps_area
 
 SQRT3 = math.sqrt(3.0)
 
@@ -99,22 +109,46 @@ def test_ellipsoid_cap_radius():
 # spec validation
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("make", [
-    lambda: CircleSpec(0.0),
-    lambda: CircleSpec(-1.0),
-    lambda: SphereSpec(float("nan")),
-    lambda: CylinderSpec(1.0, 0.0),
-    lambda: CylinderSpec(0.0, 1.0),
-    lambda: ParaboloidSpec(0.0, 1.0),
-    lambda: ParaboloidSpec(2.0, 1.0),
-    lambda: EllipsoidSpec(1.0, 2.0, 4.0),
-    lambda: EllipsoidSpec(1.0, 0.0, 2.0),
-    lambda: EllipsoidSpec(1.0, 1.0, 1.0),
-    lambda: EllipsoidSpec(1.0, 1.0, 5.0),
-])
+BAD_SPECS = [
+    partial(CircleSpec, 0.0),
+    partial(CircleSpec, -1.0),
+    partial(SphereSpec, float("nan")),
+    partial(CylinderSpec, 1.0, 0.0),
+    partial(CylinderSpec, 0.0, 1.0),
+    partial(ParaboloidSpec, 0.0, 1.0),
+    partial(ParaboloidSpec, 2.0, 1.0),
+    partial(EllipsoidSpec, 1.0, 2.0, 4.0),
+    partial(EllipsoidSpec, 1.0, 0.0, 2.0),
+    partial(EllipsoidSpec, 1.0, 1.0, 1.0),
+    partial(EllipsoidSpec, 1.0, 1.0, 5.0),
+]
+
+
+@pytest.mark.parametrize("make", BAD_SPECS)
 def test_spec_validation(make):
     with pytest.raises(DomainError):
         make()
+
+
+# Spec class -> the catalog name and constructor of the profile that takes
+# the same parameters.
+_PROFILE_OF = {
+    CircleSpec: ("taxicab_circle_upper", profile_taxicab_circle_upper),
+    ParaboloidSpec: ("taxicab_parabola", profile_taxicab_parabola),
+    EllipsoidSpec: ("taxicab_ellipse_upper", profile_taxicab_ellipse_upper),
+}
+
+
+@pytest.mark.parametrize("make", [m for m in BAD_SPECS if m.func in _PROFILE_OF])
+def test_profile_constructors_reject_what_the_specs_reject(make, capsys):
+    name, build = _PROFILE_OF[make.func]
+    with pytest.raises(DomainError):
+        build(*make.args)
+    params = dict(zip((f.name for f in fields(make.func)), make.args))
+    profile = json.dumps({"catalog": name, "params": params})
+    assert main(["measure", "--quantity", "arclength", "--profile", profile]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +248,22 @@ def test_ellipsoid_closed_forms_match_quadrature(a, b, s):
     caps = 2.0 * circle_area(CircleSpec(ellipsoid_cap_radius(ell))) if s > 2.0 * a else 0.0
     assert surface_of_revolution(prof) + caps == pytest.approx(ellipsoid_surface(ell), abs=1e-8)
     assert volume_of_revolution(prof) == pytest.approx(ellipsoid_volume(ell), abs=1e-8)
+
+
+@pytest.mark.parametrize("a,b", [(2.0, 1.5), (1.0, 1.0), (3.7, 0.3), (1e3, 7.1), (0.2, 0.2)])
+def test_ellipsoid_at_s_equal_2_a_plus_b_is_a_cylinder_with_caps(a, b):
+    # At s = 2(a + b) the flat top spans the whole axis: a cylinder of radius
+    # b and height s - 2b, closed by two caps of radius b.
+    ell = EllipsoidSpec(a, b, 2.0 * (a + b))
+    cyl = CylinderSpec(b, ell.s - 2.0 * b)
+    assert ellipsoid_volume(ell) == cylinder_volume(cyl)
+    caps = 2.0 * circle_area(CircleSpec(b))
+    assert ellipsoid_surface(ell) == cylinder_lateral_surface(cyl) + caps
+    prof = revolution_profile(ell)
+    assert prof.breakpoints == ()
+    assert volume_of_revolution(prof) == pytest.approx(ellipsoid_volume(ell), rel=1e-15)
+    assert surface_of_revolution(prof) + caps_area(ell) == pytest.approx(
+        ellipsoid_surface(ell), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
