@@ -28,9 +28,7 @@ _HOMES = {
         "profile_linear", "profile_euclidean_circle_quadrant",
         "profile_euclidean_parabola_quadrant", "profile_taxicab_circle_upper",
         "profile_taxicab_ellipse_upper", "profile_taxicab_parabola"),
-    "quadrature": (
-        "QuadratureConfig", "QuadratureResult", "DEFAULT_CONFIG",
-        "integrate", "detect_sign_changes"),
+    "quadrature": ("QuadratureResult", "integrate", "detect_sign_changes"),
     "measures": (
         "arclength_functional", "arclength_parametric", "arclength_variation",
         "surface_of_revolution", "volume_of_revolution"),

@@ -7,11 +7,11 @@ Subcommands:
     plot      render a profile or shape cross-section to SVG
 
 Exit codes: 0 success; 1 verify found a failing case; 2 malformed
-spec/arguments; 3 domain violation or a result that overflows a float;
-4 quadrature non-convergence; 5 I/O error.
+spec/arguments; 3 domain violation, or a JSON integer, plot or result that
+overflows a float; 4 quadrature non-convergence; 5 I/O error.
 
-Quadrature runs at the library's default relative tolerance, which holds at
-every magnitude of the input; no option or environment variable changes it.
+Quadrature runs at the library's one relative tolerance, quadrature.REL_TOL,
+which holds at every magnitude of the input; nothing changes it.
 
 A shape's closed forms, flat end caps and revolution profile come from the
 shapes registry (shapes.closed_form, caps_area, revolution_profile); verify's
@@ -65,31 +65,11 @@ def _load_json(text: str):
         return json.loads(text)
     except RecursionError:
         raise SpecError("JSON argument is nested too deeply") from None
-
-
-@dataclass
-class MeasureReport:
-    quantity: str
-    analytic: float | None = None
-    quadrature: float | None = None
-    oracle: float | None = None
-    abs_err_quad: float | None = None
-    abs_err_oracle: float | None = None
-    params: dict | None = None
-
-    def __post_init__(self):
-        if self.analytic is None and self.quadrature is None and self.oracle is None:
-            raise SpecError("measure report carries no computed value")
-
-    def to_dict(self) -> dict:
-        out: dict = {"quantity": self.quantity}
-        for key in ("analytic", "quadrature", "oracle", "abs_err_quad", "abs_err_oracle"):
-            v = getattr(self, key)
-            if v is not None:
-                out[key] = v
-        if self.params is not None:
-            out["params"] = self.params
-        return out
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # int() refuses more digits than sys.get_int_max_str_digits() (4300).
+        raise DomainError("JSON argument holds an integer too large for a float") from None
 
 
 def _check_finite(values: dict) -> None:
@@ -98,8 +78,9 @@ def _check_finite(values: dict) -> None:
             raise DomainError(f"{k} = {v!r}: the result is not representable as a float")
 
 
-def _emit_report(report: MeasureReport, as_json: bool) -> None:
-    d = report.to_dict()
+def _emit_report(report: dict, as_json: bool) -> None:
+    """Print a measure report, leaving out the values that were not computed."""
+    d = {k: v for k, v in report.items() if v is not None}
     _check_finite(d)
     if as_json:
         print(json.dumps(d))
@@ -133,6 +114,7 @@ def cmd_measure(args) -> int:
     if n_sources != 1:
         raise SpecError("provide exactly one input: --shape, --profile, or --alpha/--beta")
 
+    analytic = quad = oracle = abs_err_quad = abs_err_oracle = None
     if quantity == "area_scale":
         if args.alpha is None:
             raise SpecError("area_scale needs --alpha (and optionally --beta)")
@@ -142,51 +124,40 @@ def cmd_measure(args) -> int:
             alpha, beta = math.radians(alpha), math.radians(beta)
         if args.oracle is not None:
             raise SpecError("no oracle is defined for area_scale")
-        angles = RotationAngles(AngleRad(alpha), AngleRad(beta))
-        report = MeasureReport(
-            quantity=quantity,
-            analytic=area_scaling_factor(angles),
-            params={"alpha": args.alpha, "beta": args.beta if args.beta is not None else 0.0,
-                    "degrees": bool(args.degrees)})
-        _emit_report(report, args.json)
-        return 0
-    if has_angles:
+        analytic = area_scaling_factor(RotationAngles(AngleRad(alpha), AngleRad(beta)))
+        params = {"alpha": args.alpha, "beta": args.beta if args.beta is not None else 0.0,
+                  "degrees": bool(args.degrees)}
+    elif has_angles:
         raise SpecError(f"--alpha/--beta apply only to area_scale, not {quantity!r}")
-    if args.degrees:
+    elif args.degrees:
         raise SpecError("--degrees applies only to area_scale angles")
-
-    if args.shape is not None:
-        raw = _load_json(args.shape)
-        spec = shapes.parse_shape_spec(raw)
-        report = MeasureReport(quantity=quantity,
-                               analytic=shapes.closed_form(spec, quantity),
-                               params=raw)
+    elif args.shape is not None:
+        params = _load_json(args.shape)
+        spec = shapes.parse_shape_spec(params)
+        analytic = shapes.closed_form(spec, quantity)
         if args.oracle is not None:
-            report.oracle = _shape_oracle(spec, quantity, args.oracle)
-            report.abs_err_oracle = abs(report.oracle - report.analytic)
-        _emit_report(report, args.json)
-        return 0
+            oracle = _shape_oracle(spec, quantity, args.oracle)
+            abs_err_oracle = abs(oracle - analytic)
+    else:
+        params = _load_json(args.profile)
+        from . import measures, oracles
+        from .profiles import graph, parse_profile_spec
 
-    raw = _load_json(args.profile)
-    from . import measures, oracles
-    from .profiles import graph, parse_profile_spec
-
-    with _array_path():
-        prof = parse_profile_spec(raw)
-        if quantity not in _PROFILE_QUANTITIES:
-            raise SpecError(f"--profile supports {'/'.join(_PROFILE_QUANTITIES)}, "
-                            f"not {quantity!r}")
-        report = MeasureReport(quantity=quantity,
-                               quadrature=measures.quadrature_measure(quantity)(prof),
-                               params=raw)
-        reference = report.quadrature
-        if quantity == "arclength":
-            report.analytic = reference = measures.arclength_variation(graph(prof))
-            report.abs_err_quad = abs(report.quadrature - report.analytic)
-        if args.oracle is not None:
-            report.oracle = oracles._ORACLES[quantity](prof, n=args.oracle)
-            report.abs_err_oracle = abs(report.oracle - reference)
-    _emit_report(report, args.json)
+        with _array_path():
+            prof = parse_profile_spec(params)
+            if quantity not in _PROFILE_QUANTITIES:
+                raise SpecError(f"--profile supports {'/'.join(_PROFILE_QUANTITIES)}, "
+                                f"not {quantity!r}")
+            quad = reference = measures.quadrature_measure(quantity)(prof)
+            if quantity == "arclength":
+                analytic = reference = measures.arclength_variation(graph(prof))
+                abs_err_quad = abs(quad - analytic)
+            if args.oracle is not None:
+                oracle = oracles._ORACLES[quantity](prof, n=args.oracle)
+                abs_err_oracle = abs(oracle - reference)
+    _emit_report({"quantity": quantity, "analytic": analytic, "quadrature": quad,
+                  "oracle": oracle, "abs_err_quad": abs_err_quad,
+                  "abs_err_oracle": abs_err_oracle, "params": params}, args.json)
     return 0
 
 

@@ -32,7 +32,7 @@ from .geometry import PI_T, Interval
 # offers its names.
 from .geometry import RotationAngles, area_scaling_factor, taxicab_area_rotated
 from .profiles import ParametricCurve, ProfileFunction, sorted_insert
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, detect_sign_changes, integrate
+from .quadrature import detect_sign_changes, integrate
 
 # Grid resolution for the sampled non-negativity check of surface and volume
 # profiles.  It is a heuristic by design: the declared breakpoints and their
@@ -102,8 +102,7 @@ def _splits(curve, domain: Interval, *derivatives) -> list[float]:
                        for s in detect_sign_changes(d, domain, declared)]
 
 
-def arclength_functional(f: ProfileFunction, domain: Interval | None = None,
-                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def arclength_functional(f: ProfileFunction, domain: Interval | None = None) -> float:
     """Taxicab arc length of the graph of f: integral of 1 + |f'|."""
     dom = resolve_domain(f, domain)
     splits = _splits(f, dom, f.derivative)
@@ -111,7 +110,7 @@ def arclength_functional(f: ProfileFunction, domain: Interval | None = None,
     def integrand(x: np.ndarray) -> np.ndarray:
         return 1.0 + np.abs(f.derivative(x))
 
-    return integrate(integrand, dom, splits, cfg).value
+    return integrate(integrand, dom, splits).value
 
 
 def arclength_variation(c: ParametricCurve, domain: Interval | None = None) -> float:
@@ -133,8 +132,7 @@ def arclength_variation(c: ParametricCurve, domain: Interval | None = None) -> f
     return total
 
 
-def arclength_parametric(c: ParametricCurve, domain: Interval | None = None,
-                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def arclength_parametric(c: ParametricCurve, domain: Interval | None = None) -> float:
     """Taxicab arc length of c by quadrature: integral of sum |x_k'|."""
     dom = resolve_domain(c, domain)
     splits = _splits(c, dom, *c.derivatives)
@@ -142,11 +140,10 @@ def arclength_parametric(c: ParametricCurve, domain: Interval | None = None,
     def integrand(t: np.ndarray) -> np.ndarray:
         return sum(np.abs(d(t)) for d in c.derivatives)
 
-    return integrate(integrand, dom, splits, cfg).value
+    return integrate(integrand, dom, splits).value
 
 
-def surface_of_revolution(f: ProfileFunction, domain: Interval | None = None,
-                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def surface_of_revolution(f: ProfileFunction, domain: Interval | None = None) -> float:
     """Lateral taxicab surface area of the solid obtained by revolving f >= 0
     around the x axis."""
     dom = resolve_domain(f, domain)
@@ -160,11 +157,10 @@ def surface_of_revolution(f: ProfileFunction, domain: Interval | None = None,
         radical = np.sqrt(0.5 + 0.5 / (1.0 + d * d))
         return 2.0 * PI_T * f.evaluate(x) * (1.0 + np.abs(d)) * radical
 
-    return integrate(integrand, dom, splits, cfg).value
+    return integrate(integrand, dom, splits).value
 
 
-def volume_of_revolution(f: ProfileFunction, domain: Interval | None = None,
-                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def volume_of_revolution(f: ProfileFunction, domain: Interval | None = None) -> float:
     """Taxicab volume of the solid obtained by revolving f >= 0 around the
     x axis: integral of (pi_t / 2) * f^2."""
     dom = resolve_domain(f, domain)
@@ -175,7 +171,7 @@ def volume_of_revolution(f: ProfileFunction, domain: Interval | None = None,
         fx = f.evaluate(x)
         return 0.5 * PI_T * fx * fx
 
-    return integrate(integrand, dom, splits, cfg).value
+    return integrate(integrand, dom, splits).value
 
 
 def quadrature_measure(quantity: str) -> Callable:

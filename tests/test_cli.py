@@ -29,14 +29,28 @@ def test_measure_sphere_volume(capsys):
     assert "analytic = 1.333333333" in out
 
 
-def test_measure_json_key_order(capsys):
-    code, out, _ = run(capsys, ["measure", "--quantity", "volume", "--shape", SPHERE, "--json"])
+# Each form of report: the keys a value was computed for, in one fixed order.
+@pytest.mark.parametrize("argv,keys,params", [
+    (["--quantity", "area_scale", "--alpha", "0.3"], ["quantity", "analytic", "params"],
+     {"alpha": 0.3, "beta": 0.0, "degrees": False}),
+    (["--quantity", "volume", "--shape", SPHERE], ["quantity", "analytic", "params"],
+     json.loads(SPHERE)),
+    (["--quantity", "surface", "--shape", SPHERE, "--oracle", "2"],
+     ["quantity", "analytic", "oracle", "abs_err_oracle", "params"], json.loads(SPHERE)),
+    (["--quantity", "arclength", "--profile", DIAMOND, "--oracle", "10"],
+     ["quantity", "analytic", "quadrature", "oracle", "abs_err_quad", "abs_err_oracle",
+      "params"], json.loads(DIAMOND)),
+    (["--quantity", "surface", "--profile", DIAMOND, "--oracle", "10"],
+     ["quantity", "quadrature", "oracle", "abs_err_oracle", "params"], json.loads(DIAMOND)),
+], ids=["area_scale", "shape", "shape_oracle", "profile_arclength_oracle",
+        "profile_surface_oracle"])
+def test_measure_json_key_order(capsys, argv, keys, params):
+    code, out, _ = run(capsys, ["measure", *argv, "--json"])
     assert code == 0
     obj = json.loads(out)
-    assert list(obj) == ["quantity", "analytic", "params"]
-    assert obj["quantity"] == "volume"
-    assert obj["analytic"] == pytest.approx(4.0 / 3.0, abs=1e-15)
-    assert obj["params"] == {"shape": "sphere", "params": {"r": 1}}
+    assert list(obj) == keys
+    assert obj["quantity"] == argv[1]
+    assert obj["params"] == params
 
 
 def test_measure_shape_with_oracle(capsys):
@@ -157,6 +171,29 @@ def test_deeply_nested_json_exits_2(capsys, monkeypatch, tmp_path, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+# An integer of 5,000 digits is more than int() converts from a string by
+# default, so json.loads refuses it.
+LONG_INT = "1" + "0" * 5000
+LONG_SHAPE = '{"shape": "sphere", "params": {"r": %s}}' % LONG_INT
+LONG_PROFILE = ('{"catalog": "linear", "params": {"slope": 0, "intercept": %s, '
+                '"lo": 0, "hi": 1}}' % LONG_INT)
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--quantity", "volume", "--shape", LONG_SHAPE],
+    ["measure", "--quantity", "volume", "--profile", LONG_PROFILE],
+    ["table", "--quantity", "volume", "--profile", LONG_PROFILE, "--ns", "1"],
+    ["plot", "--profile", DIAMOND, "--overlay", LONG_PROFILE, "--out", "unused.svg"],
+])
+def test_json_integer_too_long_to_convert_exits_3(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: JSON argument holds an integer too large for a float\n"
+    assert not (tmp_path / "unused.svg").exists()
+
+
 def test_measure_on_a_domain_a_few_hundred_floats_wide_ends(capsys):
     # Near x = 1 the domain is 450 float spacings wide, so 1e-13 of its width
     # is below one spacing; the kink scan must still stop bisecting.
@@ -216,7 +253,7 @@ def test_profile_quantities_are_the_oracle_quantities():
 
 
 def test_measure_convergence_error_exits_4(capsys, monkeypatch):
-    def blow_up(prof, domain=None, cfg=None):
+    def blow_up(prof, domain=None):
         raise ConvergenceError("stuck", value=1.0, error_estimate=0.5)
 
     # measure imports measures when it evaluates a profile and looks the
@@ -378,6 +415,26 @@ def test_plot_unwritable_path_exits_5(capsys, tmp_path):
                                 "--out", str(tmp_path / "missing" / "x.svg")])
     assert code == 5
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("spec,extra", [
+    # The samples overflow.
+    ('{"catalog": "linear", "params": {"slope": 1e308, "intercept": 1e308, '
+     '"lo": 0, "hi": 10}}', []),
+    # The domain's width overflows, so the sample abscissas are nan.
+    ('{"piecewise_linear": [[-1e308, 0], [1e308, 1]]}', []),
+    # Every sample is finite; the mirrored extent is not.
+    ('{"piecewise_linear": [[0, 1e308], [1, 1e308]]}', ["--mirror"]),
+], ids=["overflowing_samples", "nan_abscissas", "overflowing_extent"])
+def test_plot_that_cannot_be_drawn_with_finite_coordinates_exits_3(capsys, tmp_path,
+                                                                   spec, extra):
+    out_path = tmp_path / "x.svg"
+    code, out, err = run(capsys, ["plot", "--profile", spec, *extra, "--out", str(out_path)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "np." not in err
+    assert not out_path.exists()
 
 
 def test_measure_output_is_deterministic(capsys):

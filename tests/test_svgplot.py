@@ -53,7 +53,7 @@ def test_title_carries_the_profile_label():
 
 def test_breakpoints_become_vertices():
     # the kink of the diamond must appear as an exact sample point
-    svg = render_profile_svg(profile_taxicab_circle_upper(1.0), samples=10)
+    svg = render_profile_svg(profile_taxicab_circle_upper(1.0))
     polyline = svg[svg.index("points="):]
     assert " 0,-1 " in polyline
 
