@@ -11,7 +11,9 @@ which for the graph of f is (b - a) + sum |f(t_{i+1}) - f(t_i)|.  The same
 length is the integral of the coordinate speeds, sum |x_k'|, or 1 + |f'| for
 a graph.  Quadrature of that integral is right whether or not the kink scan
 found every turning point, and the variation only when it did, so the two
-disagree exactly where the scan missed one.
+disagree exactly where the scan missed one.  A curve that declares
+monotone_pieces has no turning point but its breakpoints and is not
+scanned.
 
 For a solid of revolution with radius profile f >= 0:
 
@@ -35,8 +37,9 @@ from .profiles import ParametricCurve, ProfileFunction, sorted_insert
 from .quadrature import detect_sign_changes, integrate
 
 # Grid resolution for the sampled non-negativity check of surface and volume
-# profiles.  It is a heuristic by design: the declared breakpoints and their
-# one-sided neighborhoods are always included.
+# profiles without monotone pieces; a profile with them is checked exactly at
+# its piece ends.  It is a heuristic by design: the declared breakpoints and
+# their one-sided neighborhoods are always included.
 _CHECK_GRID = 1024
 
 
@@ -88,16 +91,23 @@ def check_nonnegative(lows: list[tuple]) -> None:
 
 
 def _check_nonnegative(f: ProfileFunction, domain: Interval) -> None:
-    xs = _check_sample_grid(domain, _interior_breakpoints(f, domain))
+    breakpoints = _interior_breakpoints(f, domain)
+    if f.monotone_pieces:
+        # A monotone piece has its minimum at one of its ends.
+        xs = np.array([domain.lo, *breakpoints, domain.hi])
+    else:
+        xs = _check_sample_grid(domain, breakpoints)
     check_nonnegative([lowest_sample(xs, np.asarray(f.evaluate(xs), dtype=float))])
 
 
 def _splits(curve, domain: Interval, *derivatives) -> list[float]:
-    """Declared interior breakpoints plus the detected sign changes of each
-    derivative.  The scan is told the declared points, so it neither refines
-    towards them nor returns them a second time: each piece ends exactly at
-    a declared point."""
+    """Declared interior breakpoints plus, unless the curve declares monotone
+    pieces, the detected sign changes of each derivative.  The scan is told
+    the declared points, so it neither refines towards them nor returns them
+    a second time: each piece ends exactly at a declared point."""
     declared = _interior_breakpoints(curve, domain)
+    if curve.monotone_pieces:
+        return declared
     return declared + [s for d in derivatives
                        for s in detect_sign_changes(d, domain, declared)]
 
@@ -116,10 +126,10 @@ def arclength_functional(f: ProfileFunction, domain: Interval | None = None) -> 
 def arclength_variation(c: ParametricCurve, domain: Interval | None = None) -> float:
     """Taxicab arc length of c as the total variation of its coordinates:
     sum over k and i of |x_k(t_{i+1}) - x_k(t_i)|, where the t_i are the
-    domain ends, the declared breakpoints and the detected sign changes of
-    every x_k'.  Exact when those include every turning point; a turning
-    point the kink scan misses makes it too small, and arclength_parametric
-    then disagrees with it."""
+    domain ends, the declared breakpoints and, without monotone_pieces, the
+    detected sign changes of every x_k'.  Exact when those include every
+    turning point; a turning point the kink scan misses makes it too small,
+    and arclength_parametric then disagrees with it."""
     dom = resolve_domain(c, domain)
     ts = np.array([dom.lo, *sorted(_splits(c, dom, *c.derivatives)), dom.hi])
     total = 0.0

@@ -6,6 +6,12 @@ their partitions at the declared breakpoints (sorted_insert puts them into a
 sampling grid); nothing is auto-detected here, so constructors must declare
 every kink.
 
+A profile may also declare monotone_pieces: f is monotone on each piece
+between the domain ends and the breakpoints.  The catalog constructors and
+PiecewiseLinearProfile.to_profile declare it, so the measures take their
+splits from the breakpoints alone and check f >= 0 at the piece ends.  Only
+a profile without it gets the kink scan of f' and the sampled check.
+
 Evaluation maps are NumPy expressions: they take an array of abscissas and
 return an array of the same shape.  The quadrature calls them with arrays
 only; a float still works and gives a NumPy scalar.
@@ -69,6 +75,9 @@ class ProfileFunction:
     """A real function of one variable with exact derivative and declared breakpoints.
 
     breakpoints must be strictly increasing and strictly inside the domain.
+    monotone_pieces declares that f is monotone on each piece between the
+    domain ends and the breakpoints; the measures then trust the breakpoints
+    as every turning point of f and do not scan f' for more.
     """
 
     evaluate: Callable
@@ -76,6 +85,7 @@ class ProfileFunction:
     domain: Interval
     breakpoints: tuple[float, ...] = ()
     label: str = ""
+    monotone_pieces: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints",
@@ -89,13 +99,15 @@ class ProfileFunction:
 class ParametricCurve:
     """Curve t -> (x_1(t), ..., x_n(t)) in any dimension n, with the exact
     derivative of each coordinate and declared breakpoints, checked as for
-    ProfileFunction."""
+    ProfileFunction.  monotone_pieces declares that every coordinate is
+    monotone on each piece between the domain ends and the breakpoints."""
 
     coords: tuple[Callable, ...]
     derivatives: tuple[Callable, ...]
     domain: Interval
     breakpoints: tuple[float, ...] = ()
     label: str = ""
+    monotone_pieces: bool = False
 
     def __post_init__(self):
         n, m = len(self.coords), len(self.derivatives)
@@ -107,10 +119,11 @@ class ParametricCurve:
 
 
 def graph(f: ProfileFunction) -> ParametricCurve:
-    """The graph of f as the curve t -> (t, f(t))."""
+    """The graph of f as the curve t -> (t, f(t)); t -> t is monotone, so it
+    has monotone pieces where f has."""
     return ParametricCurve((lambda t: t, f.evaluate),
                            (lambda t: np.ones(np.shape(t)), f.derivative),
-                           f.domain, f.breakpoints, f.label)
+                           f.domain, f.breakpoints, f.label, f.monotone_pieces)
 
 
 @dataclass(frozen=True)
@@ -148,6 +161,7 @@ class PiecewiseLinearProfile:
             evaluate, derivative, Interval(float(xs[0]), float(xs[-1])),
             breakpoints=tuple(float(x) for x in xs[1:-1]),
             label=f"piecewise_linear[{len(self.vertices)} vertices]",
+            monotone_pieces=True,
         )
 
 
@@ -167,7 +181,8 @@ def profile_linear(slope: float, intercept: float, domain: Interval) -> ProfileF
         return np.full(np.shape(x), slope)
 
     return ProfileFunction(evaluate, derivative, domain,
-                           label=f"linear(slope={slope:g}, intercept={intercept:g})")
+                           label=f"linear(slope={slope:g}, intercept={intercept:g})",
+                           monotone_pieces=True)
 
 
 def profile_euclidean_circle_quadrant(r: float) -> ProfileFunction:
@@ -184,7 +199,7 @@ def profile_euclidean_circle_quadrant(r: float) -> ProfileFunction:
             return -x / evaluate(x)
 
     return ProfileFunction(evaluate, derivative, Interval(0.0, r),
-                           label=f"euclidean_circle_quadrant(r={r:g})")
+                           label=f"euclidean_circle_quadrant(r={r:g})", monotone_pieces=True)
 
 
 def profile_euclidean_parabola_quadrant(r: float) -> ProfileFunction:
@@ -198,7 +213,7 @@ def profile_euclidean_parabola_quadrant(r: float) -> ProfileFunction:
         return -2.0 * x / r
 
     return ProfileFunction(evaluate, derivative, Interval(0.0, r),
-                           label=f"euclidean_parabola_quadrant(r={r:g})")
+                           label=f"euclidean_parabola_quadrant(r={r:g})", monotone_pieces=True)
 
 
 def profile_taxicab_circle_upper(r: float) -> ProfileFunction:
@@ -212,7 +227,7 @@ def profile_taxicab_circle_upper(r: float) -> ProfileFunction:
         return np.where(x < 0.0, 1.0, -1.0)
 
     return ProfileFunction(evaluate, derivative, Interval(-r, r), breakpoints=(0.0,),
-                           label=f"taxicab_circle_upper(r={r:g})")
+                           label=f"taxicab_circle_upper(r={r:g})", monotone_pieces=True)
 
 
 def profile_taxicab_parabola(a: float, h: float) -> ProfileFunction:
@@ -234,7 +249,7 @@ def profile_taxicab_parabola(a: float, h: float) -> ProfileFunction:
 
     breakpoints = (a,) if a < h else ()
     return ProfileFunction(evaluate, derivative, Interval(0.0, h), breakpoints=breakpoints,
-                           label=f"taxicab_parabola(a={a:g}, h={h:g})")
+                           label=f"taxicab_parabola(a={a:g}, h={h:g})", monotone_pieces=True)
 
 
 def profile_taxicab_ellipse_upper(a: float, b: float, s: float) -> ProfileFunction:
@@ -262,7 +277,8 @@ def profile_taxicab_ellipse_upper(a: float, b: float, s: float) -> ProfileFuncti
 
     breakpoints = tuple(sorted({v for v in (p, q) if -a < v < a}))
     return ProfileFunction(evaluate, derivative, Interval(-a, a), breakpoints=breakpoints,
-                           label=f"taxicab_ellipse_upper(a={a:g}, b={b:g}, s={s:g})")
+                           label=f"taxicab_ellipse_upper(a={a:g}, b={b:g}, s={s:g})",
+                           monotone_pieces=True)
 
 
 # ---------------------------------------------------------------------------

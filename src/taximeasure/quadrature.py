@@ -8,12 +8,15 @@ Kronrod rule and its embedded 7-point Gauss rule to the new cells, takes
 until the summed error is at most REL_TOL times the K15 integral of |g|.
 That bound scales with g, so one REL_TOL means the same at every magnitude,
 and it equals REL_TOL * |value| wherever g keeps one sign, as every measure
-integrand does.  It is 0 only when every sample is 0, and then so is the
-error, so zero and cancelling integrals still stop.  This is the QAG scheme
-of QUADPACK (Piessens et al. 1983), whose resabs is the integral of |g|, run
-over NumPy arrays: the nodes of all new cells go to the integrand in one
-call, so integrands take and return arrays.  A cell is bisected while its
-midpoint is a float strictly inside it; MAX_EVALS bounds the work.
+integrand does.  Below the rounding of subnormal samples it takes that
+rounding instead, so zero, cancelling and underflowing integrals still stop.
+A result whose abscissas, rounded to floats, are too coarse for the bound
+(on a domain a few hundred float spacings wide) raises ConvergenceError
+instead of being returned.  This is the QAG scheme of QUADPACK (Piessens et
+al. 1983), whose resabs is the integral of |g|, run over NumPy arrays: the
+nodes of all new cells go to the integrand in one call, so integrands take
+and return arrays.  A cell is bisected while its midpoint is a float
+strictly inside it; MAX_EVALS bounds the work.
 
 The two end pieces are integrated in u = sqrt(|x - e|) for their domain
 endpoint e (x = e +- u^2, Jacobian 2u), which turns integrable power-law
@@ -92,6 +95,28 @@ def _clean_splits(lo: float, hi: float, splits: Iterable[float]) -> list[float]:
     return cleaned
 
 
+def _check_rounding_floor(a, b, squared, scale, ulp: float, tol: float,
+                          total: float) -> None:
+    """Raise ConvergenceError if rounding the abscissas alone may cost more
+    than tol.  Each abscissa is rounded by up to ulp = ulp(max |x|), which
+    moves a node of a cell w wide in x by ulp / w of the cell: a floor of
+    about that share of the cell's integral of |g| (scale), which no
+    bisection lowers and |K15 - G7| does not see.  A cell is at least
+    min(d, d^2) wide in x for d its width in u, so the floor is summed only
+    when that bound on the narrowest cell cannot rule it out."""
+    d = float((b - a).min())
+    if min(d, d * d) * REL_TOL >= ulp:
+        return
+    w = np.where(squared, (b - a) * (b + a), b - a)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        floor = ulp * float(np.sum(np.where(scale > 0.0, scale / w, 0.0)))
+    if floor > tol:
+        raise ConvergenceError(
+            "quadrature cannot reach the requested tolerance: the domain is too "
+            "few float spacings wide for its abscissas to be exact",
+            value=total, error_estimate=floor)
+
+
 def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
               mandatory_splits: Sequence[float] = ()) -> QuadratureResult:
     """Integrate g over the interval, never sampling its endpoints.
@@ -120,6 +145,7 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
     squared = np.zeros(n, dtype=bool)
     squared[[0, -1]] = True
     open_lo, open_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
+    ulp = math.ulp(max(abs(lo), abs(hi)))
 
     def rules(a, b, piece):
         c = 0.5 * (a + b)[:, None]
@@ -141,6 +167,11 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
     # evaluates the new cells and joins them to the kept ones.
     b0 = np.diff(ends)
     b0[[0, -1]] = np.sqrt(b0[[0, -1]])
+    # Samples below the smallest normal float are rounded to multiples of
+    # ulp(0), so the tolerance never falls below that rounding of K15 and G7:
+    # about _XK.size * ulp(0) per unit of u, over a total width in u that
+    # bisection keeps.
+    underflow = _XK.size * math.ulp(0.0) * float(np.sum(b0))
     new = (np.zeros(n), b0, np.arange(n))
     a = b = value = error = scale = np.zeros(0)
     piece = np.zeros(0, dtype=int)
@@ -158,8 +189,11 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
 
         total = float(np.sum(value))
         err = float(np.sum(error))
-        tol = REL_TOL * float(np.sum(scale))
-        if err <= tol or not math.isfinite(err):
+        tol = max(REL_TOL * float(np.sum(scale)), underflow)
+        if err <= tol:
+            _check_rounding_floor(a, b, squared[piece], scale, ulp, tol, total)
+            break
+        if not math.isfinite(err):
             # A non-finite sum of finite samples has overflowed: no bisection
             # can bring it back, so it is returned for the caller to judge.
             break

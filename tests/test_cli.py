@@ -194,13 +194,38 @@ def test_json_integer_too_long_to_convert_exits_3(capsys, monkeypatch, tmp_path,
     assert not (tmp_path / "unused.svg").exists()
 
 
+TENT = '{"piecewise_linear": [[1, 1], [1.00000000000004, 1.5], [1.0000000000001, 1]]}'
+
+
 def test_measure_on_a_domain_a_few_hundred_floats_wide_ends(capsys):
-    # Near x = 1 the domain is 450 float spacings wide, so 1e-13 of its width
-    # is below one spacing; the kink scan must still stop bisecting.
-    tent = '{"piecewise_linear": [[1, 1], [1.00000000000004, 1.5], [1.0000000000001, 1]]}'
-    code, out, err = run(capsys, ["measure", "--quantity", "surface", "--profile", tent])
-    assert code == 0 and err == ""
-    assert out.startswith("quantity = surface\n")
+    # Near x = 1 the domain is 450 float spacings wide: every abscissa is
+    # rounded by up to 1/900 of the width, so the quadrature cannot reach its
+    # tolerance and says so.
+    code, out, err = run(capsys, ["measure", "--quantity", "surface", "--profile", TENT])
+    assert code == 4 and out == ""
+    assert err.startswith("error: quadrature cannot reach") and err.count("\n") == 1
+
+
+def test_measure_on_a_domain_a_few_hundred_floats_wide_prints_no_quadrature(capsys):
+    # Rounded abscissas put the quadrature 3e-3 off the oracle's 7.071067812.
+    code, out, err = run(capsys, ["measure", "--quantity", "surface", "--oracle", "100",
+                                  "--profile", TENT])
+    assert code == 4 and out == ""
+    assert "too few float spacings" in err
+
+
+@pytest.mark.parametrize("quantity", ["surface", "volume"])
+@pytest.mark.parametrize("vertices,x,y", [
+    ("[[0, 1], [1, -0.5], [2, 1]]", "1.0", "-0.5"),
+    ("[[0, 1], [1, 0.5], [2, -0.25]]", "2.0", "-0.25"),
+])
+def test_measure_profile_negative_at_a_vertex_exits_3(capsys, quantity, vertices, x, y):
+    # A piecewise-linear profile is checked at its vertices only, which is
+    # exact: each segment has its minimum at an end.
+    code, out, err = run(capsys, ["measure", "--quantity", quantity, "--profile",
+                                  '{"piecewise_linear": %s}' % vertices])
+    assert code == 3 and out == ""
+    assert "nonnegative" in err and f"({x})" in err and f"({y})" in err
 
 
 @pytest.mark.parametrize("quantity", ["arclength", "surface", "volume"])

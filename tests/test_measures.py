@@ -28,7 +28,7 @@ from taximeasure.profiles import (
     profile_linear,
     profile_taxicab_circle_upper,
 )
-from taximeasure.quadrature import integrate
+from taximeasure.quadrature import detect_sign_changes, integrate
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -295,6 +295,18 @@ def test_surface_of_revolution_rejects_negative_profile():
     assert "nonnegative" in str(ei.value)
 
 
+@pytest.mark.parametrize("vertices,x", [
+    (((0.0, 1.0), (1.0, -0.5), (2.0, 1.0)), 1.0),    # negative at a vertex only
+    (((0.0, -0.25), (1.0, 0.5), (2.0, 1.0)), 0.0),   # negative at a domain end only
+])
+@pytest.mark.parametrize("measure", [surface_of_revolution, volume_of_revolution])
+def test_monotone_pieces_are_checked_at_their_ends(vertices, x, measure):
+    f = PiecewiseLinearProfile(vertices).to_profile()
+    with pytest.raises(DomainError) as ei:
+        measure(f)
+    assert "nonnegative" in str(ei.value) and f"({x!r})" in str(ei.value)
+
+
 def test_volume_of_revolution_sphere():
     f = profile_taxicab_circle_upper(1.0)
     assert volume_of_revolution(f) == pytest.approx(4.0 / 3.0, abs=1e-9)
@@ -360,13 +372,8 @@ def _zigzag_exact(vertices):
     return math.fsum(arc), math.fsum(surface)
 
 
-@pytest.mark.parametrize("n_vertices", [4, 5, 7, 10])
-def test_zigzag_pieces_end_at_the_declared_kinks(monkeypatch, n_vertices):
-    import taximeasure.measures as measures
-    from taximeasure import PiecewiseLinearProfile
-
-    samples = []
-
+def _counting_integrate(samples):
+    """integrate, appending to samples the integrand points of each call."""
     def counting_integrate(g, *args, **kwargs):
         box = [0]
 
@@ -378,7 +385,16 @@ def test_zigzag_pieces_end_at_the_declared_kinks(monkeypatch, n_vertices):
         samples.append(box[0])
         return result
 
-    monkeypatch.setattr(measures, "integrate", counting_integrate)
+    return counting_integrate
+
+
+@pytest.mark.parametrize("n_vertices", [4, 5, 7, 10])
+def test_zigzag_pieces_end_at_the_declared_kinks(monkeypatch, n_vertices):
+    import taximeasure.measures as measures
+    from taximeasure import PiecewiseLinearProfile
+
+    samples = []
+    monkeypatch.setattr(measures, "integrate", _counting_integrate(samples))
     vertices = _zigzag(n_vertices)
     f = PiecewiseLinearProfile(vertices).to_profile()
     arc, surface = _zigzag_exact(vertices)
@@ -399,3 +415,41 @@ def test_kink_scan_skips_the_declared_kink_of_the_taxicab_circle():
     counted = ProfileFunction(f.evaluate, derivative, f.domain, f.breakpoints)
     assert arclength_variation(graph(counted)) == 4.0
     assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("spec", [
+    {"shape": "cylinder", "params": {"r": 1.0, "h": 2.0}},
+    {"shape": "paraboloid", "params": {"a": 1.0, "h": 3.0}},
+    {"shape": "ellipsoid", "params": {"a": 2.0, "b": 1.5, "s": 5.0}},
+], ids=lambda spec: spec["shape"])
+def test_monotone_pieces_take_few_integrand_points(monkeypatch, spec):
+    # A scan would make a split of each exact 0 of f' on a flat run: the
+    # cylinder would take 3,870 points where 30 are enough.
+    import taximeasure.measures as measures
+    from taximeasure.shapes import parse_shape_spec, revolution_profile
+
+    samples = []
+    monkeypatch.setattr(measures, "integrate", _counting_integrate(samples))
+    monkeypatch.setattr(measures, "detect_sign_changes", None)
+    f = revolution_profile(parse_shape_spec(spec))
+    arclength_functional(f)
+    surface_of_revolution(f)
+    assert len(samples) == 2 and max(samples) <= 100
+
+
+def test_profiles_without_monotone_pieces_are_still_scanned(monkeypatch):
+    import taximeasure.measures as measures
+
+    scans = []
+
+    def counting_scan(g, *args):
+        scans.append(g)
+        return detect_sign_changes(g, *args)
+
+    monkeypatch.setattr(measures, "detect_sign_changes", counting_scan)
+    f = profile_taxicab_circle_upper(1.0)
+    plain = ProfileFunction(f.evaluate, f.derivative, f.domain, f.breakpoints)
+    for measure in (arclength_functional, surface_of_revolution):
+        assert measure(plain) == measure(f)
+    assert arclength_variation(graph(plain)) == arclength_variation(graph(f)) == 4.0
+    assert scans.count(f.derivative) == 3

@@ -11,6 +11,7 @@ from taximeasure.profiles import (
     PiecewiseLinearProfile,
     ProfileFunction,
     derivative_is_consistent,
+    graph,
     parse_profile_spec,
     profile_euclidean_circle_quadrant,
     profile_euclidean_parabola_quadrant,
@@ -140,6 +141,62 @@ def test_catalog_continuity_and_nonnegativity(prof):
 @pytest.mark.parametrize("prof", ALL_CATALOG, ids=lambda p: p.label)
 def test_catalog_derivative_consistency(prof):
     assert derivative_is_consistent(prof)
+
+
+def _keeps_its_claim(prof):
+    """On a dense grid inside each piece between the domain ends and the
+    breakpoints, f' keeps one sign or is 0, and f is monotone."""
+    ends = [prof.domain.lo, *prof.breakpoints, prof.domain.hi]
+    for a, b in zip(ends, ends[1:]):
+        xs = np.linspace(a, b, 203)[1:-1]
+        slopes = np.asarray(prof.derivative(xs), dtype=float)
+        assert not (np.any(slopes > 0.0) and np.any(slopes < 0.0)), (prof.label, a, b)
+        steps = np.diff(np.asarray(prof(xs), dtype=float))
+        assert not (np.any(steps > 0.0) and np.any(steps < 0.0)), (prof.label, a, b)
+
+
+positive = st.floats(min_value=1e-3, max_value=1e3)
+finite = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@st.composite
+def _flagged_catalog(draw):
+    kind = draw(st.sampled_from(["linear", "ecq", "epq", "circle", "parabola", "ellipse"]))
+    if kind == "linear":
+        lo = draw(finite)
+        return profile_linear(draw(finite), draw(finite), Interval(lo, lo + draw(positive)))
+    if kind in ("ecq", "epq", "circle"):
+        return {"ecq": profile_euclidean_circle_quadrant, "circle": profile_taxicab_circle_upper,
+                "epq": profile_euclidean_parabola_quadrant}[kind](draw(positive))
+    if kind == "parabola":
+        a = draw(positive)
+        return profile_taxicab_parabola(a, a * draw(st.floats(1.0, 10.0)))
+    b = draw(positive)
+    a = b * draw(st.floats(1.0, 10.0))
+    return profile_taxicab_ellipse_upper(a, b, 2.0 * a + 2.0 * b * draw(st.floats(0.0, 1.0)))
+
+
+@given(_flagged_catalog())
+def test_catalog_profiles_are_monotone_on_their_declared_pieces(prof):
+    assert prof.monotone_pieces
+    _keeps_its_claim(prof)
+
+
+@given(st.lists(st.tuples(st.floats(0.01, 10.0), finite), min_size=2, max_size=12))
+def test_piecewise_linear_profiles_are_monotone_on_their_declared_pieces(steps):
+    x, vertices = 0.0, []
+    for dx, y in steps:
+        x += dx
+        vertices.append((x, y))
+    prof = PiecewiseLinearProfile(tuple(vertices)).to_profile()
+    assert prof.monotone_pieces
+    _keeps_its_claim(prof)
+
+
+def test_library_profiles_and_their_graphs_declare_no_monotone_pieces():
+    prof = ProfileFunction(np.sin, np.cos, Interval(0.0, 10.0))
+    assert not prof.monotone_pieces and not graph(prof).monotone_pieces
+    assert graph(profile_taxicab_circle_upper(1.0)).monotone_pieces
 
 
 def test_derivative_consistency_without_room_to_sample_raises():

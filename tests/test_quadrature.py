@@ -88,12 +88,30 @@ def test_endpoint_singularity_is_resolved_to_rounding(e):
 
 
 def test_zero_and_cancelling_integrals_stop():
-    # The tolerance is relative to the integral of |g|: it is 0 only when
-    # every sample is, and then so is the error.
+    # The tolerance is relative to the integral of |g|: where every sample
+    # is 0, so is the error.
     res = integrate(lambda x: np.zeros_like(x), Interval(0.0, 1.0))
     assert res.value == 0.0 and res.error_estimate == 0.0
     res = integrate(np.sin, Interval(0.0, 2.0 * math.pi))
     assert abs(res.value) <= 1e-12
+
+
+def test_subnormal_integrals_stop_at_their_rounding():
+    # 1e-9 of the integral of |g| underflows to 0 here, while the samples,
+    # multiples of ulp(0), leave |K15 - G7| a few ulp(0) wide.
+    res = integrate(lambda x: 5e-324 * x, Interval(-1.0, 2.0))
+    assert abs(res.value) <= 1e-322
+
+
+@pytest.mark.parametrize("width", [1e-13, 1e-15])
+def test_a_domain_few_float_spacings_wide_raises(width):
+    # Every abscissa is rounded by up to half of ulp(1), a share of 1e-3 of
+    # this width, and |K15 - G7| cannot see it.
+    top = 1.0 + 0.4 * width
+    g = lambda x: np.where(x < top, 1.0 + (x - 1.0) / (top - 1.0), 2.0)
+    with pytest.raises(ConvergenceError) as ei:
+        integrate(g, Interval(1.0, 1.0 + width), mandatory_splits=(top,))
+    assert "float spacings" in str(ei.value)
 
 
 def test_mandatory_splits_validation():
