@@ -10,9 +10,12 @@ That bound scales with g, so one REL_TOL means the same at every magnitude,
 and it equals REL_TOL * |value| wherever g keeps one sign, as every measure
 integrand does.  Below the rounding of subnormal samples it takes that
 rounding instead, so zero, cancelling and underflowing integrals still stop.
-A result whose abscissas, rounded to floats, are too coarse for the bound
-(on a domain a few hundred float spacings wide) raises ConvergenceError
-instead of being returned.  This is the QAG scheme of QUADPACK (Piessens et
+Rounding an abscissa to a float moves it by up to ulp(max |x|), which costs
+about that share of the domain width of the integral of |g| (at the end
+pieces, whose Jacobian is taken at the rounded abscissa, even where g is
+constant) and which no bisection lowers.  Where that floor exceeds the
+bound, on a domain narrower than about 1 / REL_TOL float spacings, the
+first round raises ConvergenceError instead of refining.  This is the QAG scheme of QUADPACK (Piessens et
 al. 1983), whose resabs is the integral of |g|, run over NumPy arrays: the
 nodes of all new cells go to the integrand in one call, so integrands take
 and return arrays.  A cell is bisected while its midpoint is a float
@@ -95,28 +98,6 @@ def _clean_splits(lo: float, hi: float, splits: Iterable[float]) -> list[float]:
     return cleaned
 
 
-def _check_rounding_floor(a, b, squared, scale, ulp: float, tol: float,
-                          total: float) -> None:
-    """Raise ConvergenceError if rounding the abscissas alone may cost more
-    than tol.  Each abscissa is rounded by up to ulp = ulp(max |x|), which
-    moves a node of a cell w wide in x by ulp / w of the cell: a floor of
-    about that share of the cell's integral of |g| (scale), which no
-    bisection lowers and |K15 - G7| does not see.  A cell is at least
-    min(d, d^2) wide in x for d its width in u, so the floor is summed only
-    when that bound on the narrowest cell cannot rule it out."""
-    d = float((b - a).min())
-    if min(d, d * d) * REL_TOL >= ulp:
-        return
-    w = np.where(squared, (b - a) * (b + a), b - a)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        floor = ulp * float(np.sum(np.where(scale > 0.0, scale / w, 0.0)))
-    if floor > tol:
-        raise ConvergenceError(
-            "quadrature cannot reach the requested tolerance: the domain is too "
-            "few float spacings wide for its abscissas to be exact",
-            value=total, error_estimate=floor)
-
-
 def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
               mandatory_splits: Sequence[float] = ()) -> QuadratureResult:
     """Integrate g over the interval, never sampling its endpoints.
@@ -145,7 +126,7 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
     squared = np.zeros(n, dtype=bool)
     squared[[0, -1]] = True
     open_lo, open_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
-    ulp = math.ulp(max(abs(lo), abs(hi)))
+    ulp, width = math.ulp(max(abs(lo), abs(hi))), hi - lo
 
     def rules(a, b, piece):
         c = 0.5 * (a + b)[:, None]
@@ -189,9 +170,14 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
 
         total = float(np.sum(value))
         err = float(np.sum(error))
-        tol = max(REL_TOL * float(np.sum(scale)), underflow)
+        resabs = float(np.sum(scale))
+        tol = max(REL_TOL * resabs, underflow)
+        if ulp * resabs > tol * width:
+            raise ConvergenceError(
+                "quadrature cannot reach the requested tolerance: the domain is too "
+                "few float spacings wide for its abscissas to be exact",
+                value=total, error_estimate=max(err, ulp * resabs / width))
         if err <= tol:
-            _check_rounding_floor(a, b, squared[piece], scale, ulp, tol, total)
             break
         if not math.isfinite(err):
             # A non-finite sum of finite samples has overflowed: no bisection

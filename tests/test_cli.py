@@ -214,6 +214,19 @@ def test_measure_on_a_domain_a_few_hundred_floats_wide_prints_no_quadrature(caps
     assert "too few float spacings" in err
 
 
+FLAT_OFFSET = json.dumps({"piecewise_linear": [[1e6 + 0.05 * i, 1] for i in range(21)]})
+
+
+@pytest.mark.parametrize("quantity,exact", [("arclength", 1.0), ("surface", 8.0),
+                                            ("volume", 2.0)])
+def test_measure_flat_profile_of_many_pieces_on_an_offset_domain(capsys, quantity, exact):
+    # 20 pieces on [1e6, 1e6 + 1], a domain 8.6e9 float spacings wide.
+    code, out, err = run(capsys, ["measure", "--quantity", quantity, "--json",
+                                  "--profile", FLAT_OFFSET])
+    assert code == 0 and err == ""
+    assert json.loads(out)["quadrature"] == pytest.approx(exact, rel=1e-9)
+
+
 @pytest.mark.parametrize("quantity", ["surface", "volume"])
 @pytest.mark.parametrize("vertices,x,y", [
     ("[[0, 1], [1, -0.5], [2, 1]]", "1.0", "-0.5"),

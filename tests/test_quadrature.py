@@ -114,6 +114,30 @@ def test_a_domain_few_float_spacings_wide_raises(width):
     assert "float spacings" in str(ei.value)
 
 
+def test_a_domain_few_float_spacings_wide_raises_before_refining():
+    calls = []
+
+    def g(x):
+        calls.append(x.size)
+        return 1.0 + 1e13 * (x - 1.0)
+
+    with pytest.raises(ConvergenceError):
+        integrate(g, Interval(1.0, 1.0 + 1e-13))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("g,exact", [
+    (lambda x: np.ones_like(x), 1.0),
+    (lambda x: 1.5 + np.sin(x - 1e6), 2.5 - math.cos(1.0)),
+])
+def test_many_pieces_on_an_offset_domain_keep_their_value(g, exact):
+    # [1e6, 1e6 + 1] is 8.6e9 float spacings wide: however many pieces and
+    # cells it is cut into, rounding the abscissas stays below the tolerance.
+    domain = Interval(1e6, 1e6 + 1.0)
+    res = integrate(g, domain, mandatory_splits=np.linspace(1e6, 1e6 + 1.0, 41)[1:-1])
+    assert res.value == pytest.approx(exact, rel=1e-9)
+
+
 def test_mandatory_splits_validation():
     with pytest.raises(DomainError):
         integrate(lambda x: x, Interval(0.0, 1.0), mandatory_splits=(2.0,))
