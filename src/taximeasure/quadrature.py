@@ -15,11 +15,11 @@ about that share of the domain width of the integral of |g| (at the end
 pieces, whose Jacobian is taken at the rounded abscissa, even where g is
 constant) and which no bisection lowers.  Where that floor exceeds the
 bound, on a domain narrower than about 1 / REL_TOL float spacings, the
-first round raises ConvergenceError instead of refining.  This is the QAG scheme of QUADPACK (Piessens et
-al. 1983), whose resabs is the integral of |g|, run over NumPy arrays: the
-nodes of all new cells go to the integrand in one call, so integrands take
-and return arrays.  A cell is bisected while its midpoint is a float
-strictly inside it; MAX_EVALS bounds the work.
+first round raises ConvergenceError instead of refining.  This is the QAG
+scheme of QUADPACK (Piessens et al. 1983), whose resabs is the integral of
+|g|, run over NumPy arrays: the nodes of all new cells go to the integrand
+in one call, so integrands take and return arrays.  A cell is bisected
+while its midpoint is a float strictly inside it; MAX_EVALS bounds the work.
 
 The two end pieces are integrated in u = sqrt(|x - e|) for their domain
 endpoint e (x = e +- u^2, Jacobian 2u), which turns integrable power-law
