@@ -1,0 +1,220 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on the cold CLI processes of perfbench's cli_cold.
+
+    python3 benchmarks/cli_ops.py --parent DIR --change DIR [--seed 401]
+        [--reps 7] [--check-seeds 400-409] [--pairs 10] [--seconds 30]
+        [--out FILE]
+
+Each checkout is a directory with src/taximeasure and perfbench/ (a `git
+archive` of a commit, or this repository).  The operations come from this
+repository's perfbench/workloads.py, imported and not changed.  Run it from
+anywhere; it writes nothing into either checkout except what perfbench/run.py
+writes under .perfbench_out/ for --pairs.
+
+1. Timing.  Each operation of cli_cold at --seed runs --reps times on each
+   side, the sides taking turns to go first, as one `python3 -m taximeasure`
+   process timed from spawn to exit, with perfbench's child environment (one
+   BLAS thread, a filled bytecode cache).  Per operation the output holds
+   each side's median and quartiles in ms, whether exit code and stdout were
+   equal on both sides, and whether the process loaded numpy and inspect.
+2. Outputs.  Each operation of each --check-seeds seed runs once more on
+   each side through a probe that records exit code, stdout and the loaded
+   modules; the output counts the operations whose exit code or stdout
+   differ.
+3. Pairs.  --pairs alternated pairs of `perfbench/run.py --workload W
+   --seed S --seconds T --trace 0` per workload, seeds 400+, 300+ and 500+
+   for cli_cold, quad_solve and oracle_sweep; each metric's median and
+   quartiles per side and the pairs the change won.
+
+The last line of standard output is the JSON result, also written to --out.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads  # noqa: E402
+
+SIDES = ("parent", "change")
+PAIR_SEEDS = {"cli_cold": 400, "quad_solve": 300, "oracle_sweep": 500}
+BETTER = {"setup_s": "lower", "wall_s": "lower", "op_p50_ms": "lower",
+          "peak_rss_mb": "lower", "accuracy_digits": "higher"}
+
+# Runs the CLI and reports on its last stderr line which of the watched
+# modules the process loaded.
+PROBE = """
+import sys
+from taximeasure.cli import main
+try:
+    code = main(sys.argv[1:])
+finally:
+    print("numpy" in sys.modules, "inspect" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def child_env(checkout: str, cache: str) -> dict:
+    """perfbench/run.py's child environment, for the given checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(checkout, "src")
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env["PYTHONPYCACHEPREFIX"] = cache
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def run(cmd: list[str], checkout: str, env: dict) -> tuple[int, float, str, str]:
+    """(exit code, seconds from spawn to exit, stdout, stderr) of one process."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(cmd, stdout=out, stderr=err, stdin=subprocess.DEVNULL,
+                                env=env, cwd=checkout)
+        code = proc.wait()
+        seconds = time.perf_counter() - t0
+        out.seek(0)
+        err.seek(0)
+        return code, seconds, out.read().decode(), err.read().decode()
+
+
+def quartiles(xs: list[float]) -> dict:
+    if len(xs) < 2:
+        return {"median": xs[0], "q1": xs[0], "q3": xs[0], "n": len(xs)}
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    return {"median": statistics.median(xs), "q1": q1, "q3": q3, "n": len(xs)}
+
+
+def probe(checkout: str, env: dict, argv: list[str]) -> dict:
+    code, _, out, err = run([sys.executable, "-c", PROBE, *argv], checkout, env)
+    *_, loaded = err.splitlines() or [""]
+    numpy, inspect = (word == "True" for word in loaded.split())
+    return {"exit": code, "stdout": out, "numpy": numpy, "inspect": inspect}
+
+
+def time_ops(dirs: dict, envs: dict, seed: int, reps: int) -> list[dict]:
+    rows = []
+    for op in workloads.build("cli_cold", seed):
+        times = {side: [] for side in SIDES}
+        outputs = {side: set() for side in SIDES}
+        for rep in range(reps):
+            for side in (SIDES if rep % 2 == 0 else SIDES[::-1]):
+                code, sec, out, _ = run([sys.executable, "-m", "taximeasure", *op["argv"]],
+                                        dirs[side], envs[side])
+                times[side].append(sec * 1e3)
+                outputs[side].add((code, out))
+        probes = {side: probe(dirs[side], envs[side], op["argv"]) for side in SIDES}
+        row = {"id": op["id"],
+               "same_exit_and_stdout": (len(outputs["parent"]) == 1
+                                        and outputs["parent"] == outputs["change"])}
+        for side in SIDES:
+            q = quartiles(times[side])
+            row[side] = {"median_ms": q["median"], "q1_ms": q["q1"], "q3_ms": q["q3"],
+                         **{k: probes[side][k] for k in ("exit", "numpy", "inspect")}}
+        rows.append(row)
+        print(f"{op['id']}: parent {row['parent']['median_ms']:.1f} ms, "
+              f"change {row['change']['median_ms']:.1f} ms", file=sys.stderr)
+    return rows
+
+
+def check_outputs(dirs: dict, envs: dict, seeds: list[int]) -> dict:
+    differ = []
+    n = 0
+    for seed in seeds:
+        for op in workloads.build("cli_cold", seed):
+            got = [probe(dirs[side], envs[side], op["argv"]) for side in SIDES]
+            n += 1
+            if (got[0]["exit"], got[0]["stdout"]) != (got[1]["exit"], got[1]["stdout"]):
+                differ.append(f"seed {seed} {op['id']}")
+    return {"seeds": [seeds[0], seeds[-1]], "operations": n, "differ": differ}
+
+
+def run_pairs(dirs: dict, pairs: int, seconds: float) -> dict:
+    out = {}
+    for workload, seed0 in PAIR_SEEDS.items():
+        runs = []
+        for i in range(pairs):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload",
+                       workload, "--seed", str(seed0 + i), "--seconds", str(seconds),
+                       "--trace", "0"]
+                proc = subprocess.run(cmd, cwd=dirs[side], capture_output=True, text=True)
+                if proc.returncode != 0:
+                    raise SystemExit(f"{side} {workload} failed: {proc.stderr[-800:]}")
+                result = json.loads(proc.stdout.splitlines()[-1])
+                runs.append({"pair": i, "side": side, "seed": seed0 + i,
+                             "correct": result["correct"], "attempted": result["attempted"],
+                             "failed": result["failed"],
+                             "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
+                print(f"{workload} pair {i} {side}: "
+                      f"op_p50_ms {runs[-1]['metrics']['op_p50_ms']:.4g}", file=sys.stderr)
+        summary = {}
+        for metric, better in BETTER.items():
+            vals = {side: [r["metrics"][metric] for r in runs if r["side"] == side]
+                    for side in SIDES}
+            sign = 1.0 if better == "lower" else -1.0
+            wins = sum(sign * (c - p) < 0 for p, c in zip(vals["parent"], vals["change"]))
+            summary[metric] = {**{side: quartiles(vals[side]) for side in SIDES},
+                               "change_wins": wins, "pairs": pairs}
+        out[workload] = {"runs": runs, "summary": summary}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--seed", type=int, default=401, help="cli_cold seed timed")
+    parser.add_argument("--reps", type=int, default=7, help="processes per operation and side")
+    parser.add_argument("--check-seeds", default="400-409",
+                        help="first-last cli_cold seeds whose outputs are compared")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="perfbench/run.py pairs per workload (0: none)")
+    parser.add_argument("--seconds", type=float, default=30.0,
+                        help="perfbench/run.py --seconds")
+    parser.add_argument("--out", help="also write the JSON result here")
+    args = parser.parse_args(argv)
+
+    dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    first, last = (int(s) for s in args.check_seeds.split("-"))
+    with tempfile.TemporaryDirectory() as cache:
+        envs = {side: child_env(dirs[side], os.path.join(cache, side)) for side in SIDES}
+        for side in SIDES:  # fill each side's bytecode cache, untimed
+            run([sys.executable, "-m", "taximeasure", "verify"], dirs[side], envs[side])
+        ops = time_ops(dirs, envs, args.seed, args.reps)
+        outputs = check_outputs(dirs, envs, list(range(first, last + 1)))
+
+    medians = {side: [row[side]["median_ms"] for row in ops] for side in SIDES}
+    result = {
+        "seed": args.seed, "reps": args.reps,
+        "op_p50_ms": {side: statistics.median(medians[side]) for side in SIDES},
+        "sum_of_medians_s": {side: sum(medians[side]) / 1e3 for side in SIDES},
+        "numpy_free_ops": {side: sum(not row[side]["numpy"] for row in ops)
+                           for side in SIDES},
+        "inspect_free_ops": {side: sum(not row[side]["inspect"] for row in ops)
+                             for side in SIDES},
+        "all_same_exit_and_stdout": all(row["same_exit_and_stdout"] for row in ops),
+        "ops": ops,
+        "outputs": outputs,
+    }
+    if args.pairs:
+        result["workloads"] = run_pairs(dirs, args.pairs, args.seconds)
+    text = json.dumps(result, indent=1)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

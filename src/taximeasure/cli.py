@@ -17,10 +17,16 @@ A shape's closed forms, flat end caps and revolution profile come from the
 shapes registry (shapes.closed_form, caps_area, revolution_profile); verify's
 shape rows are its spec, quantity, cell count and tolerance, nothing more.
 
-Only the paths that evaluate a profile import NumPy and the array modules:
-the profile and oracle branches of measure, and verify, table and plot.  A
-shape's closed form, the rotated-plane area_scale and a malformed spec are
-answered without them, so such a process does not pay for loading NumPy.
+Every command checks all of its arguments before it evaluates a profile:
+the spec's structure, names and parameter keys, --quantity against the
+input, the --oracle and --ns cell counts, verify's --tol and plot's one
+input.  Only then do the paths that evaluate a profile import NumPy and the
+array modules: the profile and oracle branches of measure, and verify, table
+and plot.  A shape's closed form, the rotated-plane area_scale and every
+argument error are answered without them; a profile parameter out of its
+range (exit 3) is found when the profile is built, after NumPy loads.  The
+scalar modules hold named tuples, not dataclasses, whose import loads
+inspect: that would cost such a process more than the rest of the package.
 """
 
 from __future__ import annotations
@@ -30,12 +36,12 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import shapes
 from .errors import ConvergenceError, DomainError, IntegrandError, SpecError
-from .geometry import MAX_CELLS, AngleRad, Interval, RotationAngles, area_scaling_factor
+from .geometry import (MAX_CELLS, AngleRad, Interval, RotationAngles, area_scaling_factor,
+                       check_cells, check_profile_spec)
 
 if TYPE_CHECKING:
     from .profiles import ProfileFunction
@@ -72,6 +78,14 @@ def _load_json(text: str):
         raise DomainError("JSON argument holds an integer too large for a float") from None
 
 
+def _profile_spec(text: str):
+    """The profile spec JSON text holds, checked but not built: building it
+    loads NumPy."""
+    spec = _load_json(text)
+    check_profile_spec(spec)
+    return spec
+
+
 def _check_finite(values: dict) -> None:
     for k, v in values.items():
         if isinstance(v, float) and not math.isfinite(v):
@@ -97,6 +111,7 @@ def _emit_report(report: dict, as_json: bool) -> None:
 def _shape_oracle(spec, quantity: str, n: int) -> float:
     if quantity == "area":
         raise SpecError("no oracle is defined for the flat circle area")
+    check_cells((n,))
     from . import oracles
 
     with _array_path():
@@ -139,15 +154,17 @@ def cmd_measure(args) -> int:
             oracle = _shape_oracle(spec, quantity, args.oracle)
             abs_err_oracle = abs(oracle - analytic)
     else:
-        params = _load_json(args.profile)
+        params = _profile_spec(args.profile)
+        if quantity not in _PROFILE_QUANTITIES:
+            raise SpecError(f"--profile supports {'/'.join(_PROFILE_QUANTITIES)}, "
+                            f"not {quantity!r}")
+        if args.oracle is not None:
+            check_cells((args.oracle,))
         from . import measures, oracles
         from .profiles import graph, parse_profile_spec
 
         with _array_path():
             prof = parse_profile_spec(params)
-            if quantity not in _PROFILE_QUANTITIES:
-                raise SpecError(f"--profile supports {'/'.join(_PROFILE_QUANTITIES)}, "
-                                f"not {quantity!r}")
             quad = reference = measures.quadrature_measure(quantity)(prof)
             if quantity == "arclength":
                 analytic = reference = measures.arclength_variation(graph(prof))
@@ -165,8 +182,7 @@ def cmd_measure(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _VerifyCase:
+class _VerifyCase(NamedTuple):
     """A row of verify: kind's quadrature and oracle on profile, plus caps."""
 
     suite: str
@@ -216,44 +232,45 @@ def _verify_cases() -> list[_VerifyCase]:
     return cases
 
 
-@_array_path()
 def cmd_verify(args) -> int:
-    from . import measures, oracles
-
     tol = float(args.tol)
     if not (math.isfinite(tol) and tol > 0.0):
         raise SpecError(f"--tol must be a positive float, got {args.tol!r}")
+    from . import measures, oracles
+
     rows = []
     all_passed = True
-    for case in sorted(_verify_cases(), key=lambda case: (case.suite, case.case)):
-        if args.suite is not None and case.suite != args.suite:
-            continue
-        quad = measures.quadrature_measure(case.kind)(case.profile) + case.caps
-        oracle = oracles._ORACLES[case.kind](case.profile, n=case.oracle_n) + case.caps
-        err_quad = abs(quad - case.analytic)
-        err_oracle = abs(oracle - case.analytic)
-        passed = err_quad <= tol and err_oracle <= case.oracle_tol
-        all_passed = all_passed and passed
-        rows.append(",".join((case.suite, case.case, _fmt(case.analytic), _fmt(quad),
-                              str(case.oracle_n), _fmt(oracle), _fmt(err_quad),
-                              _fmt(err_oracle), "true" if passed else "false")))
+    with _array_path():
+        for case in sorted(_verify_cases(), key=lambda case: (case.suite, case.case)):
+            if args.suite is not None and case.suite != args.suite:
+                continue
+            quad = measures.quadrature_measure(case.kind)(case.profile) + case.caps
+            oracle = oracles._ORACLES[case.kind](case.profile, n=case.oracle_n) + case.caps
+            err_quad = abs(quad - case.analytic)
+            err_oracle = abs(oracle - case.analytic)
+            passed = err_quad <= tol and err_oracle <= case.oracle_tol
+            all_passed = all_passed and passed
+            rows.append(",".join((case.suite, case.case, _fmt(case.analytic), _fmt(quad),
+                                  str(case.oracle_n), _fmt(oracle), _fmt(err_quad),
+                                  _fmt(err_oracle), "true" if passed else "false")))
     print("suite,case,analytic,quadrature,oracle_n,oracle,abs_err_quad,abs_err_oracle,pass")
     for row in rows:
         print(row)
     return 0 if all_passed else 1
 
 
-@_array_path()
 def cmd_table(args) -> int:
-    from . import oracles
-    from .profiles import parse_profile_spec
-
-    prof = parse_profile_spec(_load_json(args.profile))
+    spec = _profile_spec(args.profile)
     try:
         ns = [int(part) for part in args.ns.split(",") if part.strip() != ""]
     except ValueError:
         raise SpecError(f"--ns must be a comma-separated list of integers, got {args.ns!r}")
-    rows = oracles.convergence_table(args.quantity, prof, None, ns)
+    check_cells(ns)
+    from . import oracles
+    from .profiles import parse_profile_spec
+
+    with _array_path():
+        rows = oracles.convergence_table(args.quantity, parse_profile_spec(spec), None, ns)
     for row in rows:
         _check_finite(row._asdict())
     print("n,oracle,reference,abs_error")
@@ -262,22 +279,26 @@ def cmd_table(args) -> int:
     return 0
 
 
-@_array_path()
 def cmd_plot(args) -> int:
-    from . import svgplot
-    from .profiles import parse_profile_spec
-
     n_sources = sum((args.shape is not None, args.profile is not None))
     if n_sources != 1:
         raise SpecError("provide exactly one input: --shape or --profile")
     if args.shape is not None:
-        prof = shapes.revolution_profile(shapes.parse_shape_spec(_load_json(args.shape)))
+        spec = shapes.parse_shape_spec(_load_json(args.shape))
     else:
-        prof = parse_profile_spec(_load_json(args.profile))
-    overlay = None
-    if args.overlay is not None:
-        overlay = parse_profile_spec(_load_json(args.overlay))
-    svg = svgplot.render_profile_svg(prof, mirror=args.mirror, overlay=overlay)
+        spec = _profile_spec(args.profile)
+    overlay = None if args.overlay is None else _profile_spec(args.overlay)
+    from . import svgplot
+    from .profiles import parse_profile_spec
+
+    with _array_path():
+        if args.shape is not None:
+            prof = shapes.revolution_profile(spec)
+        else:
+            prof = parse_profile_spec(spec)
+        if overlay is not None:
+            overlay = parse_profile_spec(overlay)
+        svg = svgplot.render_profile_svg(prof, mirror=args.mirror, overlay=overlay)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return 0

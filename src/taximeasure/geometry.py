@@ -7,15 +7,18 @@ Rotating a plane region out of a coordinate plane by angles (alpha, beta)
 scales its taxicab area by (|cos a| + |sin a|)(|cos b| + |sin b|).
 
 This module holds scalar types, these scalar closed forms and the checks of
-spec parameters; it does not import NumPy, so the shape closed forms, the
-rotated-plane area and the spec errors of a command-line process never load
-it.
+the command-line arguments: spec parameters, profile specs and cell counts.
+It imports neither NumPy nor dataclasses (whose inspect costs a cold process
+more than the rest of the package), so the shape closed forms, the
+rotated-plane area and the argument errors of a command-line process load
+neither.  Its records are named tuples, so they compare equal to plain
+tuples of their fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, SpecError
 
@@ -31,42 +34,50 @@ _TWO_PI = 2.0 * math.pi
 MAX_CELLS = 10**7
 
 
+def check_cells(ns) -> None:
+    """Check the cell counts of one oracle call or of one convergence table:
+    non-empty, strictly increasing, each within 1..MAX_CELLS."""
+    if not ns:
+        raise DomainError("ns must not be empty")
+    if any(n2 <= n1 for n1, n2 in zip(ns, ns[1:])):
+        raise DomainError(f"ns must be strictly increasing, got {ns}")
+    for n in (ns[0], ns[-1]):
+        if not 1 <= n <= MAX_CELLS:
+            raise DomainError(f"oracle needs 1 <= n <= {MAX_CELLS} cells, got {n}")
+
+
 def _require_finite(label: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
             raise DomainError(f"{label}: expected finite value, got {v!r}")
 
 
-@dataclass(frozen=True)
-class Point2:
-    x: float
-    y: float
+class Point2(namedtuple("Point2", "x y")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_finite("Point2", self.x, self.y)
-
-
-@dataclass(frozen=True)
-class Point3:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        _require_finite("Point3", self.x, self.y, self.z)
+    def __new__(cls, x: float, y: float):
+        _require_finite("Point2", x, y)
+        return super().__new__(cls, x, y)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Point3(namedtuple("Point3", "x y z")):
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, z: float):
+        _require_finite("Point3", x, y, z)
+        return super().__new__(cls, x, y, z)
+
+
+class Interval(namedtuple("Interval", "lo hi")):
     """Closed interval [lo, hi] with lo <= hi, both finite."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_finite("Interval", self.lo, self.hi)
-        if self.lo > self.hi:
-            raise DomainError(f"Interval requires lo <= hi, got [{self.lo}, {self.hi}]")
+    def __new__(cls, lo: float, hi: float):
+        _require_finite("Interval", lo, hi)
+        if lo > hi:
+            raise DomainError(f"Interval requires lo <= hi, got [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi)
 
     @property
     def width(self) -> float:
@@ -79,34 +90,32 @@ class Interval:
         return self.lo <= other.lo and other.hi <= self.hi
 
 
-@dataclass(frozen=True)
-class AngleRad:
+class AngleRad(namedtuple("AngleRad", "value")):
     """An angle in radians, normalized into [0, 2*pi)."""
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_finite("AngleRad", self.value)
-        v = math.fmod(self.value, _TWO_PI)
+    def __new__(cls, value: float):
+        _require_finite("AngleRad", value)
+        v = math.fmod(value, _TWO_PI)
         if v < 0.0:
             v += _TWO_PI
         if v >= _TWO_PI:  # fmod can land on 2*pi after the rounding above
             v = 0.0
-        object.__setattr__(self, "value", v)
+        return super().__new__(cls, v)
 
 
-@dataclass(frozen=True)
-class RotationAngles:
+class RotationAngles(namedtuple("RotationAngles", "alpha beta")):
     """Tilt angles of a rotated plane against two coordinate axes."""
 
-    alpha: AngleRad
-    beta: AngleRad
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.alpha, AngleRad):
-            object.__setattr__(self, "alpha", AngleRad(float(self.alpha)))
-        if not isinstance(self.beta, AngleRad):
-            object.__setattr__(self, "beta", AngleRad(float(self.beta)))
+    def __new__(cls, alpha: "AngleRad | float", beta: "AngleRad | float"):
+        if not isinstance(alpha, AngleRad):
+            alpha = AngleRad(float(alpha))
+        if not isinstance(beta, AngleRad):
+            beta = AngleRad(float(beta))
+        return super().__new__(cls, alpha, beta)
 
 
 def _angle_value(theta: "AngleRad | float") -> float:
@@ -201,3 +210,52 @@ def take_params(spec_name: str, params, keys: tuple[str, ...]) -> list[float]:
     if extra:
         raise SpecError(f"{spec_name}: unexpected parameters {extra}")
     return [_as_number(spec_name, k, params[k]) for k in keys]
+
+
+# Catalog profile name -> its parameter keys, in the order of its constructor
+# in profiles._CATALOG.
+CATALOG_PARAMS = {
+    "linear": ("slope", "intercept", "lo", "hi"),
+    "euclidean_circle_quadrant": ("r",),
+    "euclidean_parabola_quadrant": ("r",),
+    "taxicab_circle_upper": ("r",),
+    "taxicab_parabola": ("a", "h"),
+    "taxicab_ellipse_upper": ("a", "b", "s"),
+}
+
+
+def check_profile_spec(spec) -> tuple[str | None, list]:
+    """Check a profile spec's JSON object form and return what builds it.
+
+    {"catalog": <name>, "params": {...}} gives the catalog name and its
+    parameter values; {"piecewise_linear": [[x0, y0], [x1, y1], ...]} gives
+    None and the (x, y) vertices.  The values are floats; their ranges are
+    the profile constructors' to check.
+    """
+    if not isinstance(spec, dict):
+        raise SpecError(f"profile spec must be a JSON object, got {spec!r}")
+
+    if "piecewise_linear" in spec:
+        extra = [k for k in spec if k != "piecewise_linear"]
+        if extra:
+            raise SpecError(f"piecewise_linear spec has unexpected keys {extra}")
+        vertices = spec["piecewise_linear"]
+        if not isinstance(vertices, list):
+            raise SpecError("'piecewise_linear' must be a list of [x, y] pairs")
+        pairs = []
+        for item in vertices:
+            if not isinstance(item, list) or len(item) != 2:
+                raise SpecError(f"vertex {item!r} is not an [x, y] pair")
+            pairs.append((_as_number("piecewise_linear", "x", item[0]),
+                          _as_number("piecewise_linear", "y", item[1])))
+        return None, pairs
+
+    if "catalog" not in spec:
+        raise SpecError("profile spec needs a 'catalog' or 'piecewise_linear' key")
+    extra = [k for k in spec if k not in ("catalog", "params")]
+    if extra:
+        raise SpecError(f"profile spec has unexpected keys {extra}")
+    name = spec["catalog"]
+    if not isinstance(name, str) or name not in CATALOG_PARAMS:
+        raise SpecError(f"unknown catalog profile {name!r}")
+    return name, take_params(name, spec.get("params", {}), CATALOG_PARAMS[name])

@@ -87,7 +87,8 @@ def check_nonnegative(lows: list[tuple]) -> None:
     worst = int(np.argmin(vals))
     if vals[worst] < tol:
         raise DomainError(
-            f"profile must be nonnegative on the domain: f({xs[worst]!r}) = {vals[worst]!r}")
+            f"profile must be nonnegative on the domain: "
+            f"f({float(xs[worst])!r}) = {float(vals[worst])!r}")
 
 
 def _check_nonnegative(f: ProfileFunction, domain: Interval) -> None:

@@ -34,7 +34,7 @@ import numpy as np
 from . import measures
 from ._kernels import disk_sum, frustum_sum, polyline_sum
 from .errors import DomainError
-from .geometry import MAX_CELLS, Interval
+from .geometry import MAX_CELLS, Interval, check_cells
 from .profiles import ProfileFunction, sorted_insert
 
 # Cells per block: the nodes, values and kernel temporaries of one block,
@@ -49,13 +49,8 @@ class ConvergenceRow(NamedTuple):
     abs_error: float
 
 
-def _check_cells(n: int) -> None:
-    if not 1 <= n <= MAX_CELLS:
-        raise DomainError(f"oracle needs 1 <= n <= {MAX_CELLS} cells, got {n}")
-
-
 def _partition(f: ProfileFunction, domain: Interval, n: int) -> np.ndarray:
-    _check_cells(n)
+    check_cells((n,))
     lo, hi = domain.lo, domain.hi
     xs = np.linspace(lo, hi, n + 1)
     # On a domain narrower than a few float spacings per cell, linspace
@@ -141,12 +136,7 @@ def convergence_table(kind: str, f: ProfileFunction, domain: Interval | None = N
     if kind not in _ORACLES:
         raise DomainError(f"kind must be one of {sorted(_ORACLES)}, got {kind!r}")
     ns = [int(n) for n in ns]
-    if not ns:
-        raise DomainError("ns must not be empty")
-    if any(n2 <= n1 for n1, n2 in zip(ns, ns[1:])):
-        raise DomainError(f"ns must be strictly increasing, got {ns}")
-    _check_cells(ns[0])
-    _check_cells(ns[-1])
+    check_cells(ns)
 
     reference = measures.quadrature_measure(kind)(f, domain)
     oracle_fn = _ORACLES[kind]

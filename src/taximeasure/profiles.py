@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SpecError
-from .geometry import Interval, _as_number, take_params
+from .errors import DomainError
+from .geometry import Interval, check_profile_spec
 from .shapes import CircleSpec, EllipsoidSpec, ParaboloidSpec, _require_positive
 
 
@@ -336,14 +336,14 @@ def _linear_from_params(slope: float, intercept: float, lo: float,
     return profile_linear(slope, intercept, Interval(lo, hi))
 
 
-# Catalog name -> (constructor, parameter keys in the constructor's order).
-_CATALOG: dict[str, tuple[Callable[..., ProfileFunction], tuple[str, ...]]] = {
-    "linear": (_linear_from_params, ("slope", "intercept", "lo", "hi")),
-    "euclidean_circle_quadrant": (profile_euclidean_circle_quadrant, ("r",)),
-    "euclidean_parabola_quadrant": (profile_euclidean_parabola_quadrant, ("r",)),
-    "taxicab_circle_upper": (profile_taxicab_circle_upper, ("r",)),
-    "taxicab_parabola": (profile_taxicab_parabola, ("a", "h")),
-    "taxicab_ellipse_upper": (profile_taxicab_ellipse_upper, ("a", "b", "s")),
+# Catalog name -> constructor; geometry.CATALOG_PARAMS holds its parameter keys.
+_CATALOG: dict[str, Callable[..., ProfileFunction]] = {
+    "linear": _linear_from_params,
+    "euclidean_circle_quadrant": profile_euclidean_circle_quadrant,
+    "euclidean_parabola_quadrant": profile_euclidean_parabola_quadrant,
+    "taxicab_circle_upper": profile_taxicab_circle_upper,
+    "taxicab_parabola": profile_taxicab_parabola,
+    "taxicab_ellipse_upper": profile_taxicab_ellipse_upper,
 }
 
 
@@ -351,33 +351,10 @@ def parse_profile_spec(spec) -> ProfileFunction:
     """Build a profile from its JSON object form.
 
     Either {"catalog": <name>, "params": {...}} for a catalog profile, or
-    {"piecewise_linear": [[x0, y0], [x1, y1], ...]} for a polygonal one.
+    {"piecewise_linear": [[x0, y0], [x1, y1], ...]} for a polygonal one;
+    geometry.check_profile_spec checks it.
     """
-    if not isinstance(spec, dict):
-        raise SpecError(f"profile spec must be a JSON object, got {spec!r}")
-
-    if "piecewise_linear" in spec:
-        extra = [k for k in spec if k != "piecewise_linear"]
-        if extra:
-            raise SpecError(f"piecewise_linear spec has unexpected keys {extra}")
-        vertices = spec["piecewise_linear"]
-        if not isinstance(vertices, list):
-            raise SpecError("'piecewise_linear' must be a list of [x, y] pairs")
-        pairs = []
-        for item in vertices:
-            if not isinstance(item, list) or len(item) != 2:
-                raise SpecError(f"vertex {item!r} is not an [x, y] pair")
-            pairs.append((_as_number("piecewise_linear", "x", item[0]),
-                          _as_number("piecewise_linear", "y", item[1])))
-        return PiecewiseLinearProfile(tuple(pairs)).to_profile()
-
-    if "catalog" not in spec:
-        raise SpecError("profile spec needs a 'catalog' or 'piecewise_linear' key")
-    extra = [k for k in spec if k not in ("catalog", "params")]
-    if extra:
-        raise SpecError(f"profile spec has unexpected keys {extra}")
-    name = spec["catalog"]
-    if not isinstance(name, str) or name not in _CATALOG:
-        raise SpecError(f"unknown catalog profile {name!r}")
-    build, keys = _CATALOG[name]
-    return build(*take_params(name, spec.get("params", {}), keys))
+    name, values = check_profile_spec(spec)
+    if name is None:
+        return PiecewiseLinearProfile(tuple(values)).to_profile()
+    return _CATALOG[name](*values)

@@ -1,9 +1,10 @@
 """Closed-form taxicab measures for the shape catalog.
 
 All formulas use the taxicab circle constant pi_t = 4.  Shapes are described
-by validated spec dataclasses; the ellipsoid's size parameter s spans the
-degenerate cases s = 2a (hexagonal cross-section; a sphere when additionally
-a = b) through s = 2(a + b) (cylinder of radius b and height s - 2b).
+by validated spec named tuples, which compare equal to plain tuples of their
+fields; the ellipsoid's size parameter s spans the degenerate cases s = 2a
+(hexagonal cross-section; a sphere when additionally a = b) through
+s = 2(a + b) (cylinder of radius b and height s - 2b).
 
 The expressions are arranged so the degenerate-case identities hold exactly
 in floating point (for example a paraboloid with h = a is exactly half a
@@ -20,8 +21,8 @@ builds an array-evaluated profile, imports the profiles module and NumPy.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
-from typing import TYPE_CHECKING, Callable
+from collections import namedtuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import DomainError, SpecError
 from .geometry import PI_T, take_params
@@ -38,62 +39,57 @@ def _require_positive(label: str, **params: float) -> None:
             raise DomainError(f"{label} requires {name} > 0, got {name}={v!r}")
 
 
-@dataclass(frozen=True)
-class CircleSpec:
-    r: float
+class CircleSpec(namedtuple("CircleSpec", "r")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_positive("CircleSpec", r=self.r)
-
-
-@dataclass(frozen=True)
-class SphereSpec:
-    r: float
-
-    def __post_init__(self):
-        _require_positive("SphereSpec", r=self.r)
+    def __new__(cls, r: float):
+        _require_positive("CircleSpec", r=r)
+        return super().__new__(cls, r)
 
 
-@dataclass(frozen=True)
-class CylinderSpec:
-    r: float
-    h: float
+class SphereSpec(namedtuple("SphereSpec", "r")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_positive("CylinderSpec", r=self.r, h=self.h)
+    def __new__(cls, r: float):
+        _require_positive("SphereSpec", r=r)
+        return super().__new__(cls, r)
 
 
-@dataclass(frozen=True)
-class ParaboloidSpec:
+class CylinderSpec(namedtuple("CylinderSpec", "r h")):
+    __slots__ = ()
+
+    def __new__(cls, r: float, h: float):
+        _require_positive("CylinderSpec", r=r, h=h)
+        return super().__new__(cls, r, h)
+
+
+class ParaboloidSpec(namedtuple("ParaboloidSpec", "a h")):
     """Taxicab paraboloid of apex half-width a and height h >= a."""
 
-    a: float
-    h: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_positive("ParaboloidSpec", a=self.a)
-        if not (math.isfinite(self.h) and self.h >= self.a):
-            raise DomainError(f"ParaboloidSpec requires h >= a, got a={self.a}, h={self.h}")
+    def __new__(cls, a: float, h: float):
+        _require_positive("ParaboloidSpec", a=a)
+        if not (math.isfinite(h) and h >= a):
+            raise DomainError(f"ParaboloidSpec requires h >= a, got a={a}, h={h}")
+        return super().__new__(cls, a, h)
 
 
-@dataclass(frozen=True)
-class EllipsoidSpec:
+class EllipsoidSpec(namedtuple("EllipsoidSpec", "a b s")):
     """Taxicab ellipsoid of revolution: semi-axes a >= b > 0 and focal-sum
     parameter s with 2a <= s <= 2(a + b)."""
 
-    a: float
-    b: float
-    s: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_positive("EllipsoidSpec", b=self.b)
-        if not (math.isfinite(self.a) and self.a >= self.b):
-            raise DomainError(f"EllipsoidSpec requires a >= b, got a={self.a}, b={self.b}")
-        if not (math.isfinite(self.s) and self.s >= 2.0 * self.a):
-            raise DomainError(f"EllipsoidSpec requires s >= 2a, got s={self.s}, a={self.a}")
-        if not self.s <= 2.0 * (self.a + self.b):
-            raise DomainError(
-                f"EllipsoidSpec requires s <= 2(a + b), got s={self.s}, a={self.a}, b={self.b}")
+    def __new__(cls, a: float, b: float, s: float):
+        _require_positive("EllipsoidSpec", b=b)
+        if not (math.isfinite(a) and a >= b):
+            raise DomainError(f"EllipsoidSpec requires a >= b, got a={a}, b={b}")
+        if not (math.isfinite(s) and s >= 2.0 * a):
+            raise DomainError(f"EllipsoidSpec requires s >= 2a, got s={s}, a={a}")
+        if not s <= 2.0 * (a + b):
+            raise DomainError(f"EllipsoidSpec requires s <= 2(a + b), got s={s}, a={a}, b={b}")
+        return super().__new__(cls, a, b, s)
 
 
 def circle_circumference(spec: CircleSpec) -> float:
@@ -156,8 +152,7 @@ def _ellipsoid_caps_area(spec: EllipsoidSpec) -> float:
     return PI_T * c * c
 
 
-@dataclass(frozen=True)
-class _Shape:
+class _Shape(NamedTuple):
     """A shape: its spec class, the catalog profile whose revolution
     generates it and that profile's parameters from a spec, its closed form
     per quantity, and the area of the flat end caps the revolution leaves
@@ -166,7 +161,7 @@ class _Shape:
     spec: type
     profile: str
     closed_forms: dict[str, Callable[..., float]]
-    profile_params: Callable[..., tuple] = astuple
+    profile_params: Callable[..., tuple] = tuple
     caps_area: Callable[..., float] = lambda spec: 0.0
 
 
@@ -214,8 +209,7 @@ def revolution_profile(spec) -> ProfileFunction:
     from .profiles import _CATALOG
 
     shape = _shape_of(spec)
-    build, _ = _CATALOG[shape.profile]
-    return build(*shape.profile_params(spec))
+    return _CATALOG[shape.profile](*shape.profile_params(spec))
 
 
 def parse_shape_spec(spec):
@@ -232,5 +226,4 @@ def parse_shape_spec(spec):
     if not isinstance(name, str) or name not in _SHAPES:
         raise SpecError(f"unknown shape {name!r}")
     cls = _SHAPES[name].spec
-    keys = tuple(f.name for f in fields(cls))
-    return cls(*take_params(f"shape {name!r}", spec.get("params", {}), keys))
+    return cls(*take_params(f"shape {name!r}", spec.get("params", {}), cls._fields))

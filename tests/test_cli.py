@@ -214,6 +214,14 @@ def test_measure_on_a_domain_a_few_hundred_floats_wide_prints_no_quadrature(caps
     assert "too few float spacings" in err
 
 
+def test_measure_checks_the_cell_count_before_it_computes(capsys):
+    # The quadrature would fail with exit 4; the argument error comes first.
+    code, out, err = run(capsys, ["measure", "--quantity", "surface", "--oracle", "0",
+                                  "--profile", TENT])
+    assert code == 3 and out == ""
+    assert err == f"error: oracle needs 1 <= n <= {oracles.MAX_CELLS} cells, got 0\n"
+
+
 FLAT_OFFSET = json.dumps({"piecewise_linear": [[1e6 + 0.05 * i, 1] for i in range(21)]})
 
 
@@ -234,11 +242,12 @@ def test_measure_flat_profile_of_many_pieces_on_an_offset_domain(capsys, quantit
 ])
 def test_measure_profile_negative_at_a_vertex_exits_3(capsys, quantity, vertices, x, y):
     # A piecewise-linear profile is checked at its vertices only, which is
-    # exact: each segment has its minimum at an end.
+    # exact: each segment has its minimum at an end.  The vertex is named in
+    # plain floats, not in NumPy's scalar repr.
     code, out, err = run(capsys, ["measure", "--quantity", quantity, "--profile",
                                   '{"piecewise_linear": %s}' % vertices])
     assert code == 3 and out == ""
-    assert "nonnegative" in err and f"({x})" in err and f"({y})" in err
+    assert err == f"error: profile must be nonnegative on the domain: f({x}) = {y}\n"
 
 
 @pytest.mark.parametrize("quantity", ["arclength", "surface", "volume"])

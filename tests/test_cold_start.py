@@ -1,8 +1,9 @@
 """A command-line process loads NumPy only when it evaluates a profile.
 
-The closed forms are Python float arithmetic and the spec checks read plain
-JSON, so the modules they need (errors, geometry, shapes, cli and the
-package itself) import neither NumPy nor a module that does.
+The closed forms are Python float arithmetic and the argument checks read
+plain JSON and integers, so the modules they need (errors, geometry, shapes,
+cli and the package itself) import neither NumPy nor a module that does, nor
+dataclasses, whose inspect import costs a cold process more than they do.
 """
 
 import ast
@@ -22,14 +23,14 @@ ARRAY_MODULES = {"numpy", "profiles", "quadrature", "measures", "oracles", "_ker
                  "svgplot"}
 
 # Runs the CLI in a fresh interpreter and reports on its last stderr line
-# whether NumPy was loaded.
+# whether NumPy or inspect was loaded.
 _PROBE = """
 import sys
 from taximeasure.cli import main
 try:
     code = main(sys.argv[1:])
 finally:
-    print("numpy" in sys.modules, file=sys.stderr)
+    print("numpy" in sys.modules, "inspect" in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -42,13 +43,16 @@ def _fresh(*args):
 
 def test_importing_the_cli_leaves_numpy_unloaded():
     proc = _fresh("-c", "import sys, taximeasure.cli, taximeasure; "
-                        "taximeasure.sphere_volume; print('numpy' in sys.modules)")
+                        "taximeasure.sphere_volume; "
+                        "print([m for m in ('numpy', 'inspect', 'dataclasses') "
+                        "if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
 
 
 SPHERE = '{"shape": "sphere", "params": {"r": 1}}'
 CIRCLE = '{"shape": "circle", "params": {"r": 1}}'
+DIAMOND = '{"catalog": "taxicab_circle_upper", "params": {"r": 1}}'
 
 
 @pytest.mark.parametrize("argv, code, out", [
@@ -63,22 +67,32 @@ CIRCLE = '{"shape": "circle", "params": {"r": 1}}'
     (["measure", "--quantity", "volume", "--shape", '{"shape": "sphere", '], 2, ""),
     (["measure", "--quantity", "volume",
       "--shape", '{"shape": "sphere", "params": {"r": 1e200}}'], 3, ""),
+    (["measure", "--quantity", "arclength",
+      "--profile", '{"catalog": "spiral", "params": {}}'], 2, ""),
+    (["measure", "--quantity", "volume",
+      "--profile", '{"catalog": "taxicab_parabola", "params": {"a": 1}}'], 2, ""),
+    (["measure", "--quantity", "area", "--profile", DIAMOND], 2, ""),
+    (["measure", "--quantity", "volume", "--oracle", "0", "--profile", DIAMOND], 3, ""),
+    (["measure", "--quantity", "volume", "--oracle", "0", "--shape", SPHERE], 3, ""),
+    (["table", "--profile", DIAMOND, "--quantity", "volume", "--ns", "64,16"], 3, ""),
+    (["table", "--profile", DIAMOND, "--quantity", "volume", "--ns", "4,banana"], 2, ""),
+    (["verify", "--tol", "-1"], 2, ""),
+    (["plot", "--shape", SPHERE, "--profile", DIAMOND, "--out", "unused.svg"], 2, ""),
 ])
 def test_closed_forms_and_spec_errors_leave_numpy_unloaded(argv, code, out):
     proc = _fresh("-c", _PROBE, *argv)
     assert proc.returncode == code, proc.stderr
     assert proc.stdout == out
     *messages, loaded = proc.stderr.splitlines()
-    assert loaded == "False"
+    assert loaded == "False False"
     assert len(messages) == (0 if code == 0 else 1)
 
 
 def test_a_profile_loads_numpy():
     # The probe itself: it does see NumPy when a path needs it.
-    proc = _fresh("-c", _PROBE, "measure", "--quantity", "arclength", "--profile",
-                  '{"catalog": "taxicab_circle_upper", "params": {"r": 1}}')
+    proc = _fresh("-c", _PROBE, "measure", "--quantity", "arclength", "--profile", DIAMOND)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines() == ["True"]
+    assert proc.stderr.splitlines() == ["True True"]
 
 
 def _module_level_imports(body):

@@ -349,7 +349,8 @@ def test_blocked_oracles_equal_full_array_sums(n, oracle, reference):
 def _full_check_message(xs, vals):
     """The nonnegativity message of one pass over all samples."""
     worst = int(np.argmin(vals))
-    return f"profile must be nonnegative on the domain: f({xs[worst]!r}) = {vals[worst]!r}"
+    return (f"profile must be nonnegative on the domain: "
+            f"f({float(xs[worst])!r}) = {float(vals[worst])!r}")
 
 
 @pytest.mark.parametrize("evaluate", [

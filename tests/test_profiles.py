@@ -1,3 +1,4 @@
+import inspect
 import math
 import time
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from taximeasure import DomainError, Interval, SpecError
+from taximeasure.geometry import CATALOG_PARAMS
 from taximeasure.profiles import (
+    _CATALOG,
     ParametricCurve,
     PiecewiseLinearProfile,
     ProfileFunction,
@@ -308,6 +311,14 @@ def test_parse_profile_spec_piecewise():
 def test_parse_profile_spec_rejects_malformed(spec):
     with pytest.raises(SpecError):
         parse_profile_spec(spec)
+
+
+def test_catalog_constructors_take_the_checked_parameters_in_order():
+    # The spec check reads its keys from geometry.CATALOG_PARAMS without
+    # loading NumPy; the constructors must agree with it.
+    assert list(_CATALOG) == list(CATALOG_PARAMS)
+    for name, build in _CATALOG.items():
+        assert tuple(inspect.signature(build).parameters) == CATALOG_PARAMS[name]
 
 
 def test_parse_profile_spec_domain_errors_pass_through():

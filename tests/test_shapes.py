@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import fields
 from functools import partial
 
 import pytest
@@ -144,7 +143,7 @@ def test_profile_constructors_reject_what_the_specs_reject(make, capsys):
     name, build = _PROFILE_OF[make.func]
     with pytest.raises(DomainError):
         build(*make.args)
-    params = dict(zip((f.name for f in fields(make.func)), make.args))
+    params = dict(zip(make.func._fields, make.args))
     profile = json.dumps({"catalog": name, "params": params})
     assert main(["measure", "--quantity", "arclength", "--profile", profile]) == 3
     captured = capsys.readouterr()
