@@ -17,10 +17,12 @@ writes under .perfbench_out/ for --pairs.
    BLAS thread, a filled bytecode cache).  Per operation the output holds
    each side's median and quartiles in ms, whether exit code and stdout were
    equal on both sides, and whether the process loaded numpy and inspect.
-2. Outputs.  Each operation of each --check-seeds seed runs once more on
-   each side through a probe that records exit code, stdout and the loaded
-   modules; the output counts the operations whose exit code or stdout
-   differ.
+2. Outputs.  Each cli_cold operation of each --check-seeds seed runs once
+   more on each side through a probe that records exit code, stdout and the
+   loaded modules.  The quad_solve and oracle_sweep operations of each of
+   those seeds run as one round of each side's `perfbench/worker.py PLAN
+   RESULT --seconds 0`.  The output counts the operations whose exit code
+   and stdout, or whose in-process output, differ.
 3. Pairs.  --pairs alternated pairs of `perfbench/run.py --workload W
    --seed S --seconds T --trace 0` per workload, seeds 400+, 300+ and 500+
    for cli_cold, quad_solve and oracle_sweep; each metric's median and
@@ -126,15 +128,40 @@ def time_ops(dirs: dict, envs: dict, seed: int, reps: int) -> list[dict]:
     return rows
 
 
+def worker_outputs(checkout: str, env: dict, plan: str, result: str) -> list:
+    """The outputs of one round of the plan's operations, run in-process by
+    the checkout's perfbench/worker.py."""
+    code, _, _, err = run([sys.executable, os.path.join("perfbench", "worker.py"), plan,
+                           result, "--seconds", "0"], checkout, env)
+    if code != 0:
+        raise SystemExit(f"{checkout}: worker failed: {err[-800:]}")
+    with open(result, encoding="utf-8") as fh:
+        return json.load(fh)["outputs"][0]
+
+
 def check_outputs(dirs: dict, envs: dict, seeds: list[int]) -> dict:
     differ = []
     n = 0
-    for seed in seeds:
-        for op in workloads.build("cli_cold", seed):
-            got = [probe(dirs[side], envs[side], op["argv"]) for side in SIDES]
-            n += 1
-            if (got[0]["exit"], got[0]["stdout"]) != (got[1]["exit"], got[1]["stdout"]):
-                differ.append(f"seed {seed} {op['id']}")
+    with tempfile.TemporaryDirectory() as tmp:
+        plan, result = os.path.join(tmp, "plan.json"), os.path.join(tmp, "result.json")
+        for seed in seeds:
+            for op in workloads.build("cli_cold", seed):
+                got = [probe(dirs[side], envs[side], op["argv"]) for side in SIDES]
+                n += 1
+                if (got[0]["exit"], got[0]["stdout"]) != (got[1]["exit"], got[1]["stdout"]):
+                    differ.append(f"seed {seed} {op['id']}")
+            for workload in ("quad_solve", "oracle_sweep"):
+                ops = workloads.build(workload, seed)
+                with open(plan, "w", encoding="utf-8") as fh:
+                    json.dump({"ops": ops}, fh)
+                # Compared as JSON text, so that NaN equals NaN and floats
+                # compare bit for bit.
+                got = [[json.dumps(out) for out in
+                        worker_outputs(dirs[side], envs[side], plan, result)]
+                       for side in SIDES]
+                n += len(ops)
+                differ += [f"seed {seed} {workload} {op['id']}"
+                           for op, a, b in zip(ops, *got) if a != b]
     return {"seeds": [seeds[0], seeds[-1]], "operations": n, "differ": differ}
 
 
@@ -176,7 +203,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=401, help="cli_cold seed timed")
     parser.add_argument("--reps", type=int, default=7, help="processes per operation and side")
     parser.add_argument("--check-seeds", default="400-409",
-                        help="first-last cli_cold seeds whose outputs are compared")
+                        help="first-last seeds whose outputs are compared")
     parser.add_argument("--pairs", type=int, default=10,
                         help="perfbench/run.py pairs per workload (0: none)")
     parser.add_argument("--seconds", type=float, default=30.0,

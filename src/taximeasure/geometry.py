@@ -52,7 +52,17 @@ def _require_finite(label: str, *values: float) -> None:
             raise DomainError(f"{label}: expected finite value, got {v!r}")
 
 
-class Point2(namedtuple("Point2", "x y")):
+class _Checked(tuple):
+    """First base of the validating records: _make and _replace run __new__."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Point2(_Checked, namedtuple("Point2", "x y")):
     __slots__ = ()
 
     def __new__(cls, x: float, y: float):
@@ -60,7 +70,7 @@ class Point2(namedtuple("Point2", "x y")):
         return super().__new__(cls, x, y)
 
 
-class Point3(namedtuple("Point3", "x y z")):
+class Point3(_Checked, namedtuple("Point3", "x y z")):
     __slots__ = ()
 
     def __new__(cls, x: float, y: float, z: float):
@@ -68,7 +78,7 @@ class Point3(namedtuple("Point3", "x y z")):
         return super().__new__(cls, x, y, z)
 
 
-class Interval(namedtuple("Interval", "lo hi")):
+class Interval(_Checked, namedtuple("Interval", "lo hi")):
     """Closed interval [lo, hi] with lo <= hi, both finite."""
 
     __slots__ = ()
@@ -90,7 +100,7 @@ class Interval(namedtuple("Interval", "lo hi")):
         return self.lo <= other.lo and other.hi <= self.hi
 
 
-class AngleRad(namedtuple("AngleRad", "value")):
+class AngleRad(_Checked, namedtuple("AngleRad", "value")):
     """An angle in radians, normalized into [0, 2*pi)."""
 
     __slots__ = ()
@@ -105,7 +115,7 @@ class AngleRad(namedtuple("AngleRad", "value")):
         return super().__new__(cls, v)
 
 
-class RotationAngles(namedtuple("RotationAngles", "alpha beta")):
+class RotationAngles(_Checked, namedtuple("RotationAngles", "alpha beta")):
     """Tilt angles of a rotated plane against two coordinate axes."""
 
     __slots__ = ()

@@ -30,9 +30,6 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import PI_T, Interval
-# The rotated-plane area is scalar and lives in geometry; measures still
-# offers its names.
-from .geometry import RotationAngles, area_scaling_factor, taxicab_area_rotated
 from .profiles import ParametricCurve, ProfileFunction, sorted_insert
 from .quadrature import detect_sign_changes, integrate
 

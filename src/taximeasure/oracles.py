@@ -12,16 +12,18 @@ Because the pieces telescope, the polyline sum is exact on monotone spans at
 any n, and the frustum sum is exact on linear spans; for smooth profiles both
 converge as the partition refines.  The oracle sums never call the
 quadrature engine, so they stay an independent check on it.  This module uses
-measures only for the shared domain and nonnegativity checks and for the
-table's reference values.
+measures only for the domain, breakpoint and nonnegativity checks it shares
+with the quadrature and for the table's reference values.
 
-The partition is walked in blocks of BLOCK cells.  Each block evaluates the
-profile on its own nodes (midpoints for the disk), records its lowest sample
-for the nonnegativity check and writes its summands into one buffer of all
-cells, so a call holds the partition, that buffer and one block's
-temporaries: about 3 floats per cell for the polyline, which keeps dx and
-|df| apart, and 2 for the others.  One numpy.sum over the buffer then adds
-the cells in the same pairwise order as a sum over full-length arrays.
+The three oracles share one loop over blocks of BLOCK cells.  Each block
+evaluates the profile on its own nodes (midpoints for the disk), records its
+lowest sample for the nonnegativity check of surface and volume, and has a
+kernel write its summands into one buffer of all cells, so a call holds the
+partition, that buffer and one block's temporaries: about 3 floats per cell
+for the polyline, which keeps dx and |df| apart, and 2 for the others.
+numpy.sum then adds each buffer row pairwise, as over full-length arrays:
+the telescoping sums stay exact on million-cell partitions, and the total
+does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import measures
-from ._kernels import disk_sum, frustum_sum, polyline_sum
 from .errors import DomainError
 from .geometry import MAX_CELLS, Interval, check_cells
 from .profiles import ProfileFunction, sorted_insert
@@ -60,63 +61,69 @@ def _partition(f: ProfileFunction, domain: Interval, n: int) -> np.ndarray:
     # every oracle sums to 0 there, as the quadrature does.
     if hi - lo < 8.0 * n * math.ulp(max(abs(lo), abs(hi))):
         xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
-    inner = [b for b in f.breakpoints if domain.lo < b < domain.hi]
+    inner = measures._interior_breakpoints(f, domain)
     if inner:
         xs = sorted_insert(xs, inner)
     return xs
 
 
-def _blocks(xs: np.ndarray):
-    """(first cell, nodes) of each block of at most BLOCK cells of the
-    partition xs; neighbouring blocks share their end node."""
+def polyline_sum(xs: np.ndarray, fx: np.ndarray, out: np.ndarray) -> None:
+    """out[0] = dx and out[1] = |df| per cell."""
+    np.subtract(xs[1:], xs[:-1], out=out[0])
+    np.subtract(fx[1:], fx[:-1], out=out[1])
+    np.abs(out[1], out=out[1])
+
+
+def frustum_sum(xs: np.ndarray, fx: np.ndarray, out: np.ndarray) -> None:
+    """out = 4 (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) / sqrt(dx^2 + df^2) per cell."""
+    dx = xs[1:] - xs[:-1]
+    df = fx[1:] - fx[:-1]
+    slant = np.sqrt(dx * dx + 0.5 * df * df)
+    chord = np.sqrt(dx * dx + df * df)
+    np.multiply(4.0 * (fx[:-1] + fx[1:]) * (dx + np.abs(df)), slant, out=out)
+    np.divide(out, chord, out=out)
+
+
+def disk_sum(xs: np.ndarray, fm: np.ndarray, out: np.ndarray) -> None:
+    """out = 2 f(mid)^2 dx per cell, from the midpoint values fm."""
+    np.multiply(2.0 * fm * fm, xs[1:] - xs[:-1], out=out)
+
+
+def _sum_cells(kernel, f: ProfileFunction, domain: Interval | None, n: int, *,
+               rows: int = 1, mids: bool = False, signed: bool = True) -> float:
+    """The oracles' block loop: kernel writes rows summands per cell from f
+    at the block's nodes, or its cell midpoints; signed checks f >= 0."""
+    dom = measures.resolve_domain(f, domain)
+    xs = _partition(f, dom, n)
+    terms = np.empty((rows, xs.size - 1))
+    lows = []
     for i in range(0, xs.size - 1, BLOCK):
-        yield i, xs[i:i + BLOCK + 1]
-
-
-def _values(f: ProfileFunction, xs: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(f.evaluate(xs), dtype=float)
+        x = xs[i:i + BLOCK + 1]  # neighbouring blocks share their end node
+        at = 0.5 * (x[:-1] + x[1:]) if mids else x
+        fx = np.ascontiguousarray(f.evaluate(at), dtype=float)
+        if signed:
+            lows.append(measures.lowest_sample(at, fx))
+        kernel(x, fx, terms[:, i:i + x.size - 1])
+    measures.check_nonnegative(lows)
+    return float(sum(map(np.sum, terms)))
 
 
 def polyline_arclength_oracle(f: ProfileFunction, domain: Interval | None = None,
                               n: int = 1000) -> float:
     """Sum of taxicab chord lengths over the breakpoint-augmented partition."""
-    dom = measures.resolve_domain(f, domain)
-    xs = _partition(f, dom, n)
-    terms = np.empty((2, xs.size - 1))
-    for i, x in _blocks(xs):
-        polyline_sum(x, _values(f, x), terms[:, i:i + x.size - 1])
-    return float(np.sum(terms[0]) + np.sum(terms[1]))
+    return _sum_cells(polyline_sum, f, domain, n, rows=2, signed=False)
 
 
 def frustum_surface_oracle(f: ProfileFunction, domain: Interval | None = None,
                            n: int = 1000) -> float:
     """Sum of taxicab frustum lateral surfaces over the augmented partition."""
-    dom = measures.resolve_domain(f, domain)
-    xs = _partition(f, dom, n)
-    terms = np.empty(xs.size - 1)
-    lows = []
-    for i, x in _blocks(xs):
-        fx = _values(f, x)
-        lows.append(measures.lowest_sample(x, fx))
-        frustum_sum(x, fx, terms[i:i + x.size - 1])
-    measures.check_nonnegative(lows)
-    return float(np.sum(terms))
+    return _sum_cells(frustum_sum, f, domain, n)
 
 
 def disk_volume_oracle(f: ProfileFunction, domain: Interval | None = None,
                        n: int = 1000) -> float:
     """Midpoint-rule sum of taxicab disk volumes over the augmented partition."""
-    dom = measures.resolve_domain(f, domain)
-    xs = _partition(f, dom, n)
-    terms = np.empty(xs.size - 1)
-    lows = []
-    for i, x in _blocks(xs):
-        mids = 0.5 * (x[:-1] + x[1:])
-        fm = _values(f, mids)
-        lows.append(measures.lowest_sample(mids, fm))
-        disk_sum(x, fm, terms[i:i + mids.size])
-    measures.check_nonnegative(lows)
-    return float(np.sum(terms))
+    return _sum_cells(disk_sum, f, domain, n, mids=True)
 
 
 _ORACLES = {

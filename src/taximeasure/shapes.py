@@ -25,7 +25,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import DomainError, SpecError
-from .geometry import PI_T, take_params
+from .geometry import PI_T, _Checked, take_params
 
 if TYPE_CHECKING:
     from .profiles import ProfileFunction
@@ -39,7 +39,7 @@ def _require_positive(label: str, **params: float) -> None:
             raise DomainError(f"{label} requires {name} > 0, got {name}={v!r}")
 
 
-class CircleSpec(namedtuple("CircleSpec", "r")):
+class CircleSpec(_Checked, namedtuple("CircleSpec", "r")):
     __slots__ = ()
 
     def __new__(cls, r: float):
@@ -47,7 +47,7 @@ class CircleSpec(namedtuple("CircleSpec", "r")):
         return super().__new__(cls, r)
 
 
-class SphereSpec(namedtuple("SphereSpec", "r")):
+class SphereSpec(_Checked, namedtuple("SphereSpec", "r")):
     __slots__ = ()
 
     def __new__(cls, r: float):
@@ -55,7 +55,7 @@ class SphereSpec(namedtuple("SphereSpec", "r")):
         return super().__new__(cls, r)
 
 
-class CylinderSpec(namedtuple("CylinderSpec", "r h")):
+class CylinderSpec(_Checked, namedtuple("CylinderSpec", "r h")):
     __slots__ = ()
 
     def __new__(cls, r: float, h: float):
@@ -63,7 +63,7 @@ class CylinderSpec(namedtuple("CylinderSpec", "r h")):
         return super().__new__(cls, r, h)
 
 
-class ParaboloidSpec(namedtuple("ParaboloidSpec", "a h")):
+class ParaboloidSpec(_Checked, namedtuple("ParaboloidSpec", "a h")):
     """Taxicab paraboloid of apex half-width a and height h >= a."""
 
     __slots__ = ()
@@ -75,7 +75,7 @@ class ParaboloidSpec(namedtuple("ParaboloidSpec", "a h")):
         return super().__new__(cls, a, h)
 
 
-class EllipsoidSpec(namedtuple("EllipsoidSpec", "a b s")):
+class EllipsoidSpec(_Checked, namedtuple("EllipsoidSpec", "a b s")):
     """Taxicab ellipsoid of revolution: semi-axes a >= b > 0 and focal-sum
     parameter s with 2a <= s <= 2(a + b)."""
 

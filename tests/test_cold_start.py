@@ -19,8 +19,7 @@ import taximeasure
 
 SRC = pathlib.Path(taximeasure.__file__).resolve().parent
 SCALAR_MODULES = ("errors.py", "geometry.py", "shapes.py", "cli.py", "__init__.py")
-ARRAY_MODULES = {"numpy", "profiles", "quadrature", "measures", "oracles", "_kernels",
-                 "svgplot"}
+ARRAY_MODULES = {"numpy", "profiles", "quadrature", "measures", "oracles", "svgplot"}
 
 # Runs the CLI in a fresh interpreter and reports on its last stderr line
 # whether NumPy or inspect was loaded.
@@ -121,4 +120,4 @@ def test_scalar_modules_import_no_array_module(name):
 
 def test_the_import_scan_sees_an_array_module():
     found = set(_module_level_imports(ast.parse((SRC / "oracles.py").read_text()).body))
-    assert {"numpy", "measures", "profiles", "_kernels"} <= found
+    assert {"numpy", "measures", "profiles"} <= found

@@ -7,10 +7,16 @@ from hypothesis import given, strategies as st
 from taximeasure import (
     PI_T,
     AngleRad,
+    CircleSpec,
+    CylinderSpec,
     DomainError,
+    EllipsoidSpec,
     Interval,
+    ParaboloidSpec,
     Point2,
     Point3,
+    RotationAngles,
+    SphereSpec,
     euclidean_dist_2d,
     euclidean_dist_3d,
     segment_angle,
@@ -109,6 +115,35 @@ def test_interval_validation():
         Interval(1.0, 0.0)
     with pytest.raises(DomainError):
         Interval(0.0, float("nan"))
+
+
+@pytest.mark.parametrize("record, field, bad", [
+    (Point2(0.0, 1.0), "x", math.inf),
+    (Point3(0.0, 1.0, 2.0), "z", math.nan),
+    (Interval(0.0, 1.0), "lo", 5.0),
+    (AngleRad(1.0), "value", math.inf),
+    (RotationAngles(0.1, 0.2), "alpha", math.nan),
+    (CircleSpec(1.0), "r", 0.0),
+    (SphereSpec(1.0), "r", -1.0),
+    (CylinderSpec(1.0, 2.0), "h", 0.0),
+    (ParaboloidSpec(1.0, 2.0), "h", 0.5),
+    (EllipsoidSpec(2.0, 1.0, 5.0), "s", 7.0),
+], ids=lambda v: type(v).__name__ if isinstance(v, tuple) else None)
+def test_make_and_replace_check_like_the_constructor(record, field, bad):
+    cls = type(record)
+    assert cls._make(record) == record
+    values = record._asdict()
+    values[field] = bad
+    with pytest.raises(DomainError):
+        cls._make(values.values())
+    with pytest.raises(DomainError):
+        record._replace(**{field: bad})
+
+
+def test_make_and_replace_normalise_an_angle():
+    assert AngleRad._make([-math.pi / 2]) == AngleRad(-math.pi / 2)
+    assert AngleRad(0.0)._replace(value=5.0 * math.pi) == AngleRad(5.0 * math.pi)
+    assert 0.0 <= AngleRad(0.0)._replace(value=-1e-18).value < 2.0 * math.pi
 
 
 def test_an_integer_too_large_for_a_float_is_a_domain_error_naming_it():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import taximeasure._kernels as kernels
+import taximeasure.oracles as kernels
 from taximeasure import RotationAngles, area_scaling_factor
 
 

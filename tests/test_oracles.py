@@ -103,6 +103,14 @@ def test_revolution_oracles_reject_negative_profiles(oracle):
         oracle(f, n=10)
 
 
+def test_polyline_oracle_has_no_sign_condition():
+    # Arc length is defined for any graph: a profile from -1 to 1 over
+    # several blocks still telescopes to (b - a) + |f(b) - f(a)|.
+    f = profile_linear(2.0, -1.0, Interval(0.0, 1.0))
+    assert polyline_arclength_oracle(f, n=3 * oracles.BLOCK + 7) == pytest.approx(
+        3.0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # convergence tables
 # ---------------------------------------------------------------------------
