@@ -28,12 +28,17 @@ writes under .perfbench_out/ for --pairs.
    for cli_cold, quad_solve and oracle_sweep; each metric's median and
    quartiles per side and the pairs the change won.
 
+The result also gives each checkout's lines of src/taximeasure/*.py and the
+net change, so a change that only simplifies can report its net source lines
+from the same run that shows its outputs are unchanged.
+
 The last line of standard output is the JSON result, also written to --out.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -74,6 +79,15 @@ def child_env(checkout: str, cache: str) -> dict:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     return env
+
+
+def source_lines(checkout: str) -> int:
+    """Lines of the checkout's src/taximeasure/*.py."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "taximeasure", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
 
 
 def run(cmd: list[str], checkout: str, env: dict) -> tuple[int, float, str, str]:
@@ -221,6 +235,7 @@ def main(argv=None) -> int:
         outputs = check_outputs(dirs, envs, list(range(first, last + 1)))
 
     medians = {side: [row[side]["median_ms"] for row in ops] for side in SIDES}
+    lines = {side: source_lines(dirs[side]) for side in SIDES}
     result = {
         "seed": args.seed, "reps": args.reps,
         "op_p50_ms": {side: statistics.median(medians[side]) for side in SIDES},
@@ -232,6 +247,7 @@ def main(argv=None) -> int:
         "all_same_exit_and_stdout": all(row["same_exit_and_stdout"] for row in ops),
         "ops": ops,
         "outputs": outputs,
+        "source_lines": {**lines, "net": lines["change"] - lines["parent"]},
     }
     if args.pairs:
         result["workloads"] = run_pairs(dirs, args.pairs, args.seconds)

@@ -23,7 +23,7 @@ _HOMES = {
         "taxicab_length_from_angle",
         "RotationAngles", "area_scaling_factor", "taxicab_area_rotated"),
     "profiles": (
-        "ProfileFunction", "ParametricCurve", "graph",
+        "ProfileFunction", "ParametricCurve", "graph", "restrict",
         "PiecewiseLinearProfile", "parse_profile_spec", "derivative_is_consistent",
         "profile_linear", "profile_euclidean_circle_quadrant",
         "profile_euclidean_parabola_quadrant", "profile_taxicab_circle_upper",

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .geometry import PI_T, Interval
+from .geometry import PI_T
 from .profiles import ParametricCurve, ProfileFunction, sorted_insert
 from .quadrature import detect_sign_changes, integrate
 
@@ -40,27 +40,12 @@ from .quadrature import detect_sign_changes, integrate
 _CHECK_GRID = 1024
 
 
-def resolve_domain(curve, domain: Interval | None) -> Interval:
-    """The requested domain, or the curve's own when none is given."""
-    if domain is None:
-        return curve.domain
-    if not curve.domain.covers(domain):
-        raise DomainError(
-            f"requested domain [{domain.lo}, {domain.hi}] is not contained in "
-            f"the curve domain [{curve.domain.lo}, {curve.domain.hi}]")
-    return domain
-
-
-def _interior_breakpoints(curve, domain: Interval) -> list[float]:
-    return [b for b in curve.breakpoints if domain.lo < b < domain.hi]
-
-
-def _check_sample_grid(domain: Interval, breakpoints: list[float]) -> np.ndarray:
-    lo, hi = domain.lo, domain.hi
+def _check_sample_grid(f: ProfileFunction) -> np.ndarray:
+    lo, hi = f.domain.lo, f.domain.hi
     xs = np.linspace(lo, hi, _CHECK_GRID)
-    if breakpoints:
+    if f.breakpoints:
         h = 1e-9 * (hi - lo)
-        near = np.array([v for b in breakpoints for v in (b - h, b, b + h)])
+        near = np.array([v for b in f.breakpoints for v in (b - h, b, b + h)])
         xs = sorted_insert(xs, np.clip(near, lo, hi))
     return xs
 
@@ -88,48 +73,45 @@ def check_nonnegative(lows: list[tuple]) -> None:
             f"f({float(xs[worst])!r}) = {float(vals[worst])!r}")
 
 
-def _check_nonnegative(f: ProfileFunction, domain: Interval) -> None:
-    breakpoints = _interior_breakpoints(f, domain)
+def _check_nonnegative(f: ProfileFunction) -> None:
     if f.monotone_pieces:
         # A monotone piece has its minimum at one of its ends.
-        xs = np.array([domain.lo, *breakpoints, domain.hi])
+        xs = np.array([f.domain.lo, *f.breakpoints, f.domain.hi])
     else:
-        xs = _check_sample_grid(domain, breakpoints)
+        xs = _check_sample_grid(f)
     check_nonnegative([lowest_sample(xs, np.asarray(f.evaluate(xs), dtype=float))])
 
 
-def _splits(curve, domain: Interval, *derivatives) -> list[float]:
-    """Declared interior breakpoints plus, unless the curve declares monotone
-    pieces, the detected sign changes of each derivative.  The scan is told
-    the declared points, so it neither refines towards them nor returns them
-    a second time: each piece ends exactly at a declared point."""
-    declared = _interior_breakpoints(curve, domain)
+def _splits(curve, *derivatives) -> list[float]:
+    """Declared breakpoints plus, unless the curve declares monotone pieces,
+    the detected sign changes of each derivative.  The scan is told the
+    declared points, so it neither refines towards them nor returns them a
+    second time: each piece ends exactly at a declared point."""
+    declared = list(curve.breakpoints)
     if curve.monotone_pieces:
         return declared
     return declared + [s for d in derivatives
-                       for s in detect_sign_changes(d, domain, declared)]
+                       for s in detect_sign_changes(d, curve.domain, declared)]
 
 
-def arclength_functional(f: ProfileFunction, domain: Interval | None = None) -> float:
+def arclength_functional(f: ProfileFunction) -> float:
     """Taxicab arc length of the graph of f: integral of 1 + |f'|."""
-    dom = resolve_domain(f, domain)
-    splits = _splits(f, dom, f.derivative)
+    splits = _splits(f, f.derivative)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         return 1.0 + np.abs(f.derivative(x))
 
-    return integrate(integrand, dom, splits).value
+    return integrate(integrand, f.domain, splits).value
 
 
-def arclength_variation(c: ParametricCurve, domain: Interval | None = None) -> float:
+def arclength_variation(c: ParametricCurve) -> float:
     """Taxicab arc length of c as the total variation of its coordinates:
     sum over k and i of |x_k(t_{i+1}) - x_k(t_i)|, where the t_i are the
     domain ends, the declared breakpoints and, without monotone_pieces, the
     detected sign changes of every x_k'.  Exact when those include every
     turning point; a turning point the kink scan misses makes it too small,
     and arclength_parametric then disagrees with it."""
-    dom = resolve_domain(c, domain)
-    ts = np.array([dom.lo, *sorted(_splits(c, dom, *c.derivatives)), dom.hi])
+    ts = np.array([c.domain.lo, *sorted(_splits(c, *c.derivatives)), c.domain.hi])
     total = 0.0
     for x in c.coords:
         v = np.broadcast_to(np.asarray(x(ts), dtype=float), ts.shape)
@@ -140,23 +122,21 @@ def arclength_variation(c: ParametricCurve, domain: Interval | None = None) -> f
     return total
 
 
-def arclength_parametric(c: ParametricCurve, domain: Interval | None = None) -> float:
+def arclength_parametric(c: ParametricCurve) -> float:
     """Taxicab arc length of c by quadrature: integral of sum |x_k'|."""
-    dom = resolve_domain(c, domain)
-    splits = _splits(c, dom, *c.derivatives)
+    splits = _splits(c, *c.derivatives)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return sum(np.abs(d(t)) for d in c.derivatives)
 
-    return integrate(integrand, dom, splits).value
+    return integrate(integrand, c.domain, splits).value
 
 
-def surface_of_revolution(f: ProfileFunction, domain: Interval | None = None) -> float:
+def surface_of_revolution(f: ProfileFunction) -> float:
     """Lateral taxicab surface area of the solid obtained by revolving f >= 0
     around the x axis."""
-    dom = resolve_domain(f, domain)
-    _check_nonnegative(f, dom)
-    splits = _splits(f, dom, f.derivative)
+    _check_nonnegative(f)
+    splits = _splits(f, f.derivative)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         d = f.derivative(x)
@@ -165,21 +145,20 @@ def surface_of_revolution(f: ProfileFunction, domain: Interval | None = None) ->
         radical = np.sqrt(0.5 + 0.5 / (1.0 + d * d))
         return 2.0 * PI_T * f.evaluate(x) * (1.0 + np.abs(d)) * radical
 
-    return integrate(integrand, dom, splits).value
+    return integrate(integrand, f.domain, splits).value
 
 
-def volume_of_revolution(f: ProfileFunction, domain: Interval | None = None) -> float:
+def volume_of_revolution(f: ProfileFunction) -> float:
     """Taxicab volume of the solid obtained by revolving f >= 0 around the
     x axis: integral of (pi_t / 2) * f^2."""
-    dom = resolve_domain(f, domain)
-    _check_nonnegative(f, dom)
-    splits = _splits(f, dom)
+    _check_nonnegative(f)
+    splits = _splits(f)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         fx = f.evaluate(x)
         return 0.5 * PI_T * fx * fx
 
-    return integrate(integrand, dom, splits).value
+    return integrate(integrand, f.domain, splits).value
 
 
 def quadrature_measure(quantity: str) -> Callable:

@@ -12,8 +12,8 @@ Because the pieces telescope, the polyline sum is exact on monotone spans at
 any n, and the frustum sum is exact on linear spans; for smooth profiles both
 converge as the partition refines.  The oracle sums never call the
 quadrature engine, so they stay an independent check on it.  This module uses
-measures only for the domain, breakpoint and nonnegativity checks it shares
-with the quadrature and for the table's reference values.
+measures only for the nonnegativity check it shares with the quadrature and
+for the table's reference values.
 
 The three oracles share one loop over blocks of BLOCK cells.  Each block
 evaluates the profile on its own nodes (midpoints for the disk), records its
@@ -36,7 +36,7 @@ import numpy as np
 from . import measures
 from .errors import DomainError
 from .geometry import MAX_CELLS, Interval, check_cells
-from .profiles import ProfileFunction, sorted_insert
+from .profiles import ProfileFunction, restrict, sorted_insert
 
 # Cells per block: the nodes, values and kernel temporaries of one block,
 # 128 KiB each, stay in L2.
@@ -51,6 +51,7 @@ class ConvergenceRow(NamedTuple):
 
 
 def _partition(f: ProfileFunction, domain: Interval, n: int) -> np.ndarray:
+    """n uniform cells over domain, f's own, cut at f's breakpoints."""
     check_cells((n,))
     lo, hi = domain.lo, domain.hi
     xs = np.linspace(lo, hi, n + 1)
@@ -61,9 +62,8 @@ def _partition(f: ProfileFunction, domain: Interval, n: int) -> np.ndarray:
     # every oracle sums to 0 there, as the quadrature does.
     if hi - lo < 8.0 * n * math.ulp(max(abs(lo), abs(hi))):
         xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
-    inner = measures._interior_breakpoints(f, domain)
-    if inner:
-        xs = sorted_insert(xs, inner)
+    if f.breakpoints:
+        xs = sorted_insert(xs, f.breakpoints)
     return xs
 
 
@@ -89,12 +89,11 @@ def disk_sum(xs: np.ndarray, fm: np.ndarray, out: np.ndarray) -> None:
     np.multiply(2.0 * fm * fm, xs[1:] - xs[:-1], out=out)
 
 
-def _sum_cells(kernel, f: ProfileFunction, domain: Interval | None, n: int, *,
+def _sum_cells(kernel, f: ProfileFunction, n: int, *,
                rows: int = 1, mids: bool = False, signed: bool = True) -> float:
     """The oracles' block loop: kernel writes rows summands per cell from f
     at the block's nodes, or its cell midpoints; signed checks f >= 0."""
-    dom = measures.resolve_domain(f, domain)
-    xs = _partition(f, dom, n)
+    xs = _partition(f, f.domain, n)
     terms = np.empty((rows, xs.size - 1))
     lows = []
     for i in range(0, xs.size - 1, BLOCK):
@@ -108,22 +107,19 @@ def _sum_cells(kernel, f: ProfileFunction, domain: Interval | None, n: int, *,
     return float(sum(map(np.sum, terms)))
 
 
-def polyline_arclength_oracle(f: ProfileFunction, domain: Interval | None = None,
-                              n: int = 1000) -> float:
+def polyline_arclength_oracle(f: ProfileFunction, n: int) -> float:
     """Sum of taxicab chord lengths over the breakpoint-augmented partition."""
-    return _sum_cells(polyline_sum, f, domain, n, rows=2, signed=False)
+    return _sum_cells(polyline_sum, f, n, rows=2, signed=False)
 
 
-def frustum_surface_oracle(f: ProfileFunction, domain: Interval | None = None,
-                           n: int = 1000) -> float:
+def frustum_surface_oracle(f: ProfileFunction, n: int) -> float:
     """Sum of taxicab frustum lateral surfaces over the augmented partition."""
-    return _sum_cells(frustum_sum, f, domain, n)
+    return _sum_cells(frustum_sum, f, n)
 
 
-def disk_volume_oracle(f: ProfileFunction, domain: Interval | None = None,
-                       n: int = 1000) -> float:
+def disk_volume_oracle(f: ProfileFunction, n: int) -> float:
     """Midpoint-rule sum of taxicab disk volumes over the augmented partition."""
-    return _sum_cells(disk_sum, f, domain, n, mids=True)
+    return _sum_cells(disk_sum, f, n, mids=True)
 
 
 _ORACLES = {
@@ -138,17 +134,19 @@ def convergence_table(kind: str, f: ProfileFunction, domain: Interval | None = N
     """Oracle values against the quadrature reference for each n in ns.
 
     The reference is computed once; ns must be non-empty, strictly
-    increasing and within 1..MAX_CELLS.
+    increasing and within 1..MAX_CELLS.  A domain restricts f to it.
     """
     if kind not in _ORACLES:
         raise DomainError(f"kind must be one of {sorted(_ORACLES)}, got {kind!r}")
     ns = [int(n) for n in ns]
     check_cells(ns)
+    if domain is not None:
+        f = restrict(f, domain)
 
-    reference = measures.quadrature_measure(kind)(f, domain)
+    reference = measures.quadrature_measure(kind)(f)
     oracle_fn = _ORACLES[kind]
     rows = []
     for n in ns:
-        val = oracle_fn(f, domain, n)
+        val = oracle_fn(f, n)
         rows.append(ConvergenceRow(n, val, reference, abs(val - reference)))
     return rows

@@ -20,7 +20,7 @@ only; a float still works and gives a NumPy scalar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -116,6 +116,18 @@ class ParametricCurve:
                               f"{n} coordinates and {m} derivatives")
         object.__setattr__(self, "breakpoints",
                            _checked_breakpoints(self.breakpoints, self.domain))
+
+
+def restrict(curve, domain: Interval):
+    """A ProfileFunction or ParametricCurve on a sub-interval of its domain,
+    with the breakpoints strictly inside it; label and monotone_pieces are
+    kept.  Every measure and oracle takes a sub-domain this way."""
+    if not curve.domain.covers(domain):
+        raise DomainError(
+            f"requested domain [{domain.lo}, {domain.hi}] is not contained in "
+            f"the curve domain [{curve.domain.lo}, {curve.domain.hi}]")
+    inner = tuple(b for b in curve.breakpoints if domain.lo < b < domain.hi)
+    return replace(curve, domain=domain, breakpoints=inner)
 
 
 def graph(f: ProfileFunction) -> ParametricCurve:

@@ -20,6 +20,7 @@ from taximeasure import (
     profile_euclidean_circle_quadrant,
     profile_linear,
     profile_taxicab_circle_upper,
+    restrict,
     revolution_profile,
     sphere_surface,
 )
@@ -77,9 +78,9 @@ def test_disk_zero_profile():
 
 def test_oracles_accept_subdomains():
     f = profile_linear(1.0, 0.0, Interval(0.0, 4.0))
-    assert polyline_arclength_oracle(f, domain=Interval(1.0, 2.0), n=3) == 2.0
+    assert polyline_arclength_oracle(restrict(f, Interval(1.0, 2.0)), n=3) == 2.0
     with pytest.raises(DomainError):
-        polyline_arclength_oracle(f, domain=Interval(3.0, 5.0), n=3)
+        polyline_arclength_oracle(restrict(f, Interval(3.0, 5.0)), n=3)
 
 
 @pytest.mark.parametrize("oracle", [polyline_arclength_oracle, frustum_surface_oracle, disk_volume_oracle])
@@ -152,6 +153,19 @@ def test_convergence_table_validates_inputs():
         convergence_table("arclength", f, ns=(4, 0))
     with pytest.raises(DomainError):
         convergence_table("arclength", f, ns=(1, oracles.MAX_CELLS + 1))
+
+
+@pytest.mark.parametrize("kind", ["arclength", "surface", "volume"])
+@pytest.mark.parametrize("lo,hi", [(-0.5, 0.75), (0.25, 1.0)])
+def test_convergence_table_on_a_domain_is_the_table_of_the_restricted_profile(kind, lo, hi):
+    f = profile_taxicab_circle_upper(1.0)
+    dom = Interval(lo, hi)
+
+    def bits(rows):
+        return [(row.n, *map(float.hex, row[1:])) for row in rows]
+
+    assert bits(convergence_table(kind, f, dom, (3, 64))) == bits(
+        convergence_table(kind, restrict(f, dom), None, (3, 64)))
 
 
 # ---------------------------------------------------------------------------

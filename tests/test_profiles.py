@@ -22,6 +22,7 @@ from taximeasure.profiles import (
     profile_taxicab_circle_upper,
     profile_taxicab_ellipse_upper,
     profile_taxicab_parabola,
+    restrict,
     sorted_insert,
 )
 
@@ -235,6 +236,39 @@ def test_parametric_curve_breakpoint_validation():
                                      (speeds[:1], ())):       # one derivative short
         with pytest.raises(DomainError):
             ParametricCurve(circle, derivatives, Interval(0.0, 1.0), breakpoints=breakpoints)
+
+
+def test_restrict_keeps_the_breakpoints_inside_and_the_declarations():
+    f = profile_taxicab_ellipse_upper(2.0, 1.0, 4.0)
+    assert f.breakpoints == (-1.0, 1.0)
+    part = restrict(f, Interval(-1.0, 2.0))
+    assert part.domain == Interval(-1.0, 2.0)
+    assert part.breakpoints == (1.0,)  # -1 is an end of the part, not inside it
+    assert part.label == f.label and part.monotone_pieces
+    assert part.evaluate is f.evaluate and part.derivative is f.derivative
+    assert restrict(f, Interval(0.0, 0.0)).breakpoints == ()
+    library = ProfileFunction(np.sin, np.cos, Interval(0.0, 10.0), breakpoints=(5.0,))
+    assert not restrict(library, Interval(4.0, 6.0)).monotone_pieces
+
+
+def test_restrict_takes_a_parametric_curve():
+    c = ParametricCurve((np.cos, np.sin), (lambda t: -np.sin(t), np.cos), Interval(0.0, 2.0),
+                        breakpoints=(0.5, 1.0, math.pi / 2), label="arc",
+                        monotone_pieces=True)
+    part = restrict(c, Interval(0.5, 1.25))
+    assert isinstance(part, ParametricCurve)
+    assert part.domain == Interval(0.5, 1.25) and part.breakpoints == (1.0,)
+    assert part.coords == c.coords and part.derivatives == c.derivatives
+    assert part.label == "arc" and part.monotone_pieces
+
+
+@pytest.mark.parametrize("lo,hi", [(-3.0, 0.0), (0.0, 2.5), (-2.5, 2.5), (3.0, 4.0)])
+def test_restrict_rejects_a_domain_the_curve_does_not_cover(lo, hi):
+    f = profile_taxicab_circle_upper(2.0)
+    with pytest.raises(DomainError, match="not contained"):
+        restrict(f, Interval(lo, hi))
+    with pytest.raises(DomainError, match="not contained"):
+        restrict(graph(f), Interval(lo, hi))
 
 
 def test_piecewise_linear_profile():
