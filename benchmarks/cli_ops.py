@@ -22,7 +22,9 @@ writes under .perfbench_out/ for --pairs.
    loaded modules.  The quad_solve and oracle_sweep operations of each of
    those seeds run as one round of each side's `perfbench/worker.py PLAN
    RESULT --seconds 0`.  The output counts the operations whose exit code
-   and stdout, or whose in-process output, differ.
+   and stdout, or whose in-process output, differ, and gives for each
+   differing in-process output the largest difference of its floats from
+   the parent's, relative to the parent's largest |float|.
 3. Pairs.  --pairs alternated pairs of `perfbench/run.py --workload W
    --seed S --seconds T --trace 0` per workload, seeds 400+, 300+ and 500+
    for cli_cold, quad_solve and oracle_sweep; each metric's median and
@@ -40,6 +42,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -153,8 +156,35 @@ def worker_outputs(checkout: str, env: dict, plan: str, result: str) -> list:
         return json.load(fh)["outputs"][0]
 
 
+def _leaves(out) -> list:
+    return [x for item in out for x in _leaves(item)] if isinstance(out, list) else [out]
+
+
+def rel_diff(parent, change) -> float | None:
+    """The largest difference between the floats at the same place in two
+    outputs, relative to the largest |float| of parent's, so that an error
+    column is scaled by the values it is the error of; None where the
+    outputs differ in more than finite float values."""
+    a, b = _leaves(parent), _leaves(change)
+    if len(a) != len(b):
+        return None
+    diff = scale = 0.0
+    for x, y in zip(a, b):
+        if not (isinstance(x, float) and isinstance(y, float)):
+            if x != y:
+                return None
+            continue
+        scale = max(scale, abs(x))
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            if not math.isfinite(y - x):
+                return None
+            diff = max(diff, abs(y - x))
+    return diff / scale if scale else None
+
+
 def check_outputs(dirs: dict, envs: dict, seeds: list[int]) -> dict:
     differ = []
+    rel = {}
     n = 0
     with tempfile.TemporaryDirectory() as tmp:
         plan, result = os.path.join(tmp, "plan.json"), os.path.join(tmp, "result.json")
@@ -168,15 +198,17 @@ def check_outputs(dirs: dict, envs: dict, seeds: list[int]) -> dict:
                 ops = workloads.build(workload, seed)
                 with open(plan, "w", encoding="utf-8") as fh:
                     json.dump({"ops": ops}, fh)
-                # Compared as JSON text, so that NaN equals NaN and floats
-                # compare bit for bit.
-                got = [[json.dumps(out) for out in
-                        worker_outputs(dirs[side], envs[side], plan, result)]
-                       for side in SIDES]
+                got = [worker_outputs(dirs[side], envs[side], plan, result) for side in SIDES]
                 n += len(ops)
-                differ += [f"seed {seed} {workload} {op['id']}"
-                           for op, a, b in zip(ops, *got) if a != b]
-    return {"seeds": [seeds[0], seeds[-1]], "operations": n, "differ": differ}
+                for op, a, b in zip(ops, *got):
+                    # Compared as JSON text, so that NaN equals NaN and
+                    # floats compare bit for bit.
+                    if json.dumps(a) != json.dumps(b):
+                        key = f"seed {seed} {workload} {op['id']}"
+                        differ.append(key)
+                        rel[key] = rel_diff(a, b)
+    return {"seeds": [seeds[0], seeds[-1]], "operations": n, "differ": differ,
+            "max_rel_diff": rel}
 
 
 def run_pairs(dirs: dict, pairs: int, seconds: float) -> dict:

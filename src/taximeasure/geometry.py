@@ -29,8 +29,8 @@ PI_T: float = 4.0
 _TWO_PI = 2.0 * math.pi
 
 # Largest partition an oracle builds.  It bounds the memory one call can ask
-# for (three arrays of MAX_CELLS floats) against a cell count from the CLI,
-# whose help text reads it here without loading NumPy.
+# for (the partition, copied once while breakpoints are inserted) against a
+# cell count from the CLI, whose help text reads it here without loading NumPy.
 MAX_CELLS = 10**7
 
 

@@ -18,12 +18,11 @@ for the table's reference values.
 The three oracles share one loop over blocks of BLOCK cells.  Each block
 evaluates the profile on its own nodes (midpoints for the disk), records its
 lowest sample for the nonnegativity check of surface and volume, and has a
-kernel write its summands into one buffer of all cells, so a call holds the
-partition, that buffer and one block's temporaries: about 3 floats per cell
-for the polyline, which keeps dx and |df| apart, and 2 for the others.
-numpy.sum then adds each buffer row pairwise, as over full-length arrays:
-the telescoping sums stay exact on million-cell partitions, and the total
-does not depend on the block size.
+kernel add up its cell terms pairwise with numpy.sum.  math.fsum joins the
+blocks' sums, so a partition of at most BLOCK cells gives one pairwise sum,
+and a larger one is as accurate: the telescoping sums stay exact to rounding
+on million-cell partitions.  A call holds the partition and one block's
+temporaries.
 """
 
 from __future__ import annotations
@@ -67,49 +66,45 @@ def _partition(f: ProfileFunction, domain: Interval, n: int) -> np.ndarray:
     return xs
 
 
-def polyline_sum(xs: np.ndarray, fx: np.ndarray, out: np.ndarray) -> None:
-    """out[0] = dx and out[1] = |df| per cell."""
-    np.subtract(xs[1:], xs[:-1], out=out[0])
-    np.subtract(fx[1:], fx[:-1], out=out[1])
-    np.abs(out[1], out=out[1])
+def polyline_sum(xs: np.ndarray, fx: np.ndarray) -> float:
+    """Sum of dx + |df| over the cells, dx and |df| summed apart."""
+    return np.sum(xs[1:] - xs[:-1]) + np.sum(np.abs(fx[1:] - fx[:-1]))
 
 
-def frustum_sum(xs: np.ndarray, fx: np.ndarray, out: np.ndarray) -> None:
-    """out = 4 (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) / sqrt(dx^2 + df^2) per cell."""
+def frustum_sum(xs: np.ndarray, fx: np.ndarray) -> float:
+    """Sum of 4 (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) / sqrt(dx^2 + df^2) over the cells."""
     dx = xs[1:] - xs[:-1]
     df = fx[1:] - fx[:-1]
     slant = np.sqrt(dx * dx + 0.5 * df * df)
     chord = np.sqrt(dx * dx + df * df)
-    np.multiply(4.0 * (fx[:-1] + fx[1:]) * (dx + np.abs(df)), slant, out=out)
-    np.divide(out, chord, out=out)
+    return np.sum(4.0 * (fx[:-1] + fx[1:]) * (dx + np.abs(df)) * slant / chord)
 
 
-def disk_sum(xs: np.ndarray, fm: np.ndarray, out: np.ndarray) -> None:
-    """out = 2 f(mid)^2 dx per cell, from the midpoint values fm."""
-    np.multiply(2.0 * fm * fm, xs[1:] - xs[:-1], out=out)
+def disk_sum(xs: np.ndarray, fm: np.ndarray) -> float:
+    """Sum of 2 f(mid)^2 dx over the cells, from the midpoint values fm."""
+    return np.sum(2.0 * fm * fm * (xs[1:] - xs[:-1]))
 
 
 def _sum_cells(kernel, f: ProfileFunction, n: int, *,
-               rows: int = 1, mids: bool = False, signed: bool = True) -> float:
-    """The oracles' block loop: kernel writes rows summands per cell from f
-    at the block's nodes, or its cell midpoints; signed checks f >= 0."""
+               mids: bool = False, signed: bool = True) -> float:
+    """The oracles' block loop: kernel sums the block's cells from f at its
+    nodes, or its cell midpoints; signed checks f >= 0."""
     xs = _partition(f, f.domain, n)
-    terms = np.empty((rows, xs.size - 1))
-    lows = []
+    sums, lows = [], []
     for i in range(0, xs.size - 1, BLOCK):
         x = xs[i:i + BLOCK + 1]  # neighbouring blocks share their end node
         at = 0.5 * (x[:-1] + x[1:]) if mids else x
         fx = np.ascontiguousarray(f.evaluate(at), dtype=float)
         if signed:
             lows.append(measures.lowest_sample(at, fx))
-        kernel(x, fx, terms[:, i:i + x.size - 1])
+        sums.append(kernel(x, fx))
     measures.check_nonnegative(lows)
-    return float(sum(map(np.sum, terms)))
+    return math.fsum(sums)
 
 
 def polyline_arclength_oracle(f: ProfileFunction, n: int) -> float:
     """Sum of taxicab chord lengths over the breakpoint-augmented partition."""
-    return _sum_cells(polyline_sum, f, n, rows=2, signed=False)
+    return _sum_cells(polyline_sum, f, n, signed=False)
 
 
 def frustum_surface_oracle(f: ProfileFunction, n: int) -> float:

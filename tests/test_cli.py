@@ -260,6 +260,21 @@ def test_measure_with_an_oracle_on_a_zero_width_domain_is_zero(capsys, quantity)
     assert report["quadrature"] == 0.0 and report["oracle"] == 0.0
 
 
+def test_measure_angles_for_another_quantity_exit_2(capsys):
+    code, out, err = run(capsys, ["measure", "--quantity", "volume", "--alpha", "1"])
+    assert code == 2 and out == ""
+    assert err == "error: --alpha/--beta apply only to area_scale, not 'volume'\n"
+
+
+@pytest.mark.parametrize("slope, shown", [("NaN", "nan"), ("Infinity", "inf")])
+def test_measure_profile_with_a_nonfinite_slope_exits_3(capsys, slope, shown):
+    spec = ('{"catalog": "linear", "params": {"slope": %s, "intercept": 1, "lo": 0, "hi": 1}}'
+            % slope)
+    code, out, err = run(capsys, ["measure", "--quantity", "arclength", "--profile", spec])
+    assert code == 3 and out == ""
+    assert err == f"error: profile_linear: slope must be finite, got {shown}\n"
+
+
 def test_measure_domain_error_exits_3(capsys):
     code, _, err = run(capsys, ["measure", "--quantity", "volume", "--shape",
                                 '{"shape": "sphere", "params": {"r": -1}}'])

@@ -13,25 +13,19 @@ def test_polyline_sum_telescopes_on_monotone_data():
     xs[0], xs[-1] = 0.0, 5.0
     fx = np.sort(rng.uniform(-1.0, 4.0, 100_001))
     expected = (xs[-1] - xs[0]) + (fx[-1] - fx[0])
-    out = np.empty((2, 100_000))
-    kernels.polyline_sum(xs, fx, out)
-    assert np.sum(out[0]) + np.sum(out[1]) == pytest.approx(expected, abs=1e-12)
+    assert kernels.polyline_sum(xs, fx) == pytest.approx(expected, abs=1e-12)
 
 
 def test_frustum_sum_constant_profile():
     xs = np.linspace(0.0, 2.0, 6)
     fx = np.full(6, 1.0)
-    out = np.empty(5)
-    kernels.frustum_sum(xs, fx, out)
-    assert np.sum(out) == pytest.approx(16.0, abs=1e-13)
+    assert kernels.frustum_sum(xs, fx) == pytest.approx(16.0, abs=1e-13)
 
 
 def test_disk_sum_constant_profile():
     xs = np.linspace(0.0, 2.0, 6)
     fm = np.full(5, 1.0)
-    out = np.empty(5)
-    kernels.disk_sum(xs, fm, out)
-    assert np.sum(out) == pytest.approx(4.0, abs=1e-13)
+    assert kernels.disk_sum(xs, fm) == pytest.approx(4.0, abs=1e-13)
 
 
 def test_frustum_term_is_four_tilted_trapezoids():
@@ -40,16 +34,15 @@ def test_frustum_term_is_four_tilted_trapezoids():
     # atan(df/dx) against the axis and by pi/4 around it, so its taxicab area
     # is that times area_scaling_factor.
     rng = np.random.default_rng(11)
-    out = np.empty(1)
     worst = 0.0
     for _ in range(1000):
         x0 = rng.uniform(-5.0, 5.0)
         xs = np.array([x0, x0 + rng.uniform(1e-3, 2.0)])
         f0, f1 = rng.uniform(0.0, 3.0, 2)
-        kernels.frustum_sum(xs, np.array([f0, f1]), out)
+        got = kernels.frustum_sum(xs, np.array([f0, f1]))
         dx, df = xs[1] - xs[0], f1 - f0
         face = math.sqrt(2.0) / 2.0 * (f0 + f1) * math.sqrt(dx * dx + df * df / 2.0)
         tilt = RotationAngles(math.atan(df / dx), math.pi / 4.0)
         want = 4.0 * face * area_scaling_factor(tilt)
-        worst = max(worst, abs(out[0] - want) / want)
+        worst = max(worst, abs(got - want) / want)
     assert worst <= 4e-15, worst

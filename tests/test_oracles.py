@@ -291,7 +291,7 @@ def test_oracles_never_touch_the_quadrature_engine(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# blocked oracles: the same floats as one pass over full-length arrays
+# blocked oracles: math.fsum of each block's pairwise sum
 # ---------------------------------------------------------------------------
 
 B = oracles.BLOCK
@@ -305,25 +305,32 @@ def _full_partition(f, n):
     return xs
 
 
-def _full_polyline(f, n):
+def _polyline_terms(f, n):
     xs = _full_partition(f, n)
     fx = np.asarray(f.evaluate(xs), dtype=float)
-    return float(np.sum(np.diff(xs)) + np.sum(np.abs(np.diff(fx))))
+    return [np.diff(xs), np.abs(np.diff(fx))]
 
 
-def _full_frustum(f, n):
+def _frustum_terms(f, n):
     xs = _full_partition(f, n)
     fx = np.asarray(f.evaluate(xs), dtype=float)
     dx, df = np.diff(xs), np.diff(fx)
     slant = np.sqrt(dx * dx + 0.5 * df * df)
     chord = np.sqrt(dx * dx + df * df)
-    return float(np.sum(4.0 * (fx[:-1] + fx[1:]) * (dx + np.abs(df)) * slant / chord))
+    return [4.0 * (fx[:-1] + fx[1:]) * (dx + np.abs(df)) * slant / chord]
 
 
-def _full_disk(f, n):
+def _disk_terms(f, n):
     xs = _full_partition(f, n)
     fm = np.asarray(f.evaluate(0.5 * (xs[:-1] + xs[1:])), dtype=float)
-    return float(np.sum(2.0 * fm * fm * np.diff(xs)))
+    return [2.0 * fm * fm * np.diff(xs)]
+
+
+def _blockwise_sum(terms):
+    """Per block of B cells, the np.sum of each row of terms added up; the
+    blocks joined by math.fsum."""
+    return math.fsum(sum(np.sum(row[i:i + B]) for row in terms)
+                     for i in range(0, terms[0].size, B))
 
 
 def _wavy(breakpoints):
@@ -356,16 +363,27 @@ def _edge_cases(n):
     return cases
 
 
+ORACLE_TERMS = [
+    (polyline_arclength_oracle, _polyline_terms),
+    (frustum_surface_oracle, _frustum_terms),
+    (disk_volume_oracle, _disk_terms),
+]
+
+
 @pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 7])
-@pytest.mark.parametrize("oracle, reference", [
-    (polyline_arclength_oracle, _full_polyline),
-    (frustum_surface_oracle, _full_frustum),
-    (disk_volume_oracle, _full_disk),
-])
-def test_blocked_oracles_equal_full_array_sums(n, oracle, reference):
+@pytest.mark.parametrize("oracle, terms", ORACLE_TERMS)
+def test_blocked_oracles_equal_blockwise_sums(n, oracle, terms):
     for bps in _edge_cases(n):
         f = _wavy(bps)
-        assert oracle(f, n=n) == reference(f, n), bps
+        assert oracle(f, n=n) == _blockwise_sum(terms(f, n)), bps
+
+
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 7, 10**6 + 3])
+@pytest.mark.parametrize("oracle, terms", ORACLE_TERMS)
+def test_oracles_are_within_two_ulp_of_the_exact_sum_of_their_terms(n, oracle, terms):
+    f = _wavy((0.3,))
+    exact = math.fsum(np.concatenate(terms(f, n)))
+    assert abs(oracle(f, n=n) - exact) <= 2 * math.ulp(exact)
 
 
 def _full_check_message(xs, vals):
@@ -416,4 +434,4 @@ def test_oracle_memory_is_bounded_per_cell(oracle):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 8 * (n + 1)
+    assert peak <= 2 * 8 * (n + 1) + 16 * 8 * B
