@@ -2,7 +2,7 @@
 """Compare two checkouts on the cold CLI processes of perfbench's cli_cold.
 
     python3 benchmarks/cli_ops.py --parent DIR --change DIR [--seed 401]
-        [--reps 7] [--check-seeds 400-409] [--pairs 10] [--seconds 30]
+        [--reps 7] [--check-seeds 400-409[,...]] [--pairs 10] [--seconds 30]
         [--out FILE]
 
 Each checkout is a directory with src/taximeasure and perfbench/ (a `git
@@ -17,7 +17,8 @@ writes under .perfbench_out/ for --pairs.
    BLAS thread, a filled bytecode cache).  Per operation the output holds
    each side's median and quartiles in ms, whether exit code and stdout were
    equal on both sides, and whether the process loaded numpy and inspect.
-2. Outputs.  Each cli_cold operation of each --check-seeds seed runs once
+2. Outputs.  Each cli_cold operation of each --check-seeds seed (ranges
+   joined by commas, such as 1-3,400-409) runs once
    more on each side through a probe that records exit code, stdout and the
    loaded modules.  The quad_solve and oracle_sweep operations of each of
    those seeds run as one round of each side's `perfbench/worker.py PLAN
@@ -29,6 +30,10 @@ writes under .perfbench_out/ for --pairs.
    --seed S --seconds T --trace 0` per workload, seeds 400+, 300+ and 500+
    for cli_cold, quad_solve and oracle_sweep; each metric's median and
    quartiles per side and the pairs the change won.
+4. Memory.  Each oracle_sweep operation of --seed with at least 10^6
+   cells runs in one process per side, after a warm-up call: the median
+   minor page faults (ru_minflt) of three calls, and the tracemalloc peak
+   of one more, in MB.
 
 The result also gives each checkout's lines of src/taximeasure/*.py and the
 net change, so a change that only simplifies can report its net source lines
@@ -70,6 +75,31 @@ try:
 finally:
     print("numpy" in sys.modules, "inspect" in sys.modules, file=sys.stderr)
 sys.exit(code)
+"""
+
+
+# Runs from a checkout's root; prints the memory figures of step 4 as JSON.
+MEMORY_PROBE = """
+import json, resource, statistics, sys, tracemalloc
+sys.path.insert(0, "perfbench")
+import worker, workloads
+mods = worker.import_package()
+ops = [op for op in workloads.build("oracle_sweep", int(sys.argv[1]))
+       if op["kind"] == "oracle" and op["n"] >= 10**6]
+out = {}
+for op, call in zip(ops, worker.build_ops(mods, {"ops": ops})):
+    call()
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        call()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    tracemalloc.start()
+    call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    out[op["id"]] = {"minflt": statistics.median(faults), "tracemalloc_peak_mb": peak / 1e6}
+print(json.dumps(out))
 """
 
 
@@ -207,8 +237,19 @@ def check_outputs(dirs: dict, envs: dict, seeds: list[int]) -> dict:
                         key = f"seed {seed} {workload} {op['id']}"
                         differ.append(key)
                         rel[key] = rel_diff(a, b)
-    return {"seeds": [seeds[0], seeds[-1]], "operations": n, "differ": differ,
+    return {"seeds": seeds, "operations": n, "differ": differ,
             "max_rel_diff": rel}
+
+
+def oracle_memory(dirs: dict, envs: dict, seed: int) -> dict:
+    out = {}
+    for side in SIDES:
+        code, _, stdout, err = run([sys.executable, "-c", MEMORY_PROBE, str(seed)],
+                                   dirs[side], envs[side])
+        if code != 0:
+            raise SystemExit(f"{side}: memory probe failed: {err[-800:]}")
+        out[side] = json.loads(stdout)
+    return out
 
 
 def run_pairs(dirs: dict, pairs: int, seconds: float) -> dict:
@@ -249,7 +290,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=401, help="cli_cold seed timed")
     parser.add_argument("--reps", type=int, default=7, help="processes per operation and side")
     parser.add_argument("--check-seeds", default="400-409",
-                        help="first-last seeds whose outputs are compared")
+                        help="first-last seeds whose outputs are compared, "
+                             "several ranges joined by commas")
     parser.add_argument("--pairs", type=int, default=10,
                         help="perfbench/run.py pairs per workload (0: none)")
     parser.add_argument("--seconds", type=float, default=30.0,
@@ -258,13 +300,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    first, last = (int(s) for s in args.check_seeds.split("-"))
+    seeds = []
+    for span in args.check_seeds.split(","):
+        first, last = (int(s) for s in span.split("-"))
+        seeds += range(first, last + 1)
     with tempfile.TemporaryDirectory() as cache:
         envs = {side: child_env(dirs[side], os.path.join(cache, side)) for side in SIDES}
         for side in SIDES:  # fill each side's bytecode cache, untimed
             run([sys.executable, "-m", "taximeasure", "verify"], dirs[side], envs[side])
         ops = time_ops(dirs, envs, args.seed, args.reps)
-        outputs = check_outputs(dirs, envs, list(range(first, last + 1)))
+        outputs = check_outputs(dirs, envs, seeds)
+        memory = oracle_memory(dirs, envs, args.seed)
 
     medians = {side: [row[side]["median_ms"] for row in ops] for side in SIDES}
     lines = {side: source_lines(dirs[side]) for side in SIDES}
@@ -279,6 +325,7 @@ def main(argv=None) -> int:
         "all_same_exit_and_stdout": all(row["same_exit_and_stdout"] for row in ops),
         "ops": ops,
         "outputs": outputs,
+        "oracle_memory": memory,
         "source_lines": {**lines, "net": lines["change"] - lines["parent"]},
     }
     if args.pairs:

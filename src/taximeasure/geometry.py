@@ -28,9 +28,9 @@ PI_T: float = 4.0
 
 _TWO_PI = 2.0 * math.pi
 
-# Largest partition an oracle builds.  It bounds the memory one call can ask
-# for (the partition, copied once while breakpoints are inserted) against a
-# cell count from the CLI, whose help text reads it here without loading NumPy.
+# Largest partition an oracle builds.  A call holds one block of it at a
+# time, so this bounds the time a cell count from the CLI can ask for, not
+# the memory; the CLI's help text reads it here without loading NumPy.
 MAX_CELLS = 10**7
 
 

@@ -18,11 +18,17 @@ for the table's reference values.
 The three oracles share one loop over blocks of BLOCK cells.  Each block
 evaluates the profile on its own nodes (midpoints for the disk), records its
 lowest sample for the nonnegativity check of surface and volume, and has a
-kernel add up its cell terms pairwise with numpy.sum.  math.fsum joins the
+kernel add up its cell terms pairwise with numpy's sum.  math.fsum joins the
 blocks' sums, so a partition of at most BLOCK cells gives one pairwise sum,
 and a larger one is as accurate: the telescoping sums stay exact to rounding
-on million-cell partitions.  A call holds the partition and one block's
-temporaries.
+on million-cell partitions.
+
+A partition of at most BLOCK cells is built whole, as one block.  A larger
+one is built a block at a time, when the loop reaches the block, with the
+nodes linspace would give and each breakpoint where np.searchsorted would
+put it, so every block is bit for bit the slice of the whole partition.  The
+kernels write their temporaries into one workspace per call, so a call holds
+one block and one workspace, about 1.5 MB, whatever n is.
 """
 
 from __future__ import annotations
@@ -49,55 +55,184 @@ class ConvergenceRow(NamedTuple):
     abs_error: float
 
 
-def _partition(f: ProfileFunction, domain: Interval, n: int) -> np.ndarray:
-    """n uniform cells over domain, f's own, cut at f's breakpoints."""
-    check_cells((n,))
-    lo, hi = domain.lo, domain.hi
-    xs = np.linspace(lo, hi, n + 1)
-    # On a domain narrower than a few float spacings per cell, linspace
-    # repeats nodes, and the frustum term of a zero-width cell is 0/0: keep
-    # each node once.  Any wider domain has strictly increasing nodes and
-    # skips this.  A zero-width domain keeps one node and has no cell, so
-    # every oracle sums to 0 there, as the quadrature does.
-    if hi - lo < 8.0 * n * math.ulp(max(abs(lo), abs(hi))):
-        xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
-    if f.breakpoints:
-        xs = sorted_insert(xs, f.breakpoints)
-    return xs
+def _linspace_nodes(out: np.ndarray, first: int, idx: np.ndarray,
+                    lo: float, hi: float, n: int) -> np.ndarray:
+    """Nodes first, first + 1, ... of np.linspace(lo, hi, n + 1) into out,
+    each computed as linspace computes it; idx holds 0, 1, 2, ... as floats."""
+    np.add(idx[:out.size], first, out=out)
+    step = (hi - lo) / n
+    if step == 0.0:  # linspace's branch for a step that underflows
+        out /= n
+        out *= hi - lo
+    else:
+        out *= step
+    out += lo
+    if first + out.size == n + 1:
+        out[-1] = hi
+    return out
 
 
-def polyline_sum(xs: np.ndarray, fx: np.ndarray) -> float:
+def _narrow(lo: float, hi: float, n: int) -> bool:
+    """Whether linspace may repeat nodes: the domain is narrower than a few
+    float spacings per cell.  Any wider domain has strictly increasing nodes."""
+    return hi - lo < 8.0 * n * math.ulp(max(abs(lo), abs(hi)))
+
+
+def _wide_blocks(lo: float, hi: float, n: int, breakpoints, idx: np.ndarray):
+    """The blocks of a partition with strictly increasing linspace nodes.
+
+    Each breakpoint's place among the nodes is found by bisection on the
+    nodes' formula, as np.searchsorted would find it in the node array; one
+    that is a node is dropped.  A block then needs only its own nodes.
+    """
+    pts = np.asarray(breakpoints, dtype=float)
+    step = (hi - lo) / n
+
+    def node(i):  # linspace's node i; the step of a wide domain is not 0
+        return np.where(i == n, hi, i * step + lo)
+
+    # at: the first node >= each breakpoint, in 1..n, since lo < pts < hi.
+    at, top = np.ones(pts.size, dtype=np.int64), np.full(pts.size, n)
+    while np.any(at < top):
+        mid = (at + top) // 2
+        below = node(mid) < pts
+        at = np.where(below, mid + 1, at)
+        top = np.where(below, top, mid)
+    fresh = node(at) != pts
+    pts = pts[fresh]
+    pos = at[fresh] + np.arange(pts.size)  # index in the augmented partition
+    cells = n + pts.size
+    xs = np.empty(BLOCK + 1)
+    if pts.size:
+        uniform, keep = np.empty(BLOCK + 1), np.empty(BLOCK + 1, dtype=bool)
+    for s in range(0, cells, BLOCK):
+        x = xs[:min(BLOCK, cells - s) + 1]
+        j0, j1 = np.searchsorted(pos, (s, s + x.size))
+        if j0 == j1:
+            _linspace_nodes(x, s - j0, idx, lo, hi, n)
+        else:
+            here = pos[j0:j1] - s
+            k = keep[:x.size]
+            k.fill(True)
+            k[here] = False
+            x[k] = _linspace_nodes(uniform[:x.size - here.size], s - j0, idx, lo, hi, n)
+            x[here] = pts[j0:j1]
+        yield x
+
+
+def _narrow_blocks(lo: float, hi: float, n: int, breakpoints, idx: np.ndarray):
+    """The blocks of a partition whose linspace nodes may repeat.  The nodes
+    come BLOCK at a time; each is kept once, the breakpoints up to the last
+    of them go in, and they join a carry that gives up a block whenever it
+    holds more than BLOCK cells."""
+    pts = np.asarray(breakpoints, dtype=float)
+    carry, prev = np.empty(0), -math.inf
+    for first in range(0, n + 1, BLOCK):
+        u = _linspace_nodes(np.empty(min(BLOCK, n + 1 - first)), first, idx, lo, hi, n)
+        last = u[-1]
+        fresh = np.empty(u.size, dtype=bool)
+        fresh[0] = u[0] != prev
+        np.not_equal(u[1:], u[:-1], out=fresh[1:])
+        u = u[fresh]
+        j0, j1 = np.searchsorted(pts, (prev, last), side="right")
+        if j0 < j1:
+            u = sorted_insert(u, pts[j0:j1])
+        carry, prev = np.concatenate((carry, u)), last
+        while carry.size > BLOCK:
+            yield carry[:BLOCK + 1]
+            carry = carry[BLOCK:]
+    if carry.size > 1:
+        yield carry
+
+
+def _blocks(f: ProfileFunction, n: int):
+    """The partition of n uniform cells over f's domain, cut at f's
+    breakpoints, as blocks of at most BLOCK cells; neighbouring blocks share
+    their end node, and a block is only valid until the next one is asked for.
+
+    On a domain narrower than a few float spacings per cell, linspace repeats
+    nodes, and the frustum term of a zero-width cell is 0/0: each node is
+    kept once.  A zero-width domain keeps one node and has no cell, hence no
+    block, so every oracle sums to 0 there, as the quadrature does.  A
+    partition of at most BLOCK cells is built whole, as one block.
+    """
+    lo, hi = f.domain.lo, f.domain.hi
+    if n + len(f.breakpoints) <= BLOCK:
+        xs = np.linspace(lo, hi, n + 1)
+        if _narrow(lo, hi, n):
+            xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
+        if f.breakpoints:
+            xs = sorted_insert(xs, f.breakpoints)
+        if xs.size > 1:
+            yield xs
+        return
+    idx = np.arange(BLOCK + 1, dtype=float)
+    stream = _narrow_blocks if _narrow(lo, hi, n) else _wide_blocks
+    yield from stream(lo, hi, n, f.breakpoints, idx)
+
+
+def workspace(cells: int) -> np.ndarray:
+    """Scratch rows for the kernels' temporaries on up to `cells` cells, and
+    one more for the disk's midpoints."""
+    return np.empty((6, cells))
+
+
+def polyline_sum(xs: np.ndarray, fx: np.ndarray, work: np.ndarray) -> float:
     """Sum of dx + |df| over the cells, dx and |df| summed apart."""
-    return np.sum(xs[1:] - xs[:-1]) + np.sum(np.abs(fx[1:] - fx[:-1]))
+    dx, df = work[:2, :xs.size - 1]
+    np.subtract(xs[1:], xs[:-1], dx)
+    np.subtract(fx[1:], fx[:-1], df)
+    return dx.sum() + np.abs(df, df).sum()
 
 
-def frustum_sum(xs: np.ndarray, fx: np.ndarray) -> float:
+def frustum_sum(xs: np.ndarray, fx: np.ndarray, work: np.ndarray) -> float:
     """Sum of 4 (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) / sqrt(dx^2 + df^2) over the cells."""
-    dx = xs[1:] - xs[:-1]
-    df = fx[1:] - fx[:-1]
-    slant = np.sqrt(dx * dx + 0.5 * df * df)
-    chord = np.sqrt(dx * dx + df * df)
-    return np.sum(4.0 * (fx[:-1] + fx[1:]) * (dx + np.abs(df)) * slant / chord)
+    dx, df, slant, chord, term = work[:5, :xs.size - 1]
+    np.subtract(xs[1:], xs[:-1], dx)
+    np.subtract(fx[1:], fx[:-1], df)
+    np.multiply(dx, dx, chord)
+    np.multiply(df, 0.5, slant)
+    slant *= df
+    slant += chord
+    np.sqrt(slant, slant)                # sqrt(dx^2 + 0.5 df^2)
+    np.multiply(df, df, term)
+    chord += term
+    np.sqrt(chord, chord)                # sqrt(dx^2 + df^2)
+    np.abs(df, df)
+    df += dx                             # dx + |df|
+    np.add(fx[:-1], fx[1:], term)
+    term *= 4.0
+    term *= df
+    term *= slant
+    term /= chord
+    return term.sum()
 
 
-def disk_sum(xs: np.ndarray, fm: np.ndarray) -> float:
+def disk_sum(xs: np.ndarray, fm: np.ndarray, work: np.ndarray) -> float:
     """Sum of 2 f(mid)^2 dx over the cells, from the midpoint values fm."""
-    return np.sum(2.0 * fm * fm * (xs[1:] - xs[:-1]))
+    term, dx = work[:2, :xs.size - 1]
+    np.multiply(fm, 2.0, term)
+    term *= fm
+    term *= np.subtract(xs[1:], xs[:-1], dx)
+    return term.sum()
 
 
 def _sum_cells(kernel, f: ProfileFunction, n: int, *,
                mids: bool = False, signed: bool = True) -> float:
     """The oracles' block loop: kernel sums the block's cells from f at its
     nodes, or its cell midpoints; signed checks f >= 0."""
-    xs = _partition(f, f.domain, n)
+    check_cells((n,))
+    work = workspace(min(n + len(f.breakpoints), BLOCK))
     sums, lows = [], []
-    for i in range(0, xs.size - 1, BLOCK):
-        x = xs[i:i + BLOCK + 1]  # neighbouring blocks share their end node
-        at = 0.5 * (x[:-1] + x[1:]) if mids else x
+    for x in _blocks(f, n):
+        at = x
+        if mids:
+            at = np.add(x[:-1], x[1:], work[5, :x.size - 1])
+            at *= 0.5
         fx = np.ascontiguousarray(f.evaluate(at), dtype=float)
         if signed:
             lows.append(measures.lowest_sample(at, fx))
-        sums.append(kernel(x, fx))
+        sums.append(kernel(x, fx, work))
     measures.check_nonnegative(lows)
     return math.fsum(sums)
 

@@ -206,15 +206,15 @@ def test_acceptance_10_verify_suite_and_augmentation_guard(capsys):
         # the polyline length degrades from the exact 4.0
         diamond = profile_taxicab_circle_upper(1.0)
 
-        def uniform_only(profile, domain, n):
-            return np.linspace(domain.lo, domain.hi, n + 1)
+        def uniform_only(profile, n):
+            yield np.linspace(profile.domain.lo, profile.domain.hi, n + 1)
 
-        original = oracle_mod._partition
-        oracle_mod._partition = uniform_only
+        original = oracle_mod._blocks
+        oracle_mod._blocks = uniform_only
         try:
             degraded = polyline_arclength_oracle(diamond, n=3)
         finally:
-            oracle_mod._partition = original
+            oracle_mod._blocks = original
         assert abs(degraded - 4.0) > 0.1
         assert polyline_arclength_oracle(diamond, n=3) == pytest.approx(4.0, abs=1e-12)
 

@@ -201,7 +201,7 @@ def test_revolution_oracle_errors_shrink(oracle):
 
 def test_partition_includes_interior_breakpoints():
     f = profile_taxicab_circle_upper(1.0)
-    xs = oracles._partition(f, f.domain, 3)
+    (xs,) = oracles._blocks(f, 3)
     assert 0.0 in xs.tolist()
     assert xs[0] == -1.0 and xs[-1] == 1.0
     assert np.all(np.diff(xs) > 0)
@@ -217,7 +217,7 @@ def test_oracles_on_a_domain_narrower_than_n_float_spacings(oracle):
     # was 0/0.  The partition keeps each node once, so every n beyond the
     # number of floats in the domain sums the same cells.
     f = profile_linear(1.0, 1.0, NARROW)
-    xs = oracles._partition(f, NARROW, 100)
+    (xs,) = oracles._blocks(f, 100)
     assert xs.size == 6 and np.all(np.diff(xs) > 0)
     value = oracle(f, n=100)
     assert math.isfinite(value) and value > 0.0
@@ -238,10 +238,11 @@ def test_polyline_on_a_narrow_domain_is_exact():
                                     disk_volume_oracle])
 @pytest.mark.parametrize("lo", [1.0, 0.0, -2.5e8])
 def test_oracles_on_a_zero_width_domain_are_zero(oracle, lo):
-    # One node and no cell: the frustum term of a zero-width cell was 0/0.
+    # One node and no cell, so no block: the frustum term of a zero-width
+    # cell was 0/0.
     dom = Interval(lo, lo)
     f = profile_linear(1.0, abs(lo) + 1.0, dom)
-    assert oracles._partition(f, dom, 10).tolist() == [lo]
+    assert list(oracles._blocks(f, 10)) == []
     for n in (1, 10, 4096):
         assert oracle(f, n=n) == 0.0
 
@@ -263,15 +264,15 @@ def test_breakpoint_augmentation_matters():
     # underestimates the length; the augmented partition nails it
     f = profile_taxicab_circle_upper(1.0)
 
-    def uniform_only(profile, domain, n):
-        return np.linspace(domain.lo, domain.hi, n + 1)
+    def uniform_only(profile, n):
+        yield np.linspace(profile.domain.lo, profile.domain.hi, n + 1)
 
-    original = oracles._partition
-    oracles._partition = uniform_only
+    original = oracles._blocks
+    oracles._blocks = uniform_only
     try:
         degraded = polyline_arclength_oracle(f, n=3)
     finally:
-        oracles._partition = original
+        oracles._blocks = original
 
     assert degraded == pytest.approx(10.0 / 3.0, abs=1e-12)
     assert polyline_arclength_oracle(f, n=3) == pytest.approx(4.0, abs=1e-12)
@@ -303,6 +304,50 @@ def _full_partition(f, n):
     if inner:
         xs = np.union1d(xs, np.asarray(inner, dtype=float))
     return xs
+
+
+def _reference_blocks(f, n):
+    """The blocks sliced from the whole partition: union1d sorts the nodes
+    and the breakpoints together and keeps each value once, which drops the
+    nodes that linspace repeats on a narrow domain."""
+    xs = np.union1d(np.linspace(f.domain.lo, f.domain.hi, n + 1),
+                    np.asarray(f.breakpoints, dtype=float))
+    return [xs[i:i + B + 1] for i in range(0, xs.size - 1, B)]
+
+
+def _breakpoint_cases(dom, n):
+    """No breakpoint; one on a node; one on node B, the first block edge, and
+    one float either side of it; one in the middle of the cell before node B,
+    which becomes the block edge; 5,000 random ones."""
+    g = np.linspace(dom.lo, dom.hi, n + 1)
+    cases = [(), (float(g[n // 3]),)]
+    if B <= n:
+        edge = float(g[B])
+        cases += [(edge,), (math.nextafter(edge, -math.inf),),
+                  (math.nextafter(edge, math.inf),), (0.5 * (float(g[B - 1]) + edge),)]
+    rng = np.random.default_rng(n)
+    cases.append(tuple(rng.uniform(dom.lo, dom.hi, 5000)))
+    return [tuple(sorted({b for b in bps if dom.lo < b < dom.hi})) for bps in cases]
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7, 10**6 + 3])
+@pytest.mark.parametrize("dom", [Interval(0.0, 1.0),
+                                 # n * step + lo misses hi: the last node is set.
+                                 Interval(-3.7, 12.9),
+                                 # Narrow above 32,768 cells, with up to 2^18
+                                 # distinct nodes: blocks form across chunks.
+                                 Interval(1.0, 1.0 + 2.0**-34),
+                                 NARROW, Interval(2.5, 2.5),
+                                 # (hi - lo) / n underflows to 0.
+                                 Interval(0.0, 2.0**-1070)],
+                         ids=["unit", "wide", "dense", "narrow", "zero-width", "subnormal"])
+def test_blocks_equal_slices_of_the_whole_partition(n, dom):
+    for bps in _breakpoint_cases(dom, n):
+        f = ProfileFunction(lambda x: x, lambda x: np.ones(np.shape(x)), dom, bps)
+        got = [x.copy() for x in oracles._blocks(f, n)]
+        want = _reference_blocks(f, n)
+        assert [x.size for x in got] == [x.size for x in want], (len(bps), bps[:3])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), (len(bps), bps[:3])
 
 
 def _polyline_terms(f, n):
@@ -424,9 +469,14 @@ def test_nonnegativity_tolerance_takes_the_peak_of_every_block():
 
 @pytest.mark.parametrize("oracle", [polyline_arclength_oracle, frustum_surface_oracle,
                                     disk_volume_oracle])
-def test_oracle_memory_is_bounded_per_cell(oracle):
-    f = revolution_profile(SphereSpec(1.0))
-    n = 10**6
+@pytest.mark.parametrize("f, n", [
+    (revolution_profile(SphereSpec(1.0)), 10**6),
+    (revolution_profile(SphereSpec(1.0)), 10**7),
+    # linspace alone would take 80 MB here, to keep six distinct nodes.
+    (profile_linear(1.0, 1.0, NARROW), 10**7),
+], ids=["sphere-1e6", "sphere-1e7", "narrow-1e7"])
+def test_oracle_memory_does_not_grow_with_n(oracle, f, n):
+    # A call holds one block of nodes and one workspace, whatever n is.
     oracle(f, n=1000)
     tracemalloc.start()
     try:
@@ -434,4 +484,4 @@ def test_oracle_memory_is_bounded_per_cell(oracle):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * (n + 1) + 16 * 8 * B
+    assert peak <= 16 * 8 * B
