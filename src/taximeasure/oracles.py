@@ -23,12 +23,12 @@ blocks' sums, so a partition of at most BLOCK cells gives one pairwise sum,
 and a larger one is as accurate: the telescoping sums stay exact to rounding
 on million-cell partitions.
 
-A partition of at most BLOCK cells is built whole, as one block.  A larger
-one is built a block at a time, when the loop reaches the block, with the
-nodes linspace would give and each breakpoint where np.searchsorted would
-put it, so every block is bit for bit the slice of the whole partition.  The
-kernels write their temporaries into one workspace per call, so a call holds
-one block and one workspace, about 1.5 MB, whatever n is.
+The partition is built a chunk of BLOCK cells at a time, as the loop
+reaches it, with the nodes linspace would give and each breakpoint where
+np.searchsorted would put it, so every block is bit for bit the slice of
+the whole partition, which no call builds.  The kernels write their
+temporaries into one workspace per call, so a call holds a chunk and one
+workspace, about 1.5 MB, whatever n is.
 """
 
 from __future__ import annotations
@@ -47,6 +47,11 @@ from .profiles import ProfileFunction, restrict, sorted_insert
 # 128 KiB each, stay in L2.
 BLOCK = 1 << 14
 
+# 0, 1, 2, ... as floats, enough for a chunk of _blocks: up to BLOCK - 1
+# nodes of carry and BLOCK + 1 of its own.
+_IDX = np.arange(2 * BLOCK, dtype=float)
+_IDX.flags.writeable = False
+
 
 class ConvergenceRow(NamedTuple):
     n: int
@@ -55,94 +60,20 @@ class ConvergenceRow(NamedTuple):
     abs_error: float
 
 
-def _linspace_nodes(out: np.ndarray, first: int, idx: np.ndarray,
-                    lo: float, hi: float, n: int) -> np.ndarray:
-    """Nodes first, first + 1, ... of np.linspace(lo, hi, n + 1) into out,
-    each computed as linspace computes it; idx holds 0, 1, 2, ... as floats."""
-    np.add(idx[:out.size], first, out=out)
+def _linspace_nodes(first: int, last: int, lo: float, hi: float, n: int) -> np.ndarray:
+    """Nodes first..last of np.linspace(lo, hi, n + 1), each computed as
+    linspace computes it."""
+    x = np.add(_IDX[:last + 1 - first], first)
     step = (hi - lo) / n
     if step == 0.0:  # linspace's branch for a step that underflows
-        out /= n
-        out *= hi - lo
+        x /= n
+        x *= hi - lo
     else:
-        out *= step
-    out += lo
-    if first + out.size == n + 1:
-        out[-1] = hi
-    return out
-
-
-def _narrow(lo: float, hi: float, n: int) -> bool:
-    """Whether linspace may repeat nodes: the domain is narrower than a few
-    float spacings per cell.  Any wider domain has strictly increasing nodes."""
-    return hi - lo < 8.0 * n * math.ulp(max(abs(lo), abs(hi)))
-
-
-def _wide_blocks(lo: float, hi: float, n: int, breakpoints, idx: np.ndarray):
-    """The blocks of a partition with strictly increasing linspace nodes.
-
-    Each breakpoint's place among the nodes is found by bisection on the
-    nodes' formula, as np.searchsorted would find it in the node array; one
-    that is a node is dropped.  A block then needs only its own nodes.
-    """
-    pts = np.asarray(breakpoints, dtype=float)
-    step = (hi - lo) / n
-
-    def node(i):  # linspace's node i; the step of a wide domain is not 0
-        return np.where(i == n, hi, i * step + lo)
-
-    # at: the first node >= each breakpoint, in 1..n, since lo < pts < hi.
-    at, top = np.ones(pts.size, dtype=np.int64), np.full(pts.size, n)
-    while np.any(at < top):
-        mid = (at + top) // 2
-        below = node(mid) < pts
-        at = np.where(below, mid + 1, at)
-        top = np.where(below, top, mid)
-    fresh = node(at) != pts
-    pts = pts[fresh]
-    pos = at[fresh] + np.arange(pts.size)  # index in the augmented partition
-    cells = n + pts.size
-    xs = np.empty(BLOCK + 1)
-    if pts.size:
-        uniform, keep = np.empty(BLOCK + 1), np.empty(BLOCK + 1, dtype=bool)
-    for s in range(0, cells, BLOCK):
-        x = xs[:min(BLOCK, cells - s) + 1]
-        j0, j1 = np.searchsorted(pos, (s, s + x.size))
-        if j0 == j1:
-            _linspace_nodes(x, s - j0, idx, lo, hi, n)
-        else:
-            here = pos[j0:j1] - s
-            k = keep[:x.size]
-            k.fill(True)
-            k[here] = False
-            x[k] = _linspace_nodes(uniform[:x.size - here.size], s - j0, idx, lo, hi, n)
-            x[here] = pts[j0:j1]
-        yield x
-
-
-def _narrow_blocks(lo: float, hi: float, n: int, breakpoints, idx: np.ndarray):
-    """The blocks of a partition whose linspace nodes may repeat.  The nodes
-    come BLOCK at a time; each is kept once, the breakpoints up to the last
-    of them go in, and they join a carry that gives up a block whenever it
-    holds more than BLOCK cells."""
-    pts = np.asarray(breakpoints, dtype=float)
-    carry, prev = np.empty(0), -math.inf
-    for first in range(0, n + 1, BLOCK):
-        u = _linspace_nodes(np.empty(min(BLOCK, n + 1 - first)), first, idx, lo, hi, n)
-        last = u[-1]
-        fresh = np.empty(u.size, dtype=bool)
-        fresh[0] = u[0] != prev
-        np.not_equal(u[1:], u[:-1], out=fresh[1:])
-        u = u[fresh]
-        j0, j1 = np.searchsorted(pts, (prev, last), side="right")
-        if j0 < j1:
-            u = sorted_insert(u, pts[j0:j1])
-        carry, prev = np.concatenate((carry, u)), last
-        while carry.size > BLOCK:
-            yield carry[:BLOCK + 1]
-            carry = carry[BLOCK:]
-    if carry.size > 1:
-        yield carry
+        x *= step
+    x += lo
+    if last == n:
+        x[-1] = hi
+    return x
 
 
 def _blocks(f: ProfileFunction, n: int):
@@ -150,25 +81,40 @@ def _blocks(f: ProfileFunction, n: int):
     breakpoints, as blocks of at most BLOCK cells; neighbouring blocks share
     their end node, and a block is only valid until the next one is asked for.
 
+    The nodes come in chunks of BLOCK cells, as np.linspace computes them,
+    and take in the breakpoints up to the chunk's last node, one on a node
+    being dropped.  The nodes a chunk leaves over after its blocks of BLOCK
+    cells start the next one's, so each block is bit for bit the slice of
+    the whole partition, which is never built.
+
     On a domain narrower than a few float spacings per cell, linspace repeats
     nodes, and the frustum term of a zero-width cell is 0/0: each node is
     kept once.  A zero-width domain keeps one node and has no cell, hence no
-    block, so every oracle sums to 0 there, as the quadrature does.  A
-    partition of at most BLOCK cells is built whole, as one block.
+    block, so every oracle sums to 0 there, as the quadrature does.  Any
+    wider domain has strictly increasing nodes.
     """
     lo, hi = f.domain.lo, f.domain.hi
-    if n + len(f.breakpoints) <= BLOCK:
-        xs = np.linspace(lo, hi, n + 1)
-        if _narrow(lo, hi, n):
-            xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
-        if f.breakpoints:
-            xs = sorted_insert(xs, f.breakpoints)
-        if xs.size > 1:
-            yield xs
-        return
-    idx = np.arange(BLOCK + 1, dtype=float)
-    stream = _narrow_blocks if _narrow(lo, hi, n) else _wide_blocks
-    yield from stream(lo, hi, n, f.breakpoints, idx)
+    pts = np.asarray(f.breakpoints, dtype=float)
+    narrow = hi - lo < 8.0 * n * math.ulp(max(abs(lo), abs(hi)))
+    # carry: the nodes left over before node `first`; j: the first
+    # breakpoint not yet in.
+    carry, j = np.empty(0), 0
+    for first in range(0, n, BLOCK):
+        last = min(first + BLOCK, n)
+        # Room for the carry in front, so the chunk's nodes are not copied.
+        x = _linspace_nodes(first - carry.size, last, lo, hi, n)
+        x[:carry.size] = carry
+        if narrow:
+            x = x[np.concatenate(([True], x[1:] != x[:-1]))]
+        if j < pts.size and pts[j] <= x[-1]:
+            k = pts.size if last == n else np.searchsorted(pts, x[-1], side="right")
+            x, j = sorted_insert(x, pts[j:k]), k
+        while x.size > BLOCK:
+            yield x[:BLOCK + 1]
+            x = x[BLOCK:]
+        carry = x[:-1]
+    if x.size > 1:
+        yield x
 
 
 def workspace(cells: int) -> np.ndarray:

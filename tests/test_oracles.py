@@ -476,7 +476,7 @@ def test_nonnegativity_tolerance_takes_the_peak_of_every_block():
     (profile_linear(1.0, 1.0, NARROW), 10**7),
 ], ids=["sphere-1e6", "sphere-1e7", "narrow-1e7"])
 def test_oracle_memory_does_not_grow_with_n(oracle, f, n):
-    # A call holds one block of nodes and one workspace, whatever n is.
+    # A call holds one chunk of nodes and one workspace, whatever n is.
     oracle(f, n=1000)
     tracemalloc.start()
     try:
