@@ -337,10 +337,14 @@ def _breakpoint_cases(dom, n):
                                  # Narrow above 32,768 cells, with up to 2^18
                                  # distinct nodes: blocks form across chunks.
                                  Interval(1.0, 1.0 + 2.0**-34),
+                                 # Narrow; at 3B + 7 cells the first chunk has
+                                 # one repeated node, so B nodes and no block.
+                                 Interval(1.0, float.fromhex("0x1.000000000c003p+0")),
                                  NARROW, Interval(2.5, 2.5),
                                  # (hi - lo) / n underflows to 0.
                                  Interval(0.0, 2.0**-1070)],
-                         ids=["unit", "wide", "dense", "narrow", "zero-width", "subnormal"])
+                         ids=["unit", "wide", "dense", "one-repeat", "narrow", "zero-width",
+                              "subnormal"])
 def test_blocks_equal_slices_of_the_whole_partition(n, dom):
     for bps in _breakpoint_cases(dom, n):
         f = ProfileFunction(lambda x: x, lambda x: np.ones(np.shape(x)), dom, bps)
