@@ -25,7 +25,10 @@ writes under .perfbench_out/ for --pairs.
    RESULT --seconds 0`.  The output counts the operations whose exit code
    and stdout, or whose in-process output, differ, and gives for each
    differing in-process output the largest difference of its floats from
-   the parent's, relative to the parent's largest |float|.
+   the parent's, relative to the parent's largest |float|.  Where such an
+   operation stores a float reference, it also gives each side's relative
+   errors against it (one per value, one per row's oracle for a table), so
+   that a rounding-level move reads as closer to or farther from the truth.
 3. Pairs.  --pairs alternated pairs of `perfbench/run.py --workload W
    --seed S --seconds T --trace 0` per workload, seeds 400+, 300+ and 500+
    for cli_cold, quad_solve and oracle_sweep; each metric's median and
@@ -58,6 +61,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import checks  # noqa: E402
 import workloads  # noqa: E402
 
 SIDES = ("parent", "change")
@@ -212,9 +216,24 @@ def rel_diff(parent, change) -> float | None:
     return diff / scale if scale else None
 
 
+def ref_errors(op: dict, out) -> list[float] | None:
+    """The relative errors against op's float ref of the values in out: the
+    value itself, or the oracle column of a table; None without a float ref
+    or for an error."""
+    ref = op.get("ref")
+    if not isinstance(ref, float):
+        return None
+    if isinstance(out, float):
+        return [checks.rel_err(out, ref)]
+    if isinstance(out, list) and out and all(isinstance(row, list) for row in out):
+        return [checks.rel_err(row[1], ref) for row in out]
+    return None
+
+
 def check_outputs(dirs: dict, envs: dict, seeds: list[int]) -> dict:
     differ = []
     rel = {}
+    ref_err = {}
     n = 0
     with tempfile.TemporaryDirectory() as tmp:
         plan, result = os.path.join(tmp, "plan.json"), os.path.join(tmp, "result.json")
@@ -237,8 +256,11 @@ def check_outputs(dirs: dict, envs: dict, seeds: list[int]) -> dict:
                         key = f"seed {seed} {workload} {op['id']}"
                         differ.append(key)
                         rel[key] = rel_diff(a, b)
+                        errs = dict(zip(SIDES, (ref_errors(op, a), ref_errors(op, b))))
+                        if errs["parent"] is not None or errs["change"] is not None:
+                            ref_err[key] = errs
     return {"seeds": seeds, "operations": n, "differ": differ,
-            "max_rel_diff": rel}
+            "max_rel_diff": rel, "rel_err_vs_ref": ref_err}
 
 
 def oracle_memory(dirs: dict, envs: dict, seed: int) -> dict:

@@ -15,20 +15,19 @@ quadrature engine, so they stay an independent check on it.  This module uses
 measures only for the nonnegativity check it shares with the quadrature and
 for the table's reference values.
 
-The three oracles share one loop over blocks of BLOCK cells.  Each block
-evaluates the profile on its own nodes (midpoints for the disk), records its
-lowest sample for the nonnegativity check of surface and volume, and has a
-kernel add up its cell terms pairwise with numpy's sum.  math.fsum joins the
-blocks' sums, so a partition of at most BLOCK cells gives one pairwise sum,
-and a larger one is as accurate: the telescoping sums stay exact to rounding
-on million-cell partitions.
+The three oracles share one loop over the blocks of the partition.  Each
+block evaluates the profile on its own nodes (midpoints for the disk),
+records its lowest sample for the nonnegativity check of surface and volume,
+and has a kernel add up its cell terms pairwise with numpy's sum.
+math.fsum joins the blocks' sums, so a partition of at most BLOCK cells
+gives one pairwise sum, and a larger one is as accurate: the telescoping
+sums stay exact to rounding on million-cell partitions.
 
-The partition is built a chunk of BLOCK cells at a time, as the loop
-reaches it, with the nodes linspace would give and each breakpoint where
-np.searchsorted would put it, so every block is bit for bit the slice of
-the whole partition, which no call builds.  The kernels write their
-temporaries into one workspace per call, so a call holds a chunk and one
-workspace, about 1.5 MB, whatever n is.
+A block is a chunk of BLOCK uniform cells, with the nodes linspace would
+give and the breakpoints that fall among them, built as the loop reaches
+it, so no call builds the whole partition.  The kernels write their
+temporaries into one workspace per call, so a call holds one block and one
+workspace, 1.3-1.5 MB and ~56 B more per breakpoint, whatever n is.
 """
 
 from __future__ import annotations
@@ -47,9 +46,8 @@ from .profiles import ProfileFunction, restrict, sorted_insert
 # 128 KiB each, stay in L2.
 BLOCK = 1 << 14
 
-# 0, 1, 2, ... as floats, enough for a chunk of _blocks: up to BLOCK - 1
-# nodes of carry and BLOCK + 1 of its own.
-_IDX = np.arange(2 * BLOCK, dtype=float)
+# 0, 1, 2, ... as floats, enough for the BLOCK + 1 nodes of a chunk.
+_IDX = np.arange(BLOCK + 1, dtype=float)
 _IDX.flags.writeable = False
 
 
@@ -78,14 +76,12 @@ def _linspace_nodes(first: int, last: int, lo: float, hi: float, n: int) -> np.n
 
 def _blocks(f: ProfileFunction, n: int):
     """The partition of n uniform cells over f's domain, cut at f's
-    breakpoints, as blocks of at most BLOCK cells; neighbouring blocks share
-    their end node, and a block is only valid until the next one is asked for.
+    breakpoints, one block per chunk of BLOCK uniform cells; neighbouring
+    blocks share their end node.
 
-    The nodes come in chunks of BLOCK cells, as np.linspace computes them,
-    and take in the breakpoints up to the chunk's last node, one on a node
-    being dropped.  The nodes a chunk leaves over after its blocks of BLOCK
-    cells start the next one's, so each block is bit for bit the slice of
-    the whole partition, which is never built.
+    A chunk's nodes are those np.linspace computes, and it takes in the
+    breakpoints up to its last node, one on a node being dropped, so a block
+    has up to BLOCK cells and one more per breakpoint among them.
 
     On a domain narrower than a few float spacings per cell, linspace repeats
     nodes, and the frustum term of a zero-width cell is 0/0: each node is
@@ -96,25 +92,16 @@ def _blocks(f: ProfileFunction, n: int):
     lo, hi = f.domain.lo, f.domain.hi
     pts = np.asarray(f.breakpoints, dtype=float)
     narrow = hi - lo < 8.0 * n * math.ulp(max(abs(lo), abs(hi)))
-    # carry: the nodes left over before node `first`; j: the first
-    # breakpoint not yet in.
-    carry, j = np.empty(0), 0
+    j = 0  # the first breakpoint not yet in
     for first in range(0, n, BLOCK):
-        last = min(first + BLOCK, n)
-        # Room for the carry in front, so the chunk's nodes are not copied.
-        x = _linspace_nodes(first - carry.size, last, lo, hi, n)
-        x[:carry.size] = carry
+        x = _linspace_nodes(first, min(first + BLOCK, n), lo, hi, n)
         if narrow:
             x = x[np.concatenate(([True], x[1:] != x[:-1]))]
         if j < pts.size and pts[j] <= x[-1]:
-            k = pts.size if last == n else np.searchsorted(pts, x[-1], side="right")
+            k = np.searchsorted(pts, x[-1], side="right")
             x, j = sorted_insert(x, pts[j:k]), k
-        while x.size > BLOCK:
-            yield x[:BLOCK + 1]
-            x = x[BLOCK:]
-        carry = x[:-1]
-    if x.size > 1:
-        yield x
+        if x.size > 1:
+            yield x
 
 
 def workspace(cells: int) -> np.ndarray:
@@ -168,7 +155,7 @@ def _sum_cells(kernel, f: ProfileFunction, n: int, *,
     """The oracles' block loop: kernel sums the block's cells from f at its
     nodes, or its cell midpoints; signed checks f >= 0."""
     check_cells((n,))
-    work = workspace(min(n + len(f.breakpoints), BLOCK))
+    work = workspace(min(n, BLOCK) + len(f.breakpoints))
     sums, lows = [], []
     for x in _blocks(f, n):
         at = x

@@ -152,7 +152,7 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
     # ulp(0), so the tolerance never falls below that rounding of K15 and G7:
     # about _XK.size * ulp(0) per unit of u, over a total width in u that
     # bisection keeps.
-    underflow = _XK.size * math.ulp(0.0) * float(np.sum(b0))
+    underflow = _XK.size * math.ulp(0.0) * float(b0.sum())
     new = (np.zeros(n), b0, np.arange(n))
     a = b = value = error = scale = np.zeros(0)
     piece = np.zeros(0, dtype=int)
@@ -168,9 +168,9 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
             np.concatenate([old, add]) for old, add in
             zip((a, b, piece, value, error, scale), (*new, *rules(*new))))
 
-        total = float(np.sum(value))
-        err = float(np.sum(error))
-        resabs = float(np.sum(scale))
+        total = float(value.sum())
+        err = float(error.sum())
+        resabs = float(scale.sum())
         tol = max(REL_TOL * resabs, underflow)
         if ulp * resabs > tol * width:
             raise ConvergenceError(
@@ -186,7 +186,7 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
 
         mid = 0.5 * (a + b)
         can = (a < mid) & (mid < b)
-        stuck = float(np.sum(error[~can]))
+        stuck = float(error[~can].sum())
         if stuck >= tol:
             raise ConvergenceError(
                 "quadrature did not reach the requested tolerance: the cells "

@@ -315,7 +315,7 @@ def test_profile_quantities_are_the_oracle_quantities():
 
 
 def test_measure_convergence_error_exits_4(capsys, monkeypatch):
-    def blow_up(prof, domain=None):
+    def blow_up(prof):
         raise ConvergenceError("stuck", value=1.0, error_estimate=0.5)
 
     # measure imports measures when it evaluates a profile and looks the

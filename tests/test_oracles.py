@@ -299,26 +299,31 @@ B = oracles.BLOCK
 
 
 def _full_partition(f, n):
-    xs = np.linspace(f.domain.lo, f.domain.hi, n + 1)
-    inner = [b for b in f.breakpoints if f.domain.lo < b < f.domain.hi]
-    if inner:
-        xs = np.union1d(xs, np.asarray(inner, dtype=float))
-    return xs
+    """The whole partition: union1d sorts the nodes and the breakpoints
+    together and keeps each value once, which drops the nodes that linspace
+    repeats on a narrow domain."""
+    return np.union1d(np.linspace(f.domain.lo, f.domain.hi, n + 1),
+                      np.asarray(f.breakpoints, dtype=float))
+
+
+def _block_edges(f, n):
+    """The positions in the whole partition of its ends and of the linspace
+    nodes k B, 0 < k B < n, each once, so that no block is empty."""
+    xs = _full_partition(f, n)
+    g = np.linspace(f.domain.lo, f.domain.hi, n + 1)
+    return np.unique(np.concatenate(([0], np.searchsorted(xs, g[B:n:B]), [xs.size - 1])))
 
 
 def _reference_blocks(f, n):
-    """The blocks sliced from the whole partition: union1d sorts the nodes
-    and the breakpoints together and keeps each value once, which drops the
-    nodes that linspace repeats on a narrow domain."""
-    xs = np.union1d(np.linspace(f.domain.lo, f.domain.hi, n + 1),
-                    np.asarray(f.breakpoints, dtype=float))
-    return [xs[i:i + B + 1] for i in range(0, xs.size - 1, B)]
+    """The blocks sliced from the whole partition at its block edges."""
+    xs, edges = _full_partition(f, n), _block_edges(f, n)
+    return [xs[a:b + 1] for a, b in zip(edges[:-1], edges[1:])]
 
 
 def _breakpoint_cases(dom, n):
     """No breakpoint; one on a node; one on node B, the first block edge, and
     one float either side of it; one in the middle of the cell before node B,
-    which becomes the block edge; 5,000 random ones."""
+    the last cell of the first block; 5,000 random ones."""
     g = np.linspace(dom.lo, dom.hi, n + 1)
     cases = [(), (float(g[n // 3]),)]
     if B <= n:
@@ -335,10 +340,10 @@ def _breakpoint_cases(dom, n):
                                  # n * step + lo misses hi: the last node is set.
                                  Interval(-3.7, 12.9),
                                  # Narrow above 32,768 cells, with up to 2^18
-                                 # distinct nodes: blocks form across chunks.
+                                 # distinct nodes: chunks lose their repeats.
                                  Interval(1.0, 1.0 + 2.0**-34),
                                  # Narrow; at 3B + 7 cells the first chunk has
-                                 # one repeated node, so B nodes and no block.
+                                 # one repeated node, so a block of B - 1 cells.
                                  Interval(1.0, float.fromhex("0x1.000000000c003p+0")),
                                  NARROW, Interval(2.5, 2.5),
                                  # (hi - lo) / n underflows to 0.
@@ -375,11 +380,12 @@ def _disk_terms(f, n):
     return [2.0 * fm * fm * np.diff(xs)]
 
 
-def _blockwise_sum(terms):
-    """Per block of B cells, the np.sum of each row of terms added up; the
-    blocks joined by math.fsum."""
-    return math.fsum(sum(np.sum(row[i:i + B]) for row in terms)
-                     for i in range(0, terms[0].size, B))
+def _blockwise_sum(f, n, terms):
+    """Per block between the block edges, the np.sum of each row of terms
+    added up; the blocks joined by math.fsum."""
+    edges = _block_edges(f, n)
+    return math.fsum(sum(np.sum(row[a:b]) for row in terms)
+                     for a, b in zip(edges[:-1], edges[1:]))
 
 
 def _wavy(breakpoints):
@@ -398,8 +404,8 @@ def _wavy(breakpoints):
 
 
 def _edge_cases(n):
-    """Breakpoints that land on, just before and just after the first block
-    edge of the augmented partition, and one that is already a grid node."""
+    """A breakpoint in the cell before node B - 1, before node B, the first
+    block edge, or after it, and one that is already a grid node."""
     g = np.linspace(0.0, 1.0, n + 1)
     cases = [()]
     for node in (B - 1, B, B + 1):
@@ -424,7 +430,29 @@ ORACLE_TERMS = [
 def test_blocked_oracles_equal_blockwise_sums(n, oracle, terms):
     for bps in _edge_cases(n):
         f = _wavy(bps)
-        assert oracle(f, n=n) == _blockwise_sum(terms(f, n)), bps
+        assert oracle(f, n=n) == _blockwise_sum(f, n, terms(f, n)), bps
+
+
+def _crowded_first_chunk():
+    """2 B cells on [0, 1] and 3 B breakpoints off the nodes of the first
+    chunk, on a smooth profile: the breakpoints need not be kinks to cut the
+    partition."""
+    n = 2 * B
+    g = np.linspace(0.0, 1.0, n + 1)
+    bps = np.setdiff1d(np.random.default_rng(3).uniform(0.0, 0.5, 3 * B), g)
+    assert bps.size == 3 * B
+    f = ProfileFunction(lambda x: 2.0 + np.sin(7.0 * x), lambda x: 7.0 * np.cos(7.0 * x),
+                        Interval(0.0, 1.0), tuple(bps))
+    return f, n
+
+
+def test_a_block_takes_in_every_breakpoint_of_its_chunk():
+    f, n = _crowded_first_chunk()
+    got = [x.copy() for x in oracles._blocks(f, n)]
+    assert [x.size - 1 for x in got] == [4 * B, B]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, _reference_blocks(f, n)))
+    for oracle, terms in ORACLE_TERMS:
+        assert oracle(f, n=n) == _blockwise_sum(f, n, terms(f, n)), oracle.__name__
 
 
 @pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 7, 10**6 + 3])
@@ -473,14 +501,20 @@ def test_nonnegativity_tolerance_takes_the_peak_of_every_block():
 
 @pytest.mark.parametrize("oracle", [polyline_arclength_oracle, frustum_surface_oracle,
                                     disk_volume_oracle])
-@pytest.mark.parametrize("f, n", [
-    (revolution_profile(SphereSpec(1.0)), 10**6),
-    (revolution_profile(SphereSpec(1.0)), 10**7),
+@pytest.mark.parametrize("f, n, cells", [
+    (revolution_profile(SphereSpec(1.0)), 10**6, B),
+    (revolution_profile(SphereSpec(1.0)), 10**7, B),
     # linspace alone would take 80 MB here, to keep six distinct nodes.
-    (profile_linear(1.0, 1.0, NARROW), 10**7),
-], ids=["sphere-1e6", "sphere-1e7", "narrow-1e7"])
-def test_oracle_memory_does_not_grow_with_n(oracle, f, n):
-    # A call holds one chunk of nodes and one workspace, whatever n is.
+    (profile_linear(1.0, 1.0, NARROW), 10**7, B),
+    # 4,998 breakpoints: the workspace has room for all of them in one block.
+    (PiecewiseLinearProfile(tuple(zip(np.linspace(0.0, 1.0, 5000).tolist(),
+                                      np.random.default_rng(5).uniform(1.0, 2.0, 5000).tolist())
+                                  )).to_profile(), 10**7, B + 4998),
+    (*_crowded_first_chunk(), 4 * B),
+], ids=["sphere-1e6", "sphere-1e7", "narrow-1e7", "pl5000-1e7", "crowded-2B"])
+def test_oracle_memory_does_not_grow_with_n(oracle, f, n, cells):
+    # A call holds one block and one workspace, whatever n is; a block
+    # has room for the breakpoints among its cells.
     oracle(f, n=1000)
     tracemalloc.start()
     try:
@@ -488,4 +522,4 @@ def test_oracle_memory_does_not_grow_with_n(oracle, f, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 8 * B
+    assert peak <= 16 * 8 * cells
