@@ -404,8 +404,8 @@ def _wavy(breakpoints):
 
 
 def _edge_cases(n):
-    """A breakpoint in the cell before node B - 1, before node B, the first
-    block edge, or after it, and one that is already a grid node."""
+    """A breakpoint in the cell that ends at node B - 1, at node B (the first
+    block edge) or at node B + 1, and one that is already a grid node."""
     g = np.linspace(0.0, 1.0, n + 1)
     cases = [()]
     for node in (B - 1, B, B + 1):
@@ -499,6 +499,12 @@ def test_nonnegativity_tolerance_takes_the_peak_of_every_block():
     assert disk_volume_oracle(f, n=3 * B) > 0.0
 
 
+# 5,000 vertices, so 4,998 breakpoints, at values between 1 and 2.
+PL5000 = PiecewiseLinearProfile(tuple(zip(
+    np.linspace(0.0, 1.0, 5000).tolist(),
+    np.random.default_rng(5).uniform(1.0, 2.0, 5000).tolist()))).to_profile()
+
+
 @pytest.mark.parametrize("oracle", [polyline_arclength_oracle, frustum_surface_oracle,
                                     disk_volume_oracle])
 @pytest.mark.parametrize("f, n, cells", [
@@ -506,10 +512,8 @@ def test_nonnegativity_tolerance_takes_the_peak_of_every_block():
     (revolution_profile(SphereSpec(1.0)), 10**7, B),
     # linspace alone would take 80 MB here, to keep six distinct nodes.
     (profile_linear(1.0, 1.0, NARROW), 10**7, B),
-    # 4,998 breakpoints: the workspace has room for all of them in one block.
-    (PiecewiseLinearProfile(tuple(zip(np.linspace(0.0, 1.0, 5000).tolist(),
-                                      np.random.default_rng(5).uniform(1.0, 2.0, 5000).tolist())
-                                  )).to_profile(), 10**7, B + 4998),
+    # The workspace has room for every breakpoint in one block.
+    (PL5000, 10**7, B + len(PL5000.breakpoints)),
     (*_crowded_first_chunk(), 4 * B),
 ], ids=["sphere-1e6", "sphere-1e7", "narrow-1e7", "pl5000-1e7", "crowded-2B"])
 def test_oracle_memory_does_not_grow_with_n(oracle, f, n, cells):
