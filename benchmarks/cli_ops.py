@@ -32,7 +32,12 @@ writes under .perfbench_out/ for --pairs.
 3. Pairs.  --pairs alternated pairs of `perfbench/run.py --workload W
    --seed S --seconds T --trace 0` per workload, seeds 400+, 300+ and 500+
    for cli_cold, quad_solve and oracle_sweep; each metric's median and
-   quartiles per side and the pairs the change won.
+   quartiles per side and the pairs the change won.  For quad_solve and
+   oracle_sweep also each operation's median and quartiles per side, over
+   the runs' per-operation medians, so that a move in op_p50_ms can be
+   traced to the calls that made it.  Then one `--trace 1` run of
+   oracle_sweep per side, at the first oracle_sweep seed, gives the
+   layers an oracle call spends its time in (TRACED).
 4. Memory.  Each oracle_sweep operation of --seed with at least 10^6
    cells runs in one process per side, after a warm-up call: the median
    minor page faults (ru_minflt) of three calls, and the tracemalloc peak
@@ -66,6 +71,7 @@ import workloads  # noqa: E402
 
 SIDES = ("parent", "change")
 PAIR_SEEDS = {"cli_cold": 400, "quad_solve": 300, "oracle_sweep": 500}
+TRACED = ("oracles.self_ms", "kernels.sum_ms", "profiles.eval_ms")
 BETTER = {"setup_s": "lower", "wall_s": "lower", "op_p50_ms": "lower",
           "peak_rss_mb": "lower", "accuracy_digits": "higher"}
 
@@ -274,23 +280,43 @@ def oracle_memory(dirs: dict, envs: dict, seed: int) -> dict:
     return out
 
 
+def perfbench_run(checkout: str, workload: str, seed: int, seconds: float,
+                  trace: int) -> dict:
+    """The result of one perfbench/run.py in the checkout."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout} {workload} failed: {proc.stderr[-800:]}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def op_medians_ms(checkout: str, workload: str, seed: int) -> dict:
+    """Each operation's median time in ms over the rounds of the last
+    untraced in-process run at seed, from the worker's result file."""
+    path = os.path.join(checkout, ".perfbench_out",
+                        f"{workload}-seed{seed}-trace0.result.json")
+    with open(path, encoding="utf-8") as fh:
+        times = json.load(fh)["times"]
+    ids = [op["id"] for op in workloads.build(workload, seed)]
+    return {i: statistics.median(col) * 1e3 for i, col in zip(ids, zip(*times))}
+
+
 def run_pairs(dirs: dict, pairs: int, seconds: float) -> dict:
     out = {}
     for workload, seed0 in PAIR_SEEDS.items():
         runs = []
+        per_op = {side: {} for side in SIDES}
         for i in range(pairs):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload",
-                       workload, "--seed", str(seed0 + i), "--seconds", str(seconds),
-                       "--trace", "0"]
-                proc = subprocess.run(cmd, cwd=dirs[side], capture_output=True, text=True)
-                if proc.returncode != 0:
-                    raise SystemExit(f"{side} {workload} failed: {proc.stderr[-800:]}")
-                result = json.loads(proc.stdout.splitlines()[-1])
+                result = perfbench_run(dirs[side], workload, seed0 + i, seconds, 0)
                 runs.append({"pair": i, "side": side, "seed": seed0 + i,
                              "correct": result["correct"], "attempted": result["attempted"],
                              "failed": result["failed"],
                              "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
+                if workload != "cli_cold":
+                    for op, ms in op_medians_ms(dirs[side], workload, seed0 + i).items():
+                        per_op[side].setdefault(op, []).append(ms)
                 print(f"{workload} pair {i} {side}: "
                       f"op_p50_ms {runs[-1]['metrics']['op_p50_ms']:.4g}", file=sys.stderr)
         summary = {}
@@ -302,6 +328,15 @@ def run_pairs(dirs: dict, pairs: int, seconds: float) -> dict:
             summary[metric] = {**{side: quartiles(vals[side]) for side in SIDES},
                                "change_wins": wins, "pairs": pairs}
         out[workload] = {"runs": runs, "summary": summary}
+        if workload != "cli_cold":
+            out[workload]["op_ms"] = {op: {side: quartiles(per_op[side][op]) for side in SIDES}
+                                      for op in per_op["parent"]}
+    traced = {}
+    for side in SIDES:
+        result = perfbench_run(dirs[side], "oracle_sweep", PAIR_SEEDS["oracle_sweep"],
+                               seconds, 1)
+        traced[side] = {k: result["metrics"][k]["value"] for k in TRACED}
+    out["oracle_sweep"]["traced"] = traced
     return out
 
 

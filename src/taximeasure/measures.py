@@ -50,36 +50,44 @@ def _check_sample_grid(f: ProfileFunction) -> np.ndarray:
     return xs
 
 
-def lowest_sample(xs: np.ndarray, vals: np.ndarray) -> tuple:
-    """The first lowest sample of a profile and the largest |value|:
-    (x, f(x), max |f|)."""
-    worst = int(np.argmin(vals))
-    return xs[worst], vals[worst], np.max(np.abs(vals))
+class LowestSample:
+    """A running summary of a profile's samples, added block by block in
+    sample order: the lowest value, where it is first taken if it is
+    negative, and the largest value.  Only a block whose minimum is a new
+    negative lowest pays for an argmin."""
 
+    def __init__(self):
+        self.x, self.low, self.high = None, math.inf, -math.inf
 
-def check_nonnegative(lows: list[tuple]) -> None:
-    """Raise DomainError if a sampled profile value is negative beyond
-    rounding, -1e-12 * max(1, max |f|).  lows holds the lowest_sample of each
-    block of samples, in sample order, so the message names the first lowest
-    sample of all of them.  A partition without cells has no block."""
-    if not lows:
-        return
-    xs, vals, peaks = zip(*lows)
-    tol = -1e-12 * max(1.0, float(np.max(peaks)))
-    worst = int(np.argmin(vals))
-    if vals[worst] < tol:
-        raise DomainError(
-            f"profile must be nonnegative on the domain: "
-            f"f({float(xs[worst])!r}) = {float(vals[worst])!r}")
+    def add(self, xs: np.ndarray, vals: np.ndarray) -> None:
+        low = vals.min()
+        # A NaN sample is the lowest for good, as argmin takes it, so that
+        # check_nonnegative lets the NaN through to the result.
+        if low < self.low or (low != low and self.low == self.low):
+            self.low = low
+            if low < 0.0:
+                self.x = xs[int(vals.argmin())]
+        self.high = max(self.high, vals.max())
+
+    def check_nonnegative(self) -> None:
+        """Raise DomainError if the lowest sample is negative beyond
+        rounding, -1e-12 * max(1, max |f|), naming the first lowest sample.
+        Without samples there is nothing to check."""
+        if self.low < -1e-12 * max(1.0, self.high, -self.low):
+            raise DomainError(
+                f"profile must be nonnegative on the domain: "
+                f"f({float(self.x)!r}) = {float(self.low)!r}")
 
 
 def _check_nonnegative(f: ProfileFunction) -> None:
     if f.monotone_pieces:
         # A monotone piece has its minimum at one of its ends.
-        xs = np.array([f.domain.lo, *f.breakpoints, f.domain.hi])
+        xs = np.concatenate(([f.domain.lo], f.breakpoint_array, [f.domain.hi]))
     else:
         xs = _check_sample_grid(f)
-    check_nonnegative([lowest_sample(xs, np.asarray(f.evaluate(xs), dtype=float))])
+    lowest = LowestSample()
+    lowest.add(xs, np.asarray(f.evaluate(xs), dtype=float))
+    lowest.check_nonnegative()
 
 
 def _splits(curve, *derivatives) -> list[float]:

@@ -16,18 +16,26 @@ measures only for the nonnegativity check it shares with the quadrature and
 for the table's reference values.
 
 The three oracles share one loop over the blocks of the partition.  Each
-block evaluates the profile on its own nodes (midpoints for the disk),
-records its lowest sample for the nonnegativity check of surface and volume,
-and has a kernel add up its cell terms pairwise with numpy's sum.
-math.fsum joins the blocks' sums, so a partition of at most BLOCK cells
-gives one pairwise sum, and a larger one is as accurate: the telescoping
-sums stay exact to rounding on million-cell partitions.
+block evaluates the profile on its own nodes (midpoints for the disk), adds
+its samples to one running summary for the nonnegativity check of surface
+and volume (measures.LowestSample), and has a kernel add up its cell terms
+pairwise with numpy's sum.  math.fsum joins the blocks' sums, so a
+partition of at most BLOCK cells gives one pairwise sum, and a larger one
+is as accurate: the telescoping sums stay exact to rounding on
+million-cell partitions.
 
 A block is a chunk of BLOCK uniform cells, with the nodes linspace would
 give and the breakpoints that fall among them, built as the loop reaches
 it, so no call builds the whole partition.  The kernels write their
-temporaries into one workspace per call, so a call holds one block and one
-workspace, 1.3-1.5 MB and ~56 B more per breakpoint, whatever n is.
+temporaries into one workspace per call, sized for the chunk with the most
+breakpoints, so a call holds one block and one workspace, 1.2-1.4 MB and
+~56 B more per breakpoint of that chunk, whatever n is.
+
+The polyline and disk sums are right wherever their terms and sums are
+normal floats.  The frustum term scales its dx and |df| so that its
+intermediate sqrt(dx^2 + df^2/2) (f0 + f1)(dx + |df|), which grows as the
+cube of the magnitude, stays in range: its sums hold from magnitudes of
+~1e-150 to ~1e150, past which the surface itself leaves the normal floats.
 """
 
 from __future__ import annotations
@@ -58,20 +66,21 @@ class ConvergenceRow(NamedTuple):
     abs_error: float
 
 
-def _linspace_nodes(first: int, last: int, lo: float, hi: float, n: int) -> np.ndarray:
-    """Nodes first..last of np.linspace(lo, hi, n + 1), each computed as
-    linspace computes it."""
-    x = np.add(_IDX[:last + 1 - first], first)
+def _linspace_nodes(idx: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:
+    """Nodes idx of np.linspace(lo, hi, n + 1), each computed as linspace
+    computes it; idx holds increasing indices as floats, and is overwritten
+    with the nodes."""
+    last = idx[-1] == n
     step = (hi - lo) / n
     if step == 0.0:  # linspace's branch for a step that underflows
-        x /= n
-        x *= hi - lo
+        idx /= n
+        idx *= hi - lo
     else:
-        x *= step
-    x += lo
-    if last == n:
-        x[-1] = hi
-    return x
+        idx *= step
+    idx += lo
+    if last:
+        idx[-1] = hi
+    return idx
 
 
 def _blocks(f: ProfileFunction, n: int):
@@ -90,11 +99,11 @@ def _blocks(f: ProfileFunction, n: int):
     wider domain has strictly increasing nodes.
     """
     lo, hi = f.domain.lo, f.domain.hi
-    pts = np.asarray(f.breakpoints, dtype=float)
+    pts = f.breakpoint_array
     narrow = hi - lo < 8.0 * n * math.ulp(max(abs(lo), abs(hi)))
     j = 0  # the first breakpoint not yet in
     for first in range(0, n, BLOCK):
-        x = _linspace_nodes(first, min(first + BLOCK, n), lo, hi, n)
+        x = _linspace_nodes(np.add(_IDX[:min(BLOCK, n - first) + 1], first), lo, hi, n)
         if narrow:
             x = x[np.concatenate(([True], x[1:] != x[:-1]))]
         if j < pts.size and pts[j] <= x[-1]:
@@ -104,10 +113,21 @@ def _blocks(f: ProfileFunction, n: int):
             yield x
 
 
+def _most_breakpoints(f: ProfileFunction, n: int) -> int:
+    """The most breakpoints that one chunk of _blocks takes in: those up to
+    its last node and past the last node of the chunk before."""
+    pts = f.breakpoint_array
+    if n <= BLOCK or pts.size == 0:
+        return pts.size
+    last = np.append(np.arange(BLOCK, n, BLOCK), n).astype(float)
+    ends = _linspace_nodes(last, f.domain.lo, f.domain.hi, n)
+    return int(np.diff(np.searchsorted(pts, ends, side="right"), prepend=0).max())
+
+
 def workspace(cells: int) -> np.ndarray:
     """Scratch rows for the kernels' temporaries on up to `cells` cells, and
     one more for the disk's midpoints."""
-    return np.empty((6, cells))
+    return np.empty((5, cells))
 
 
 def polyline_sum(xs: np.ndarray, fx: np.ndarray, work: np.ndarray) -> float:
@@ -118,36 +138,82 @@ def polyline_sum(xs: np.ndarray, fx: np.ndarray, work: np.ndarray) -> float:
     return dx.sum() + np.abs(df, df).sum()
 
 
+def _frustum_terms(f0, f1, scale, rows: np.ndarray) -> np.ndarray:
+    """The frustum terms, divided by 4, of cells with end values f0, f1,
+    from their dx and |df| in rows[0] and rows[1].  scale, a power of two
+    or None for 1, multiplies dx and |df| before they are squared.  Returns
+    rows[1]."""
+    a, b, c, d = rows
+    if scale is None:
+        np.multiply(a, a, d)             # dx^2
+        a += b                           # dx + |df|
+        b *= b                           # df^2
+    else:
+        np.multiply(a, scale, c)
+        np.multiply(c, c, d)             # (s dx)^2
+        np.multiply(b, scale, c)
+        a += b
+        np.multiply(c, c, b)             # (s df)^2
+    np.multiply(b, 0.5, c)
+    c += d
+    np.sqrt(c, c)                        # s sqrt(dx^2 + df^2/2)
+    d += b
+    np.sqrt(d, d)                        # s sqrt(dx^2 + df^2)
+    np.add(f0, f1, b)
+    b *= a
+    b *= c
+    b /= d
+    return b
+
+
+def _powers_of_two(m: np.ndarray) -> np.ndarray:
+    """2^-e for each m in [2^(e-1), 2^e), which brings m into [1/2, 1); e is
+    kept within +-1020, where 2^-e is a normal float."""
+    return np.ldexp(1.0, -np.clip(np.frexp(m)[1], -1020, 1020))
+
+
 def frustum_sum(xs: np.ndarray, fx: np.ndarray, work: np.ndarray) -> float:
-    """Sum of 4 (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) / sqrt(dx^2 + df^2) over the cells."""
-    dx, df, slant, chord, term = work[:5, :xs.size - 1]
+    """Sum of 4 (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) / sqrt(dx^2 + df^2) over the cells.
+
+    (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) grows as the cube of the
+    magnitude.  So where the larger of the block's width and largest |df|
+    lies outside [2^-64, 2^64], dx and |df| are multiplied, before they are
+    squared, by the power of two that brings it into [1/2, 1).  The factor 4
+    multiplies the sum.  Both scalings are exact: the sum is the unscaled
+    formula's wherever that neither overflows nor underflows.  A cell whose
+    squares still underflow beside the block's largest, whose term would be
+    0/0, gets a power of two of its own.
+    """
+    rows = work[:4, :xs.size - 1]
+    dx, df, chord = rows[0], rows[1], rows[3]
     np.subtract(xs[1:], xs[:-1], dx)
     np.subtract(fx[1:], fx[:-1], df)
-    np.multiply(dx, dx, chord)
-    np.multiply(df, 0.5, slant)
-    slant *= df
-    slant += chord
-    np.sqrt(slant, slant)                # sqrt(dx^2 + 0.5 df^2)
-    np.multiply(df, df, term)
-    chord += term
-    np.sqrt(chord, chord)                # sqrt(dx^2 + df^2)
     np.abs(df, df)
-    df += dx                             # dx + |df|
-    np.add(fx[:-1], fx[1:], term)
-    term *= 4.0
-    term *= df
-    term *= slant
-    term /= chord
-    return term.sum()
+    # max() passes over a NaN |df|, which then gives a NaN term as before.
+    m = max(xs[-1] - xs[0], df.max())
+    scale = None if 2.0**-64 <= m <= 2.0**64 else _powers_of_two(m)
+    with np.errstate(invalid="ignore"):  # a 0/0 term is mended below
+        term = _frustum_terms(fx[:-1], fx[1:], scale, rows)
+    total = term.sum()
+    if math.isnan(total):
+        i = np.flatnonzero(chord == 0.0)  # the 0/0 terms; a NaN f stays NaN
+        own = np.empty((4, i.size))
+        np.subtract(xs[i + 1], xs[i], own[0])
+        np.subtract(fx[i + 1], fx[i], own[1])
+        np.abs(own[1], own[1])
+        term[i] = _frustum_terms(fx[i], fx[i + 1], _powers_of_two(np.maximum(own[0], own[1])),
+                                 own)
+        total = term.sum()
+    return 4.0 * total
 
 
 def disk_sum(xs: np.ndarray, fm: np.ndarray, work: np.ndarray) -> float:
-    """Sum of 2 f(mid)^2 dx over the cells, from the midpoint values fm."""
+    """Sum of 2 f(mid)^2 dx over the cells, from the midpoint values fm; the
+    factor 2 multiplies the sum, which is exact."""
     term, dx = work[:2, :xs.size - 1]
-    np.multiply(fm, 2.0, term)
-    term *= fm
+    np.multiply(fm, fm, term)
     term *= np.subtract(xs[1:], xs[:-1], dx)
-    return term.sum()
+    return 2.0 * term.sum()
 
 
 def _sum_cells(kernel, f: ProfileFunction, n: int, *,
@@ -155,18 +221,19 @@ def _sum_cells(kernel, f: ProfileFunction, n: int, *,
     """The oracles' block loop: kernel sums the block's cells from f at its
     nodes, or its cell midpoints; signed checks f >= 0."""
     check_cells((n,))
-    work = workspace(min(n, BLOCK) + len(f.breakpoints))
-    sums, lows = [], []
+    work = workspace(min(n, BLOCK) + _most_breakpoints(f, n))
+    sums = []
+    lowest = measures.LowestSample()
     for x in _blocks(f, n):
         at = x
         if mids:
-            at = np.add(x[:-1], x[1:], work[5, :x.size - 1])
+            at = np.add(x[:-1], x[1:], work[4, :x.size - 1])
             at *= 0.5
         fx = np.ascontiguousarray(f.evaluate(at), dtype=float)
         if signed:
-            lows.append(measures.lowest_sample(at, fx))
+            lowest.add(at, fx)
         sums.append(kernel(x, fx, work))
-    measures.check_nonnegative(lows)
+    lowest.check_nonnegative()
     return math.fsum(sums)
 
 

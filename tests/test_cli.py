@@ -260,6 +260,30 @@ def test_measure_with_an_oracle_on_a_zero_width_domain_is_zero(capsys, quantity)
     assert report["quadrature"] == 0.0 and report["oracle"] == 0.0
 
 
+@pytest.mark.parametrize("r", ["1e-120", "1e120"])
+def test_measure_sphere_surface_oracle_at_extreme_radii(capsys, r):
+    # (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) scales as r^3: the oracle
+    # printed 0.0 with exit 0 at 1e-120 and exited 3 with inf at 1e120.
+    sphere = '{"shape": "sphere", "params": {"r": %s}}' % r
+    code, out, err = run(capsys, ["measure", "--quantity", "surface", "--shape", sphere,
+                                  "--oracle", "64", "--json"])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["oracle"] == pytest.approx(report["analytic"], rel=1e-15, abs=0.0)
+
+
+def test_measure_surface_oracle_with_a_cell_whose_squares_underflow(capsys):
+    # The squares of the cell [0, 1e-200] underflow to 0: its frustum term
+    # was 0/0, and the command exited 3 with oracle = nan.
+    profile = '{"piecewise_linear": [[0, 1], [1e-200, 1], [1, 2]]}'
+    code, out, err = run(capsys, ["measure", "--quantity", "surface", "--profile", profile,
+                                  "--oracle", "100", "--json"])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["oracle"] == pytest.approx(12.0 * math.sqrt(3.0), rel=1e-15, abs=0.0)
+    assert report["oracle"] == pytest.approx(report["quadrature"], rel=1e-12, abs=0.0)
+
+
 def test_measure_angles_for_another_quantity_exit_2(capsys):
     code, out, err = run(capsys, ["measure", "--quantity", "volume", "--alpha", "1"])
     assert code == 2 and out == ""

@@ -23,6 +23,15 @@ def test_frustum_sum_constant_profile():
     assert kernels.frustum_sum(xs, fx, kernels.workspace(5)) == pytest.approx(16.0, abs=1e-13)
 
 
+def test_frustum_sum_gives_a_cell_whose_squares_underflow_its_own_term():
+    # Beside a unit cell, the squares of [0, 1e-200] underflow to 0 and its
+    # term was 0/0; alone, the cell is f = 1 over dx = 1e-200.
+    xs, fx, work = np.array([0.0, 1e-200, 1.0]), np.array([1.0, 1.0, 2.0]), kernels.workspace(2)
+    tiny = kernels.frustum_sum(xs[:2], fx[:2], work)
+    assert tiny == 8e-200
+    assert kernels.frustum_sum(xs, fx, work) == tiny + kernels.frustum_sum(xs[1:], fx[1:], work)
+
+
 def test_disk_sum_constant_profile():
     xs = np.linspace(0.0, 2.0, 6)
     fm = np.full(5, 1.0)

@@ -278,6 +278,17 @@ def test_breakpoint_augmentation_matters():
     assert polyline_arclength_oracle(f, n=3) == pytest.approx(4.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [64, 3 * oracles.BLOCK + 7])
+@pytest.mark.parametrize("lam", [2.0**400, 2.0**-400], ids=["2^400", "2^-400"])
+def test_frustum_oracle_scales_as_lambda_squared_at_extreme_magnitudes(lam, n):
+    # x, f -> lam x, lam f scales every node, value and term exactly.  The
+    # product (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) scales as lam^3: it
+    # overflowed at 2^400 and underflowed at 2^-400.
+    unit = frustum_surface_oracle(revolution_profile(SphereSpec(1.0)), n=n)
+    scaled = frustum_surface_oracle(revolution_profile(SphereSpec(lam)), n=n)
+    assert scaled == lam * lam * unit
+
+
 def test_oracles_never_touch_the_quadrature_engine(monkeypatch):
     import taximeasure.quadrature as quadrature
 
@@ -357,6 +368,9 @@ def test_blocks_equal_slices_of_the_whole_partition(n, dom):
         want = _reference_blocks(f, n)
         assert [x.size for x in got] == [x.size for x in want], (len(bps), bps[:3])
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), (len(bps), bps[:3])
+        # The workspace is sized for the largest block.
+        most = min(n, B) + oracles._most_breakpoints(f, n)
+        assert all(x.size - 1 <= most for x in got), (len(bps), bps[:3])
 
 
 def _polyline_terms(f, n):
@@ -450,6 +464,7 @@ def test_a_block_takes_in_every_breakpoint_of_its_chunk():
     f, n = _crowded_first_chunk()
     got = [x.copy() for x in oracles._blocks(f, n)]
     assert [x.size - 1 for x in got] == [4 * B, B]
+    assert oracles._most_breakpoints(f, n) == 3 * B
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, _reference_blocks(f, n)))
     for oracle, terms in ORACLE_TERMS:
         assert oracle(f, n=n) == _blockwise_sum(f, n, terms(f, n)), oracle.__name__
@@ -471,14 +486,14 @@ def _full_check_message(xs, vals):
 
 
 @pytest.mark.parametrize("evaluate", [
-    # The lowest sample lies in the third block.
+    # The lowest sample lies in the third block at 3 B + 7 cells.
     lambda x: np.abs(x - 0.7) - 0.1,
     # Every sample ties for lowest: the first one is named.
     lambda x: np.full(np.shape(x), -1.0),
 ])
-def test_negative_profile_error_names_the_first_lowest_sample(evaluate):
+@pytest.mark.parametrize("n", [1000, 3 * B + 7])
+def test_negative_profile_error_names_the_first_lowest_sample(evaluate, n):
     f = ProfileFunction(evaluate, lambda x: np.zeros(np.shape(x)), Interval(0.0, 1.0))
-    n = 3 * B + 7
     xs = np.linspace(0.0, 1.0, n + 1)
     mids = 0.5 * (xs[:-1] + xs[1:])
     with pytest.raises(DomainError) as surface:
@@ -499,6 +514,37 @@ def test_nonnegativity_tolerance_takes_the_peak_of_every_block():
     assert disk_volume_oracle(f, n=3 * B) > 0.0
 
 
+def _two_valued(left, right, at=0.3):
+    """A profile that is left below x = at and right above it: at 3 B + 7
+    cells on [0, 1], x = 0.3 lies in the first block and 0.7 in the third."""
+    return ProfileFunction(lambda x: np.where(x < at, left, right),
+                           lambda x: np.zeros(np.shape(x)), Interval(0.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [1000, 3 * B + 7])
+@pytest.mark.parametrize("left, right, at", [(np.nan, -1.0, 0.3), (-1.0, np.nan, 0.7)],
+                         ids=["nan-first", "nan-last"])
+@pytest.mark.parametrize("oracle", [frustum_surface_oracle, disk_volume_oracle])
+def test_a_nan_sample_passes_the_nonnegativity_check(oracle, left, right, at, n):
+    # argmin takes NaN for the lowest sample, before or after a sample at
+    # -1, so the check lets the NaN through to the sum.
+    assert math.isnan(oracle(_two_valued(left, right, at), n=n))
+
+
+@pytest.mark.parametrize("n", [1000, 3 * B + 7])
+@pytest.mark.parametrize("left, right, at", [(np.inf, -1.0, 0.3), (-1.0, np.inf, 0.7)],
+                         ids=["inf-first", "inf-last"])
+@pytest.mark.parametrize("oracle, want", [(frustum_surface_oracle, math.nan),
+                                          (disk_volume_oracle, math.inf)])
+def test_an_infinite_sample_excuses_every_negative_one(oracle, want, left, right, at, n):
+    # max |f| = inf makes the tolerance -inf.  The frustum term of a cell
+    # with an infinite end is inf/inf or has inf - inf in it; the CLI runs
+    # the oracles with these warnings off, as here.
+    with np.errstate(invalid="ignore"):
+        got = oracle(_two_valued(left, right, at), n=n)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 # 5,000 vertices, so 4,998 breakpoints, at values between 1 and 2.
 PL5000 = PiecewiseLinearProfile(tuple(zip(
     np.linspace(0.0, 1.0, 5000).tolist(),
@@ -512,8 +558,8 @@ PL5000 = PiecewiseLinearProfile(tuple(zip(
     (revolution_profile(SphereSpec(1.0)), 10**7, B),
     # linspace alone would take 80 MB here, to keep six distinct nodes.
     (profile_linear(1.0, 1.0, NARROW), 10**7, B),
-    # The workspace has room for every breakpoint in one block.
-    (PL5000, 10**7, B + len(PL5000.breakpoints)),
+    # The workspace grows to the largest block, ~27 breakpoints more than B.
+    (PL5000, 10**7, B),
     (*_crowded_first_chunk(), 4 * B),
 ], ids=["sphere-1e6", "sphere-1e7", "narrow-1e7", "pl5000-1e7", "crowded-2B"])
 def test_oracle_memory_does_not_grow_with_n(oracle, f, n, cells):

@@ -251,6 +251,19 @@ def test_restrict_keeps_the_breakpoints_inside_and_the_declarations():
     assert not restrict(library, Interval(4.0, 6.0)).monotone_pieces
 
 
+def test_breakpoint_array_holds_the_breakpoints_read_only():
+    f = profile_taxicab_ellipse_upper(2.0, 1.0, 4.0)
+    assert f.breakpoint_array.dtype == np.float64
+    assert f.breakpoint_array.tolist() == list(f.breakpoints) == [-1.0, 1.0]
+    with pytest.raises(ValueError):
+        f.breakpoint_array[0] = 0.0
+    # restrict builds it again for the part; equality and hashing leave it out.
+    part = restrict(f, Interval(-1.0, 2.0))
+    assert part.breakpoint_array.tolist() == [1.0]
+    assert restrict(f, f.domain) == f and hash(restrict(f, f.domain)) == hash(f)
+    assert restrict(f, Interval(0.0, 0.0)).breakpoint_array.size == 0
+
+
 def test_restrict_takes_a_parametric_curve():
     c = ParametricCurve((np.cos, np.sin), (lambda t: -np.sin(t), np.cos), Interval(0.0, 2.0),
                         breakpoints=(0.5, 1.0, math.pi / 2), label="arc",
