@@ -140,9 +140,9 @@ def polyline_sum(xs: np.ndarray, fx: np.ndarray, work: np.ndarray) -> float:
 
 def _frustum_terms(f0, f1, scale, rows: np.ndarray) -> np.ndarray:
     """The frustum terms, divided by 4, of cells with end values f0, f1,
-    from their dx and |df| in rows[0] and rows[1].  scale, a power of two
-    or None for 1, multiplies dx and |df| before they are squared.  Returns
-    rows[1]."""
+    from their dx and |df| in rows[0] and rows[1].  scale, None for 1 or a
+    power of two per cell, multiplies dx and |df| before they are squared.
+    Returns rows[1]."""
     a, b, c, d = rows
     if scale is None:
         np.multiply(a, a, d)             # dx^2
@@ -166,44 +166,31 @@ def _frustum_terms(f0, f1, scale, rows: np.ndarray) -> np.ndarray:
     return b
 
 
-def _powers_of_two(m: np.ndarray) -> np.ndarray:
-    """2^-e for each m in [2^(e-1), 2^e), which brings m into [1/2, 1); e is
-    kept within +-1020, where 2^-e is a normal float."""
-    return np.ldexp(1.0, -np.clip(np.frexp(m)[1], -1020, 1020))
-
-
 def frustum_sum(xs: np.ndarray, fx: np.ndarray, work: np.ndarray) -> float:
     """Sum of 4 (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) / sqrt(dx^2 + df^2) over the cells.
 
     (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) grows as the cube of the
-    magnitude.  So where the larger of the block's width and largest |df|
-    lies outside [2^-64, 2^64], dx and |df| are multiplied, before they are
-    squared, by the power of two that brings it into [1/2, 1).  The factor 4
-    multiplies the sum.  Both scalings are exact: the sum is the unscaled
-    formula's wherever that neither overflows nor underflows.  A cell whose
-    squares still underflow beside the block's largest, whose term would be
-    0/0, gets a power of two of its own.
+    magnitude, and a cell whose dx and |df| are both below ~1e-154 has
+    squares that underflow to a 0/0 term.  So where the block's sum is not
+    a number between 2^-900 and 2^900, it is summed again with each cell's
+    dx and |df| multiplied, before they are squared, by the power of two
+    that brings the larger of them into [1/2, 1).  The factor 4 multiplies
+    the sum.  Both scalings are exact: each term is the unscaled formula's
+    wherever that neither overflows nor underflows.
     """
     rows = work[:4, :xs.size - 1]
-    dx, df, chord = rows[0], rows[1], rows[3]
+    dx, df = rows[0], rows[1]
     np.subtract(xs[1:], xs[:-1], dx)
     np.subtract(fx[1:], fx[:-1], df)
     np.abs(df, df)
-    # max() passes over a NaN |df|, which then gives a NaN term as before.
-    m = max(xs[-1] - xs[0], df.max())
-    scale = None if 2.0**-64 <= m <= 2.0**64 else _powers_of_two(m)
-    with np.errstate(invalid="ignore"):  # a 0/0 term is mended below
-        term = _frustum_terms(fx[:-1], fx[1:], scale, rows)
-    total = term.sum()
-    if math.isnan(total):
-        i = np.flatnonzero(chord == 0.0)  # the 0/0 terms; a NaN f stays NaN
-        own = np.empty((4, i.size))
-        np.subtract(xs[i + 1], xs[i], own[0])
-        np.subtract(fx[i + 1], fx[i], own[1])
-        np.abs(own[1], own[1])
-        term[i] = _frustum_terms(fx[i], fx[i + 1], _powers_of_two(np.maximum(own[0], own[1])),
-                                 own)
-        total = term.sum()
+    with np.errstate(over="ignore", invalid="ignore"):  # summed again below
+        total = _frustum_terms(fx[:-1], fx[1:], None, rows).sum()
+    if not 2.0**-900 <= total <= 2.0**900:
+        np.subtract(xs[1:], xs[:-1], dx)
+        np.subtract(fx[1:], fx[:-1], df)
+        np.abs(df, df)
+        scale = np.ldexp(1.0, -np.clip(np.frexp(np.maximum(dx, df))[1], -1020, 1020))
+        total = _frustum_terms(fx[:-1], fx[1:], scale, rows).sum()
     return 4.0 * total
 
 

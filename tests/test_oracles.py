@@ -289,6 +289,16 @@ def test_frustum_oracle_scales_as_lambda_squared_at_extreme_magnitudes(lam, n):
     assert scaled == lam * lam * unit
 
 
+@pytest.mark.parametrize("n", [1, 10])
+def test_frustum_oracle_on_a_span_far_steeper_than_wide(n):
+    # dx = 1e-300 and df = 1e-140 per span: the product with
+    # sqrt(dx^2 + df^2/2) underflowed to 0, and a scale taken from dx alone
+    # would overflow df^2.  A linear span is exact at any n.
+    f = PiecewiseLinearProfile(((0.0, 0.0), (1e-300, 1e-140))).to_profile()
+    want = 4.0 * 1e-140 * (1e-300 + 1e-140) * math.sqrt(0.5)
+    assert frustum_surface_oracle(f, n=n) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 def test_oracles_never_touch_the_quadrature_engine(monkeypatch):
     import taximeasure.quadrature as quadrature
 
