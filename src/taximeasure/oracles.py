@@ -32,7 +32,8 @@ breakpoints, so a call holds one block and one workspace, 1.2-1.4 MB and
 ~56 B more per breakpoint of that chunk, whatever n is.
 
 The polyline and disk sums are right wherever their terms and sums are
-normal floats.  The frustum term scales its dx and |df| so that its
+normal floats.  The frustum kernel sums a block whose sum is out of range
+again with each cell's dx and |df| scaled by a power of two, so that its
 intermediate sqrt(dx^2 + df^2/2) (f0 + f1)(dx + |df|), which grows as the
 cube of the magnitude, stays in range: its sums hold from magnitudes of
 ~1e-150 to ~1e150, past which the surface itself leaves the normal floats.
@@ -170,7 +171,7 @@ def frustum_sum(xs: np.ndarray, fx: np.ndarray, work: np.ndarray) -> float:
     """Sum of 4 (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) / sqrt(dx^2 + df^2) over the cells.
 
     (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) grows as the cube of the
-    magnitude, and a cell whose dx and |df| are both below ~1e-154 has
+    magnitude, and a cell whose dx and |df| are both below ~1e-162 has
     squares that underflow to a 0/0 term.  So where the block's sum is not
     a number between 2^-900 and 2^900, it is summed again with each cell's
     dx and |df| multiplied, before they are squared, by the power of two
