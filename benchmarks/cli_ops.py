@@ -44,8 +44,9 @@ writes under .perfbench_out/ for --pairs.
    of one more, in MB.
 
 The result also gives each checkout's lines of src/taximeasure/*.py and the
-net change, so a change that only simplifies can report its net source lines
-from the same run that shows its outputs are unchanged.
+net change, in total and per file, so a change that only simplifies can
+report its net source lines, and where they went, from the same run that
+shows its outputs are unchanged.
 
 The last line of standard output is the JSON result, also written to --out.
 """
@@ -124,13 +125,27 @@ def child_env(checkout: str, cache: str) -> dict:
     return env
 
 
-def source_lines(checkout: str) -> int:
-    """Lines of the checkout's src/taximeasure/*.py."""
-    total = 0
+def source_lines(checkout: str) -> dict[str, int]:
+    """Lines of each of the checkout's src/taximeasure/*.py, by file name."""
+    lines = {}
     for path in glob.glob(os.path.join(checkout, "src", "taximeasure", "*.py")):
         with open(path, encoding="utf-8") as fh:
-            total += sum(1 for _ in fh)
-    return total
+            lines[os.path.basename(path)] = sum(1 for _ in fh)
+    return lines
+
+
+def line_changes(dirs: dict) -> dict:
+    """Source lines per side and the net change, in total and per file (a
+    file missing on one side has 0 lines there)."""
+    lines = {side: source_lines(dirs[side]) for side in SIDES}
+
+    def entry(counts):
+        return {**counts, "net": counts["change"] - counts["parent"]}
+
+    names = sorted(set(lines["parent"]) | set(lines["change"]))
+    return {**entry({side: sum(lines[side].values()) for side in SIDES}),
+            "files": {name: entry({side: lines[side].get(name, 0) for side in SIDES})
+                      for name in names}}
 
 
 def run(cmd: list[str], checkout: str, env: dict) -> tuple[int, float, str, str]:
@@ -370,7 +385,6 @@ def main(argv=None) -> int:
         memory = oracle_memory(dirs, envs, args.seed)
 
     medians = {side: [row[side]["median_ms"] for row in ops] for side in SIDES}
-    lines = {side: source_lines(dirs[side]) for side in SIDES}
     result = {
         "seed": args.seed, "reps": args.reps,
         "op_p50_ms": {side: statistics.median(medians[side]) for side in SIDES},
@@ -383,7 +397,7 @@ def main(argv=None) -> int:
         "ops": ops,
         "outputs": outputs,
         "oracle_memory": memory,
-        "source_lines": {**lines, "net": lines["change"] - lines["parent"]},
+        "source_lines": line_changes(dirs),
     }
     if args.pairs:
         result["workloads"] = run_pairs(dirs, args.pairs, args.seconds)

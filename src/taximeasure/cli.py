@@ -13,9 +13,11 @@ overflows a float; 4 quadrature non-convergence; 5 I/O error.
 Quadrature runs at the library's one relative tolerance, quadrature.REL_TOL,
 which holds at every magnitude of the input; nothing changes it.
 
-A shape's closed forms, flat end caps and revolution profile come from the
-shapes registry (shapes.closed_form, caps_area, revolution_profile); verify's
-shape rows are its spec, quantity, cell count and tolerance, nothing more.
+The profile quantities are those of geometry.PROFILE_QUANTITIES.  A shape's
+closed forms, flat end caps and revolution profile come from the shapes
+registry (shapes.closed_form, caps_area, revolution_profile); its oracle is
+its profile's, with the caps added to a surface and a circumference doubled.
+verify's shape rows are its spec, quantity, cell count and tolerance.
 
 Every command checks all of its arguments before it evaluates a profile:
 the spec's structure, names and parameter keys, --quantity against the
@@ -40,15 +42,11 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import shapes
 from .errors import ConvergenceError, DomainError, IntegrandError, SpecError
-from .geometry import (MAX_CELLS, AngleRad, Interval, RotationAngles, area_scaling_factor,
-                       check_cells, check_profile_spec)
+from .geometry import (MAX_CELLS, PROFILE_QUANTITIES, AngleRad, Interval, RotationAngles,
+                       area_scaling_factor, check_cells, check_profile_spec)
 
 if TYPE_CHECKING:
     from .profiles import ProfileFunction
-
-# The quantities of oracles._ORACLES, in its order.
-_PROFILE_QUANTITIES = ("arclength", "surface", "volume")
-_QUANTITIES = _PROFILE_QUANTITIES + ("area_scale", "circumference", "area")
 
 
 @contextlib.contextmanager
@@ -155,8 +153,8 @@ def cmd_measure(args) -> int:
             abs_err_oracle = abs(oracle - analytic)
     else:
         params = _profile_spec(args.profile)
-        if quantity not in _PROFILE_QUANTITIES:
-            raise SpecError(f"--profile supports {'/'.join(_PROFILE_QUANTITIES)}, "
+        if quantity not in PROFILE_QUANTITIES:
+            raise SpecError(f"--profile supports {'/'.join(PROFILE_QUANTITIES)}, "
                             f"not {quantity!r}")
         if args.oracle is not None:
             check_cells((args.oracle,))
@@ -311,7 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_measure = sub.add_parser("measure", help="compute one quantity")
-    p_measure.add_argument("--quantity", required=True, choices=_QUANTITIES)
+    p_measure.add_argument("--quantity", required=True,
+                           choices=(*PROFILE_QUANTITIES, "area_scale", "circumference", "area"))
     p_measure.add_argument("--shape", help="shape spec JSON")
     p_measure.add_argument("--profile", help="profile spec JSON")
     p_measure.add_argument("--alpha", type=float, help="first tilt angle (area_scale)")
@@ -325,14 +324,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_measure.set_defaults(func=cmd_measure)
 
     p_verify = sub.add_parser("verify", help="cross-check closed forms, quadrature, oracles")
-    p_verify.add_argument("--suite", choices=("arclength", "surface", "volume", "ellipsoid"))
+    p_verify.add_argument("--suite", choices=(*PROFILE_QUANTITIES, "ellipsoid"))
     p_verify.add_argument("--tol", type=float, default=1e-8,
                           help="quadrature-vs-analytic tolerance (default 1e-8)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="oracle convergence table")
     p_table.add_argument("--profile", required=True, help="profile spec JSON")
-    p_table.add_argument("--quantity", required=True, choices=_PROFILE_QUANTITIES)
+    p_table.add_argument("--quantity", required=True, choices=tuple(PROFILE_QUANTITIES))
     p_table.add_argument("--ns", required=True,
                          help="comma-separated, strictly increasing cell counts "
                               f"(each 1 <= N <= {MAX_CELLS})")

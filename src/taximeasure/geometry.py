@@ -6,8 +6,9 @@ circumference is 8, so the circle constant is 4 rather than 3.14159...
 Rotating a plane region out of a coordinate plane by angles (alpha, beta)
 scales its taxicab area by (|cos a| + |sin a|)(|cos b| + |sin b|).
 
-This module holds scalar types, these scalar closed forms and the checks of
-the command-line arguments: spec parameters, profile specs and cell counts.
+This module holds scalar types and closed forms, the tables of catalog
+profiles and profile quantities, and the checks of the command-line
+arguments: spec parameters, profile specs and cell counts.
 It imports neither NumPy nor dataclasses (whose inspect costs a cold process
 more than the rest of the package), so the shape closed forms, the
 rotated-plane area and the argument errors of a command-line process load
@@ -231,6 +232,17 @@ CATALOG_PARAMS = {
     "taxicab_circle_upper": ("r",),
     "taxicab_parabola": ("a", "h"),
     "taxicab_ellipse_upper": ("a", "b", "s"),
+}
+
+
+# Profile quantity -> the names of its quadrature measure in measures and of
+# its oracle in oracles, so that a wrapper bound to a name later is the one
+# called, and whether the quantity needs f >= 0.
+ProfileQuantity = namedtuple("ProfileQuantity", "measure oracle signed")
+PROFILE_QUANTITIES = {
+    "arclength": ProfileQuantity("arclength_functional", "polyline_arclength_oracle", False),
+    "surface": ProfileQuantity("surface_of_revolution", "frustum_surface_oracle", True),
+    "volume": ProfileQuantity("volume_of_revolution", "disk_volume_oracle", True),
 }
 
 

@@ -19,6 +19,10 @@ For a solid of revolution with radius profile f >= 0:
 
     surface = integral of 2*pi_t * f * (1 + |f'|) * sqrt(1 - f'^2 / (2(1 + f'^2)))
     volume  = integral of (pi_t / 2) * f^2
+
+Each measure gives only its integrand to the one body, _measure: it takes
+the splits, checks f >= 0 (at them too) where geometry.PROFILE_QUANTITIES
+says the quantity needs it, and integrates.
 """
 
 from __future__ import annotations
@@ -29,25 +33,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .geometry import PI_T
+from .geometry import PI_T, PROFILE_QUANTITIES
 from .profiles import ParametricCurve, ProfileFunction, sorted_insert
 from .quadrature import detect_sign_changes, integrate
 
 # Grid resolution for the sampled non-negativity check of surface and volume
 # profiles without monotone pieces; a profile with them is checked exactly at
-# its piece ends.  It is a heuristic by design: the declared breakpoints and
-# their one-sided neighborhoods are always included.
+# its piece ends.  It is a heuristic by design: the splits (declared and
+# scanned) and their one-sided neighborhoods are always included.
 _CHECK_GRID = 1024
-
-
-def _check_sample_grid(f: ProfileFunction) -> np.ndarray:
-    lo, hi = f.domain.lo, f.domain.hi
-    xs = np.linspace(lo, hi, _CHECK_GRID)
-    if f.breakpoints:
-        h = 1e-9 * (hi - lo)
-        near = np.array([v for b in f.breakpoints for v in (b - h, b, b + h)])
-        xs = sorted_insert(xs, np.clip(near, lo, hi))
-    return xs
 
 
 class LowestSample:
@@ -79,12 +73,17 @@ class LowestSample:
                 f"f({float(self.x)!r}) = {float(self.low)!r}")
 
 
-def _check_nonnegative(f: ProfileFunction) -> None:
+def _check_nonnegative(f: ProfileFunction, splits: list[float]) -> None:
+    lo, hi = f.domain.lo, f.domain.hi
     if f.monotone_pieces:
         # A monotone piece has its minimum at one of its ends.
-        xs = np.concatenate(([f.domain.lo], f.breakpoint_array, [f.domain.hi]))
+        xs = np.concatenate(([lo], f.breakpoint_array, [hi]))
     else:
-        xs = _check_sample_grid(f)
+        xs = np.linspace(lo, hi, _CHECK_GRID)
+        if splits:
+            h = 1e-9 * (hi - lo)
+            near = np.array([v for b in splits for v in (b - h, b, b + h)])
+            xs = sorted_insert(xs, np.clip(near, lo, hi))
     lowest = LowestSample()
     lowest.add(xs, np.asarray(f.evaluate(xs), dtype=float))
     lowest.check_nonnegative()
@@ -102,14 +101,18 @@ def _splits(curve, *derivatives) -> list[float]:
                        for s in detect_sign_changes(d, curve.domain, declared)]
 
 
+def _measure(quantity: str, curve, integrand, *derivatives) -> float:
+    """The one measure body: the splits, the check that f >= 0 where quantity
+    needs it, and the integral of integrand over the domain cut at them."""
+    splits = _splits(curve, *derivatives)
+    if PROFILE_QUANTITIES[quantity].signed:
+        _check_nonnegative(curve, splits)
+    return integrate(integrand, curve.domain, splits).value
+
+
 def arclength_functional(f: ProfileFunction) -> float:
     """Taxicab arc length of the graph of f: integral of 1 + |f'|."""
-    splits = _splits(f, f.derivative)
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return 1.0 + np.abs(f.derivative(x))
-
-    return integrate(integrand, f.domain, splits).value
+    return _measure("arclength", f, lambda x: 1.0 + np.abs(f.derivative(x)), f.derivative)
 
 
 def arclength_variation(c: ParametricCurve) -> float:
@@ -132,20 +135,13 @@ def arclength_variation(c: ParametricCurve) -> float:
 
 def arclength_parametric(c: ParametricCurve) -> float:
     """Taxicab arc length of c by quadrature: integral of sum |x_k'|."""
-    splits = _splits(c, *c.derivatives)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return sum(np.abs(d(t)) for d in c.derivatives)
-
-    return integrate(integrand, c.domain, splits).value
+    return _measure("arclength", c, lambda t: sum(np.abs(d(t)) for d in c.derivatives),
+                    *c.derivatives)
 
 
 def surface_of_revolution(f: ProfileFunction) -> float:
     """Lateral taxicab surface area of the solid obtained by revolving f >= 0
     around the x axis."""
-    _check_nonnegative(f)
-    splits = _splits(f, f.derivative)
-
     def integrand(x: np.ndarray) -> np.ndarray:
         d = f.derivative(x)
         # sqrt(1 - d^2 / (2(1 + d^2))), written so that it tends to sqrt(1/2)
@@ -153,28 +149,20 @@ def surface_of_revolution(f: ProfileFunction) -> float:
         radical = np.sqrt(0.5 + 0.5 / (1.0 + d * d))
         return 2.0 * PI_T * f.evaluate(x) * (1.0 + np.abs(d)) * radical
 
-    return integrate(integrand, f.domain, splits).value
+    return _measure("surface", f, integrand, f.derivative)
 
 
 def volume_of_revolution(f: ProfileFunction) -> float:
     """Taxicab volume of the solid obtained by revolving f >= 0 around the
     x axis: integral of (pi_t / 2) * f^2."""
-    _check_nonnegative(f)
-    splits = _splits(f)
-
     def integrand(x: np.ndarray) -> np.ndarray:
         fx = f.evaluate(x)
         return 0.5 * PI_T * fx * fx
 
-    return integrate(integrand, f.domain, splits).value
+    return _measure("volume", f, integrand)
 
 
 def quadrature_measure(quantity: str) -> Callable:
-    """The quadrature measure of a profile quantity: arclength, surface or volume."""
-    # Built per call so that each name is the function bound in this module
-    # at call time, not a reference captured at import.
-    return {
-        "arclength": arclength_functional,
-        "surface": surface_of_revolution,
-        "volume": volume_of_revolution,
-    }[quantity]
+    """The quadrature measure of a quantity of geometry.PROFILE_QUANTITIES,
+    the function bound to its name here at call time."""
+    return globals()[PROFILE_QUANTITIES[quantity].measure]

@@ -13,7 +13,8 @@ any n, and the frustum sum is exact on linear spans; for smooth profiles both
 converge as the partition refines.  The oracle sums never call the
 quadrature engine, so they stay an independent check on it.  This module uses
 measures only for the nonnegativity check it shares with the quadrature and
-for the table's reference values.
+for the table's reference values.  Which oracle computes a quantity, and
+whether it needs f >= 0, is read from geometry.PROFILE_QUANTITIES.
 
 The three oracles share one loop over the blocks of the partition.  Each
 block evaluates the profile on its own nodes (midpoints for the disk), adds
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import measures
 from .errors import DomainError
-from .geometry import MAX_CELLS, Interval, check_cells
+from .geometry import MAX_CELLS, PROFILE_QUANTITIES, Interval, check_cells
 from .profiles import ProfileFunction, restrict, sorted_insert
 
 # Cells per block: the nodes, values and kernel temporaries of one block,
@@ -204,10 +205,10 @@ def disk_sum(xs: np.ndarray, fm: np.ndarray, work: np.ndarray) -> float:
     return 2.0 * term.sum()
 
 
-def _sum_cells(kernel, f: ProfileFunction, n: int, *,
-               mids: bool = False, signed: bool = True) -> float:
+def _sum_cells(kernel, f: ProfileFunction, n: int, quantity: str, *,
+               mids: bool = False) -> float:
     """The oracles' block loop: kernel sums the block's cells from f at its
-    nodes, or its cell midpoints; signed checks f >= 0."""
+    nodes, or its cell midpoints, and checks f >= 0 if quantity needs it."""
     check_cells((n,))
     work = workspace(min(n, BLOCK) + _most_breakpoints(f, n))
     sums = []
@@ -218,7 +219,7 @@ def _sum_cells(kernel, f: ProfileFunction, n: int, *,
             at = np.add(x[:-1], x[1:], work[4, :x.size - 1])
             at *= 0.5
         fx = np.ascontiguousarray(f.evaluate(at), dtype=float)
-        if signed:
+        if PROFILE_QUANTITIES[quantity].signed:
             lowest.add(at, fx)
         sums.append(kernel(x, fx, work))
     lowest.check_nonnegative()
@@ -227,24 +228,21 @@ def _sum_cells(kernel, f: ProfileFunction, n: int, *,
 
 def polyline_arclength_oracle(f: ProfileFunction, n: int) -> float:
     """Sum of taxicab chord lengths over the breakpoint-augmented partition."""
-    return _sum_cells(polyline_sum, f, n, signed=False)
+    return _sum_cells(polyline_sum, f, n, "arclength")
 
 
 def frustum_surface_oracle(f: ProfileFunction, n: int) -> float:
     """Sum of taxicab frustum lateral surfaces over the augmented partition."""
-    return _sum_cells(frustum_sum, f, n)
+    return _sum_cells(frustum_sum, f, n, "surface")
 
 
 def disk_volume_oracle(f: ProfileFunction, n: int) -> float:
     """Midpoint-rule sum of taxicab disk volumes over the augmented partition."""
-    return _sum_cells(disk_sum, f, n, mids=True)
+    return _sum_cells(disk_sum, f, n, "volume", mids=True)
 
 
-_ORACLES = {
-    "arclength": polyline_arclength_oracle,
-    "surface": frustum_surface_oracle,
-    "volume": disk_volume_oracle,
-}
+# A tracer that wraps an oracle replaces its entry here as well.
+_ORACLES = {q: globals()[entry.oracle] for q, entry in PROFILE_QUANTITIES.items()}
 
 
 def convergence_table(kind: str, f: ProfileFunction, domain: Interval | None = None,

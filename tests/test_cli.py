@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -7,10 +8,12 @@ import pytest
 
 from taximeasure import ConvergenceError, cli, measures, oracles, shapes
 from taximeasure.cli import main
+from taximeasure.geometry import PROFILE_QUANTITIES
 
 SPHERE = '{"shape": "sphere", "params": {"r": 1}}'
 QUADRANT = '{"catalog": "euclidean_circle_quadrant", "params": {"r": 1}}'
 DIAMOND = '{"catalog": "taxicab_circle_upper", "params": {"r": 1}}'
+CIRCLE = '{"shape": "circle", "params": {"r": 1}}'
 
 
 def run(capsys, argv):
@@ -333,9 +336,66 @@ def test_measure_oracle_cell_bound_exits_3(capsys, source):
     assert str(oracles.MAX_CELLS) in err
 
 
-def test_profile_quantities_are_the_oracle_quantities():
-    # cli spells them out so that building its parser imports no array module.
-    assert cli._PROFILE_QUANTITIES == tuple(oracles._ORACLES)
+def test_every_quantity_list_is_keyed_by_the_one_table():
+    # The CLI's choices, quadrature_measure and _ORACLES all read
+    # geometry.PROFILE_QUANTITIES, which loads no array module.
+    table = tuple(PROFILE_QUANTITIES)
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    choices = {(command, a.dest): tuple(a.choices)
+               for command, p in sub.choices.items() for a in p._actions if a.choices}
+    assert choices == {("measure", "quantity"): table + ("area_scale", "circumference", "area"),
+                       ("verify", "suite"): table + ("ellipsoid",),
+                       ("table", "quantity"): table}
+    assert tuple(oracles._ORACLES) == table
+    for quantity, entry in PROFILE_QUANTITIES.items():
+        assert measures.quadrature_measure(quantity) is getattr(measures, entry.measure)
+        assert oracles._ORACLES[quantity] is getattr(oracles, entry.oracle)
+
+
+# The names a tracer wraps by binding a wrapper in their place on the module,
+# and, for an oracle, in oracles._ORACLES too.  Every command must call what
+# is bound there at call time.
+WRAPPED = {measures: ("integrate", "detect_sign_changes", "arclength_functional",
+                      "surface_of_revolution", "volume_of_revolution"),
+           oracles: ("polyline_sum", "frustum_sum", "disk_sum", "polyline_arclength_oracle",
+                     "frustum_surface_oracle", "disk_volume_oracle")}
+
+
+@pytest.mark.parametrize("argv,called", [
+    (["measure", "--quantity", "arclength", "--profile", QUADRANT, "--oracle", "10"],
+     {"arclength_functional", "integrate", "polyline_arclength_oracle", "polyline_sum"}),
+    (["measure", "--quantity", "surface", "--profile", DIAMOND, "--oracle", "10"],
+     {"surface_of_revolution", "integrate", "frustum_surface_oracle", "frustum_sum"}),
+    (["measure", "--quantity", "surface", "--shape", SPHERE, "--oracle", "10"],
+     {"frustum_surface_oracle", "frustum_sum"}),
+    (["measure", "--quantity", "circumference", "--shape", CIRCLE, "--oracle", "10"],
+     {"polyline_arclength_oracle", "polyline_sum"}),
+    (["table", "--quantity", "volume", "--profile", DIAMOND, "--ns", "4,8"],
+     {"volume_of_revolution", "integrate", "disk_volume_oracle", "disk_sum"}),
+    (["verify"], {"arclength_functional", "surface_of_revolution", "volume_of_revolution",
+                  "integrate", *WRAPPED[oracles]}),
+], ids=["profile-arclength", "profile-surface", "shape-surface", "shape-circumference",
+        "table", "verify"])
+def test_commands_call_the_names_a_tracer_wraps(capsys, monkeypatch, argv, called):
+    calls = set()
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, names in WRAPPED.items():
+        for name in names:
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, wrap(name, fn))
+            for quantity, entry in oracles._ORACLES.items():
+                if entry is fn:
+                    monkeypatch.setitem(oracles._ORACLES, quantity, getattr(module, name))
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out
+    assert calls == called
 
 
 def test_measure_convergence_error_exits_4(capsys, monkeypatch):

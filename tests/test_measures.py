@@ -327,6 +327,18 @@ def test_a_dip_between_two_scan_points_is_caught_by_the_sample_grid(measure):
     assert "nonnegative" in str(ei.value) and f"({312 / 1023!r})" in str(ei.value)
 
 
+def test_surface_checks_the_sign_at_the_turning_points_its_scan_found():
+    # f = x(x - 1e-4) dips to -2.5e-9 at 5e-5, before the first point of
+    # the 1,024-point sample grid; the scan of f' finds that turning point,
+    # and the check samples it.  The oracles raise there at n = 1e5.
+    f = _profile(lambda x: x * (x - 1e-4), lambda x: 2.0 * x - 1e-4, 0.0, 1.0)
+    with pytest.raises(DomainError) as ei:
+        surface_of_revolution(f)
+    assert "nonnegative" in str(ei.value) and "= -2.5e-09" in str(ei.value)
+    x = float(str(ei.value).split("f(")[1].split(")")[0])
+    assert x == pytest.approx(5e-5, rel=1e-6)
+
+
 def test_volume_of_revolution_sphere():
     f = profile_taxicab_circle_upper(1.0)
     assert volume_of_revolution(f) == pytest.approx(4.0 / 3.0, abs=1e-9)
