@@ -7,8 +7,9 @@ Rotating a plane region out of a coordinate plane by angles (alpha, beta)
 scales its taxicab area by (|cos a| + |sin a|)(|cos b| + |sin b|).
 
 This module holds scalar types and closed forms, the tables of catalog
-profiles and profile quantities, and the checks of the command-line
-arguments: spec parameters, profile specs and cell counts.
+profiles and profile quantities, which name their builders, measures and
+oracles, and the checks of the command-line arguments: spec parameters,
+profile specs and cell counts.
 It imports neither NumPy nor dataclasses (whose inspect costs a cold process
 more than the rest of the package), so the shape closed forms, the
 rotated-plane area and the argument errors of a command-line process load
@@ -223,15 +224,16 @@ def take_params(spec_name: str, params, keys: tuple[str, ...]) -> list[float]:
     return [_as_number(spec_name, k, params[k]) for k in keys]
 
 
-# Catalog profile name -> its parameter keys, in the order of its constructor
-# in profiles._CATALOG.
+# Catalog profile name -> its parameter keys, in the order its builder takes
+# them, and the name of that builder in profiles, which looks it up there.
+CatalogProfile = namedtuple("CatalogProfile", "params builder")
 CATALOG_PARAMS = {
-    "linear": ("slope", "intercept", "lo", "hi"),
-    "euclidean_circle_quadrant": ("r",),
-    "euclidean_parabola_quadrant": ("r",),
-    "taxicab_circle_upper": ("r",),
-    "taxicab_parabola": ("a", "h"),
-    "taxicab_ellipse_upper": ("a", "b", "s"),
+    "linear": CatalogProfile(("slope", "intercept", "lo", "hi"), "_linear_from_params"),
+    "euclidean_circle_quadrant": CatalogProfile(("r",), "profile_euclidean_circle_quadrant"),
+    "euclidean_parabola_quadrant": CatalogProfile(("r",), "profile_euclidean_parabola_quadrant"),
+    "taxicab_circle_upper": CatalogProfile(("r",), "profile_taxicab_circle_upper"),
+    "taxicab_parabola": CatalogProfile(("a", "h"), "profile_taxicab_parabola"),
+    "taxicab_ellipse_upper": CatalogProfile(("a", "b", "s"), "profile_taxicab_ellipse_upper"),
 }
 
 
@@ -280,4 +282,4 @@ def check_profile_spec(spec) -> tuple[str | None, list]:
     name = spec["catalog"]
     if not isinstance(name, str) or name not in CATALOG_PARAMS:
         raise SpecError(f"unknown catalog profile {name!r}")
-    return name, take_params(name, spec.get("params", {}), CATALOG_PARAMS[name])
+    return name, take_params(name, spec.get("params", {}), CATALOG_PARAMS[name].params)

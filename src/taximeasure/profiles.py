@@ -1,4 +1,4 @@
-"""Profile curves and the catalog of named profiles.
+"""Profile curves and the builders of the catalog profiles.
 
 A ProfileFunction bundles a curve f with its exact derivative and the list of
 interior breakpoints where f' jumps.  The quadrature and oracle layers cut
@@ -14,7 +14,8 @@ a profile without it gets the kink scan of f' and the sampled check.
 
 Evaluation maps are NumPy expressions: they take an array of abscissas and
 return an array of the same shape.  The quadrature calls them with arrays
-only; a float still works and gives a NumPy scalar.
+only; a float still works and gives a NumPy scalar.  _catalog_profile builds
+a row of geometry.CATALOG_PARAMS, for parse_profile_spec and shapes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Interval, check_profile_spec
+from .geometry import CATALOG_PARAMS, Interval, check_profile_spec
 from .shapes import CircleSpec, EllipsoidSpec, ParaboloidSpec, _require_positive
 
 
@@ -365,15 +366,10 @@ def _linear_from_params(slope: float, intercept: float, lo: float,
     return profile_linear(slope, intercept, Interval(lo, hi))
 
 
-# Catalog name -> constructor; geometry.CATALOG_PARAMS holds its parameter keys.
-_CATALOG: dict[str, Callable[..., ProfileFunction]] = {
-    "linear": _linear_from_params,
-    "euclidean_circle_quadrant": profile_euclidean_circle_quadrant,
-    "euclidean_parabola_quadrant": profile_euclidean_parabola_quadrant,
-    "taxicab_circle_upper": profile_taxicab_circle_upper,
-    "taxicab_parabola": profile_taxicab_parabola,
-    "taxicab_ellipse_upper": profile_taxicab_ellipse_upper,
-}
+def _catalog_profile(name: str, values) -> ProfileFunction:
+    """The catalog profile of geometry.CATALOG_PARAMS built from its
+    parameter values, by the builder bound to its name here at call time."""
+    return globals()[CATALOG_PARAMS[name].builder](*values)
 
 
 def parse_profile_spec(spec) -> ProfileFunction:
@@ -386,4 +382,4 @@ def parse_profile_spec(spec) -> ProfileFunction:
     name, values = check_profile_spec(spec)
     if name is None:
         return PiecewiseLinearProfile(tuple(values)).to_profile()
-    return _CATALOG[name](*values)
+    return _catalog_profile(name, values)

@@ -2,24 +2,30 @@
 
 The domain is first cut at every mandatory split point (profile breakpoints
 plus detected derivative sign changes), which restores smoothness inside each
-piece, and each piece starts as one cell.  Every round applies the 15-point
-Kronrod rule and its embedded 7-point Gauss rule to the new cells, takes
-|K15 - G7| as a cell's error, and bisects the cells with the largest errors
-until the summed error is at most REL_TOL times the K15 integral of |g|.
-That bound scales with g, so one REL_TOL means the same at every magnitude,
-and it equals REL_TOL * |value| wherever g keeps one sign, as every measure
-integrand does.  Below the rounding of subnormal samples it takes that
-rounding instead, so zero, cancelling and underflowing integrals still stop.
-Rounding an abscissa to a float moves it by up to ulp(max |x|), which costs
-about that share of the domain width of the integral of |g| (at the end
-pieces, whose Jacobian is taken at the rounded abscissa, even where g is
-constant) and which no bisection lowers.  Where that floor exceeds the
-bound, on a domain narrower than about 1 / REL_TOL float spacings, the
-first round raises ConvergenceError instead of refining.  This is the QAG
-scheme of QUADPACK (Piessens et al. 1983), whose resabs is the integral of
-|g|, run over NumPy arrays: the nodes of all new cells go to the integrand
-in one call, so integrands take and return arrays.  A cell is bisected
-while its midpoint is a float strictly inside it; MAX_EVALS bounds the work.
+piece, and each piece starts as one cell.  The splits are kept as given,
+however close: only repeats and splits at a domain end are dropped.  Every
+round applies the 15-point Kronrod rule and its embedded 7-point Gauss rule
+to the new cells, takes |K15 - G7| as a cell's error, and bisects the cells
+with the largest errors until the summed error is at most REL_TOL times the
+K15 integral of |g|.  That bound scales with g, so one REL_TOL means the same
+at every magnitude, and it equals REL_TOL * |value| wherever g keeps one
+sign, as every measure integrand does.  Below the rounding of subnormal
+samples it takes that rounding instead, so zero, cancelling and underflowing
+integrals still stop.  Rounding an abscissa to a float moves it by up to
+ulp(max |x|), which costs about that share of the domain width of the
+integral of |g| (at the end pieces, whose Jacobian is taken at the rounded
+abscissa, even where g is constant) and which no bisection lowers.  Where
+that floor exceeds the bound, on a domain narrower than about 1 / REL_TOL
+float spacings, the first round raises ConvergenceError instead of refining.
+A piece that narrow inside a wider domain escapes that floor, but rounding
+moves a jump of g at each of its ends by up to the float spacing there; so
+the first round also samples g on both sides of every split that borders a
+piece narrower than _NARROW spacings, and raises where the sum of spacing
+times jump exceeds the bound.  This is the QAG scheme of QUADPACK (Piessens
+et al. 1983), whose resabs is the integral of |g|, run over NumPy arrays: the
+nodes of all new cells go to the integrand in one call, so integrands take
+and return arrays.  A cell is bisected while its midpoint is a float strictly
+inside it; MAX_EVALS bounds the work.
 
 The two end pieces are integrated in u = sqrt(|x - e|) for their domain
 endpoint e (x = e +- u^2, Jacobian 2u), which turns integrable power-law
@@ -60,6 +66,10 @@ _FRACTIONS = np.arange(1, _SCAN_POINTS + 1) / (_SCAN_POINTS + 1)
 
 REL_TOL = 1e-9
 MAX_EVALS = 500_000
+# Float spacings, ten times 1 / REL_TOL: on a piece wider than this, moving
+# a jump of g at its ends by a spacing costs less than REL_TOL of its
+# integral of |g|, so only the splits of narrower pieces are checked.
+_NARROW = 1e10
 
 
 @dataclass(frozen=True)
@@ -84,18 +94,11 @@ def _call(g: Callable, x: np.ndarray, bad: Callable) -> np.ndarray:
 
 
 def _clean_splits(lo: float, hi: float, splits: Iterable[float]) -> list[float]:
-    width = hi - lo
-    eps = 1e-13 * width
-    cleaned: list[float] = []
-    for s in sorted(float(s) for s in splits):
+    cleaned = sorted({float(s) for s in splits})
+    for s in cleaned:
         if not (lo <= s <= hi):
             raise DomainError(f"split point {s} lies outside [{lo}, {hi}]")
-        if s - lo <= eps or hi - s <= eps:
-            continue
-        if cleaned and s - cleaned[-1] <= eps:
-            continue
-        cleaned.append(s)
-    return cleaned
+    return [s for s in cleaned if lo < s < hi]
 
 
 def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
@@ -103,10 +106,12 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
     """Integrate g over the interval, never sampling its endpoints.
 
     g takes a 1-D array of abscissas and returns the integrand there (a
-    scalar is broadcast).  mandatory_splits are forced cell boundaries; pass
-    every known breakpoint of the integrand.  Raises IntegrandError on a
-    non-finite sample and ConvergenceError when the error estimate cannot be
-    brought below REL_TOL times the integral of |g| within MAX_EVALS samples.
+    scalar is broadcast).  mandatory_splits are forced cell boundaries, kept
+    as given except for repeats and the domain ends; pass every known
+    breakpoint of the integrand.  Raises IntegrandError on a non-finite
+    sample and ConvergenceError when the error estimate cannot be brought
+    below REL_TOL times the integral of |g| within MAX_EVALS samples, or when
+    the domain or a piece between splits is too few float spacings wide.
     """
     lo, hi = domain.lo, domain.hi
     if hi == lo:
@@ -147,6 +152,8 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
     # Cells are [a, b] in the coordinate of their piece.  Each round
     # evaluates the new cells and joins them to the kept ones.
     b0 = np.diff(ends)
+    # The splits that border a piece narrower than _NARROW float spacings.
+    jumps = np.array(splits)[np.minimum(b0[:-1], b0[1:]) < _NARROW * ulp] if splits else b0[:0]
     b0[[0, -1]] = np.sqrt(b0[[0, -1]])
     # Samples below the smallest normal float are rounded to multiples of
     # ulp(0), so the tolerance never falls below that rounding of K15 and G7:
@@ -177,6 +184,19 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
                 "quadrature cannot reach the requested tolerance: the domain is too "
                 "few float spacings wide for its abscissas to be exact",
                 value=total, error_estimate=max(err, ulp * resabs / width))
+        if jumps.size:
+            # Once, after the first round: g on both sides of each split
+            # that borders a narrow piece.
+            x = np.clip(np.concatenate([np.nextafter(jumps, lo), np.nextafter(jumps, hi)]),
+                        open_lo, open_hi)
+            fx = _call(g, x, lambda v: ~np.isfinite(v)).reshape(2, -1)
+            floor = float(np.sum(np.spacing(np.abs(jumps)) * np.abs(fx[1] - fx[0])))
+            jumps = jumps[:0]
+            if floor > tol:
+                raise ConvergenceError(
+                    "quadrature cannot reach the requested tolerance: a piece between "
+                    "splits is too few float spacings wide for its abscissas to be exact",
+                    value=total, error_estimate=max(err, floor))
         if err <= tol:
             break
         if not math.isfinite(err):

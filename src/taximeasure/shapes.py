@@ -12,10 +12,11 @@ sphere, because its surface and volume terms are 2x-scalings of the sphere
 ones and scaling by powers of two is exact).
 
 _SHAPES is the one table of shapes.  parse_shape_spec, closed_form, caps_area
-and revolution_profile all read it, so a new shape is one entry there.
+and revolution_profile all read it, so a new shape is one entry there.  An
+entry names its revolution profile as a row of geometry.CATALOG_PARAMS.
 
 The closed forms are Python float arithmetic.  Only revolution_profile, which
-builds an array-evaluated profile, imports the profiles module and NumPy.
+builds that row, imports the profiles module and NumPy.
 """
 
 from __future__ import annotations
@@ -153,10 +154,10 @@ def _ellipsoid_caps_area(spec: EllipsoidSpec) -> float:
 
 
 class _Shape(NamedTuple):
-    """A shape: its spec class, the catalog profile whose revolution
-    generates it and that profile's parameters from a spec, its closed form
-    per quantity, and the area of the flat end caps the revolution leaves
-    out."""
+    """A shape: its spec class, the row of geometry.CATALOG_PARAMS whose
+    revolution generates it and that row's parameter values from a spec, its
+    closed form per quantity, and the area of the flat end caps the
+    revolution leaves out."""
 
     spec: type
     profile: str
@@ -206,10 +207,10 @@ def caps_area(spec) -> float:
 def revolution_profile(spec) -> ProfileFunction:
     """Radius profile whose revolution generates the shape (the upper-half
     cross-section curve for the 2D circle)."""
-    from .profiles import _CATALOG
+    from .profiles import _catalog_profile
 
     shape = _shape_of(spec)
-    return _CATALOG[shape.profile](*shape.profile_params(spec))
+    return _catalog_profile(shape.profile, shape.profile_params(spec))
 
 
 def parse_shape_spec(spec):

@@ -1,8 +1,10 @@
 import argparse
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +227,46 @@ def test_measure_checks_the_cell_count_before_it_computes(capsys):
     assert err == f"error: oracle needs 1 <= n <= {oracles.MAX_CELLS} cells, got 0\n"
 
 
+# The same tent at x = 0.5 inside a domain of width 1: its two pieces are
+# 360 and 540 float spacings wide.
+WIDE_TENT = json.dumps({"piecewise_linear": [[0, 1], [0.5, 1], [0.50000000000004, 1.5],
+                                             [0.5000000000001, 1], [1, 1]]})
+
+
+def test_measure_surface_of_a_tent_a_few_hundred_floats_wide_inside_a_wide_domain_ends(capsys):
+    # Rounded abscissas move the jumps of the integrand at the tent's splits,
+    # and f varies inside its pieces: the quadrature would print 15.0684543
+    # beside the oracle's exact 15.07106781.
+    code, out, err = run(capsys, ["measure", "--quantity", "surface", "--oracle", "1000",
+                                  "--profile", WIDE_TENT])
+    assert code == 4 and out == ""
+    assert err.startswith("error: quadrature cannot reach") and err.count("\n") == 1
+    assert "too few float spacings" in err
+
+
+def test_measure_arclength_of_a_tent_inside_a_wide_domain_ends_or_is_exact(capsys):
+    # The integrand 1 + |f'| is constant on each piece, so the quadrature is
+    # right although the bound on rounded splits cannot show it: either
+    # answer is allowed, a wrong number with exit 0 is not.
+    code, out, err = run(capsys, ["measure", "--quantity", "arclength", "--oracle", "1000",
+                                  "--json", "--profile", WIDE_TENT])
+    if code == 4:
+        assert out == "" and err.count("\n") == 1 and "too few float spacings" in err
+    else:
+        assert code == 0 and err == ""
+        assert json.loads(out)["quadrature"] == pytest.approx(2.0, rel=1e-9, abs=0.0)
+
+
+def test_measure_volume_of_a_tent_inside_a_wide_domain_is_exact(capsys):
+    # f^2 is continuous at the splits, so rounding them costs nothing.
+    code, out, err = run(capsys, ["measure", "--quantity", "volume", "--oracle", "1000",
+                                  "--json", "--profile", WIDE_TENT])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["quadrature"] == pytest.approx(2.0, rel=1e-9, abs=0.0)
+    assert report["oracle"] == pytest.approx(2.0, rel=1e-12, abs=0.0)
+
+
 FLAT_OFFSET = json.dumps({"piecewise_linear": [[1e6 + 0.05 * i, 1] for i in range(21)]})
 
 
@@ -351,6 +393,17 @@ def test_every_quantity_list_is_keyed_by_the_one_table():
     for quantity, entry in PROFILE_QUANTITIES.items():
         assert measures.quadrature_measure(quantity) is getattr(measures, entry.measure)
         assert oracles._ORACLES[quantity] is getattr(oracles, entry.oracle)
+
+
+def test_the_benchmark_worker_names_the_quantities_of_the_one_table():
+    # perfbench/worker.py keeps its own copies of the measure and oracle
+    # names; it is loaded by path, as the benchmark runs it.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    assert worker._MEASURES == {q: e.measure for q, e in PROFILE_QUANTITIES.items()}
+    assert worker._ORACLES == {q: e.oracle for q, e in PROFILE_QUANTITIES.items()}
 
 
 # The names a tracer wraps by binding a wrapper in their place on the module,

@@ -8,13 +8,17 @@ from taximeasure import (
     AngleRad,
     DomainError,
     Interval,
+    Point2,
     RotationAngles,
     arclength_functional,
     arclength_parametric,
     arclength_variation,
     area_scaling_factor,
+    euclidean_dist_2d,
+    segment_angle,
     surface_of_revolution,
     taxicab_area_rotated,
+    taxicab_length_from_angle,
     volume_of_revolution,
 )
 from taximeasure.oracles import polyline_arclength_oracle
@@ -226,6 +230,63 @@ def test_variation_disagrees_where_the_kink_scan_misses_a_bump():
     for other in (arclength_functional(f), polyline_arclength_oracle(f, n=1_000_000)):
         assert other == pytest.approx(3.0, abs=1e-9)
         assert other - variation > 1.0
+
+
+# ---------------------------------------------------------------------------
+# rotation laws
+# ---------------------------------------------------------------------------
+
+def _polyline(xs: np.ndarray, ys: np.ndarray) -> ParametricCurve:
+    """The polyline through the points (xs[i], ys[i]) as a curve with t = i
+    at vertex i, each segment one monotone piece."""
+    ts = np.arange(xs.size, dtype=float)
+
+    def coordinate(v):
+        return lambda t: np.interp(t, ts, v)
+
+    def derivative(v):
+        d = np.diff(v)
+        return lambda t: d[np.clip(np.floor(t).astype(int), 0, d.size - 1)]
+
+    return ParametricCurve((coordinate(xs), coordinate(ys)), (derivative(xs), derivative(ys)),
+                           Interval(0.0, ts[-1]), tuple(ts[1:-1]), monotone_pieces=True)
+
+
+@st.composite
+def _polylines(draw):
+    # 2-40 vertices on a grid of 1/100 of a scale from 1e-3 to 1e3.  A
+    # rotated coordinate is rounded at the scale, so a segment much shorter
+    # than the scale would lose its relative accuracy to the rotation itself;
+    # on the grid every segment is at least 1/100 of it.
+    n = draw(st.integers(min_value=2, max_value=40))
+    scale = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
+    grid = st.integers(min_value=-100, max_value=100)
+    ks = draw(st.lists(st.tuples(grid, grid), min_size=n, max_size=n))
+    points = np.array(ks, dtype=float) * (scale / 100.0)
+    return points[:, 0], points[:, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polylines())
+def test_a_quarter_turn_keeps_the_taxicab_length_bit_for_bit(polyline):
+    # (x, y) -> (-y, x) swaps the coordinates' variations and negates one.
+    xs, ys = polyline
+    assert arclength_variation(_polyline(-ys, xs)) == arclength_variation(_polyline(xs, ys))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polylines(), st.floats(min_value=0.0, max_value=2.0 * math.pi))
+def test_a_rotation_turns_every_segment_by_its_angle(polyline, theta):
+    # Rotating by theta adds theta to each segment's inclination and keeps
+    # its Euclidean length.
+    xs, ys = polyline
+    c, s = math.cos(theta), math.sin(theta)
+    rotated = _polyline(xs * c - ys * s, xs * s + ys * c)
+    points = [Point2(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    expected = math.fsum(
+        taxicab_length_from_angle(euclidean_dist_2d(p, q), segment_angle(p, q).value + theta)
+        for p, q in zip(points, points[1:]) if p != q)
+    assert arclength_variation(rotated) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import inspect
 import math
 import time
 
@@ -6,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from taximeasure import DomainError, Interval, SpecError
+from taximeasure import DomainError, Interval, SpecError, profiles
 from taximeasure.geometry import CATALOG_PARAMS
 from taximeasure.profiles import (
-    _CATALOG,
     ParametricCurve,
     PiecewiseLinearProfile,
     ProfileFunction,
@@ -360,12 +358,33 @@ def test_parse_profile_spec_rejects_malformed(spec):
         parse_profile_spec(spec)
 
 
-def test_catalog_constructors_take_the_checked_parameters_in_order():
-    # The spec check reads its keys from geometry.CATALOG_PARAMS without
-    # loading NumPy; the constructors must agree with it.
-    assert list(_CATALOG) == list(CATALOG_PARAMS)
-    for name, build in _CATALOG.items():
-        assert tuple(inspect.signature(build).parameters) == CATALOG_PARAMS[name]
+# Parameters of each catalog row, all distinct, so that values passed in an
+# order other than the builder's give another profile or a DomainError.
+CATALOG_SAMPLES = {
+    "linear": {"slope": 2.0, "intercept": 0.5, "lo": -1.0, "hi": 3.0},
+    "euclidean_circle_quadrant": {"r": 2.5},
+    "euclidean_parabola_quadrant": {"r": 1.5},
+    "taxicab_circle_upper": {"r": 0.75},
+    "taxicab_parabola": {"a": 1.0, "h": 3.0},
+    "taxicab_ellipse_upper": {"a": 3.0, "b": 2.0, "s": 7.0},
+}
+
+
+@pytest.mark.parametrize("name", list(CATALOG_PARAMS))
+def test_every_catalog_row_builds_its_profile_from_its_keys(name):
+    # The spec check takes the row's keys from geometry.CATALOG_PARAMS
+    # without loading NumPy, and parse_profile_spec passes their values in
+    # that order to the builder the row names: the builder's own parameters
+    # must be those keys, in that order.
+    keys, builder = CATALOG_PARAMS[name]
+    params = CATALOG_SAMPLES[name]
+    assert tuple(params) == keys
+    f = parse_profile_spec({"catalog": name, "params": params})
+    g = getattr(profiles, builder)(**params)
+    assert (f.label, f.domain, f.breakpoints, f.monotone_pieces) == \
+        (g.label, g.domain, g.breakpoints, g.monotone_pieces)
+    xs = np.linspace(f.domain.lo, f.domain.hi, 33)
+    assert np.array_equal(f(xs), g(xs))
 
 
 def test_parse_profile_spec_domain_errors_pass_through():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from taximeasure import ConvergenceError, DomainError, Interval, IntegrandError
 from taximeasure.quadrature import (
     QuadratureResult,
+    _clean_splits,
     detect_sign_changes,
     integrate,
 )
@@ -131,6 +132,13 @@ def test_many_pieces_on_an_offset_domain_keep_their_value(g, exact):
     domain = Interval(1e6, 1e6 + 1.0)
     res = integrate(g, domain, mandatory_splits=np.linspace(1e6, 1e6 + 1.0, 41)[1:-1])
     assert res.value == pytest.approx(exact, rel=1e-9)
+
+
+def test_every_distinct_split_is_kept():
+    # Splits 4e-14 apart are distinct breakpoints; only repeats and the
+    # domain ends are dropped.
+    tent = [0.5, 0.50000000000004, 0.5000000000001]
+    assert _clean_splits(0.0, 1.0, [1.0, *reversed(tent), 0.5, 0.0]) == tent
 
 
 def test_mandatory_splits_validation():
