@@ -219,6 +219,8 @@ def _sum_cells(kernel, f: ProfileFunction, n: int, quantity: str, *,
             at = np.add(x[:-1], x[1:], work[4, :x.size - 1])
             at *= 0.5
         fx = np.ascontiguousarray(f.evaluate(at), dtype=float)
+        if fx.shape != at.shape:  # a map that returns a scalar
+            fx = np.full(at.shape, fx)
         if PROFILE_QUANTITIES[quantity].signed:
             lowest.add(at, fx)
         sums.append(kernel(x, fx, work))

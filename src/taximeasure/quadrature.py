@@ -12,20 +12,21 @@ at every magnitude, and it equals REL_TOL * |value| wherever g keeps one
 sign, as every measure integrand does.  Below the rounding of subnormal
 samples it takes that rounding instead, so zero, cancelling and underflowing
 integrals still stop.  Rounding an abscissa to a float moves it by up to
-ulp(max |x|), which costs about that share of the domain width of the
-integral of |g| (at the end pieces, whose Jacobian is taken at the rounded
-abscissa, even where g is constant) and which no bisection lowers.  Where
-that floor exceeds the bound, on a domain narrower than about 1 / REL_TOL
-float spacings, the first round raises ConvergenceError instead of refining.
-A piece that narrow inside a wider domain escapes that floor, but rounding
-moves a jump of g at each of its ends by up to the float spacing there; so
-the first round also samples g on both sides of every split that borders a
-piece narrower than _NARROW spacings, and raises where the sum of spacing
-times jump exceeds the bound.  This is the QAG scheme of QUADPACK (Piessens
-et al. 1983), whose resabs is the integral of |g|, run over NumPy arrays: the
-nodes of all new cells go to the integrand in one call, so integrands take
-and return arrays.  A cell is bisected while its midpoint is a float strictly
-inside it; MAX_EVALS bounds the work.
+half its float spacing, which no bisection lowers: g moves by that times its
+variation, and at the end pieces, whose Jacobian is taken at the rounded
+abscissa, the Jacobian moves too, even where g is constant.  A rounded node
+stays inside its piece, whose ends are the split floats, so a jump of g at a
+split moves only where a node rounds onto it, and the variation over the
+nodes then holds that jump.  Where some piece is narrower than _NARROW float
+spacings, the first round bounds that cost from its own samples: per piece,
+half its spacing times the variation of g over the 15 nodes, plus on the end
+pieces the sum of h * w_i * |g_i| * |2 sqrt(|x_i - e|) - 2 u_i|; where the
+bound exceeds the tolerance it raises ConvergenceError instead of refining.
+This is the QAG scheme of QUADPACK (Piessens et al. 1983), whose resabs is
+the integral of |g|, run over NumPy arrays: the nodes of all new cells go to
+the integrand in one call, so integrands take and return arrays.  A cell is
+bisected while its midpoint is a float strictly inside it; MAX_EVALS bounds
+the work.
 
 The two end pieces are integrated in u = sqrt(|x - e|) for their domain
 endpoint e (x = e +- u^2, Jacobian 2u), which turns integrable power-law
@@ -66,9 +67,8 @@ _FRACTIONS = np.arange(1, _SCAN_POINTS + 1) / (_SCAN_POINTS + 1)
 
 REL_TOL = 1e-9
 MAX_EVALS = 500_000
-# Float spacings, ten times 1 / REL_TOL: on a piece wider than this, moving
-# a jump of g at its ends by a spacing costs less than REL_TOL of its
-# integral of |g|, so only the splits of narrower pieces are checked.
+# Float spacings, ten times 1 / REL_TOL: only where some piece is narrower
+# than this does the first round bound what rounding its abscissas costs.
 _NARROW = 1e10
 
 
@@ -131,29 +131,34 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
     squared = np.zeros(n, dtype=bool)
     squared[[0, -1]] = True
     open_lo, open_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
-    ulp, width = math.ulp(max(abs(lo), abs(hi))), hi - lo
 
-    def rules(a, b, piece):
+    def rules(a, b, piece, rounding):
         c = 0.5 * (a + b)[:, None]
         h = 0.5 * (b - a)
         u = c + h[:, None] * _XK
         sq = squared[piece][:, None]
         o = origin[piece][:, None]
         x = np.clip(o + direction[piece][:, None] * np.where(sq, u * u, u), open_lo, open_hi)
-        fx = _call(g, x.ravel(), lambda v: ~np.isfinite(v)).reshape(u.shape)
+        gx = _call(g, x.ravel(), lambda v: ~np.isfinite(v)).reshape(u.shape)
         # The Jacobian 2u is taken at the abscissa actually sampled, u =
         # sqrt(|x - e|): rounding x then moves the node slightly in u, where
         # the integrand is smooth, instead of shifting a 1/sqrt(|x - e|)
         # singularity by a relative error of order ulp(e) / u^2.
-        fx = fx * np.where(sq, 2.0 * np.sqrt(np.abs(x - o)), 1.0)
+        jacobian = np.where(sq, 2.0 * np.sqrt(np.abs(x - o)), 1.0)
+        fx = gx * jacobian
         kronrod = h * (fx @ _WK)
-        return kronrod, np.abs(kronrod - h * (fx[:, 1::2] @ _WG)), h * (np.abs(fx) @ _WK)
+        out = kronrod, np.abs(kronrod - h * (fx[:, 1::2] @ _WG)), h * (np.abs(fx) @ _WK)
+        if not rounding:
+            return *out, 0.0
+        # The module docstring's bound on what rounded abscissas cost.
+        moved = 0.5 * np.spacing(np.abs(x).max(axis=1)) @ np.abs(np.diff(gx, axis=1)).sum(axis=1)
+        bent = h @ ((np.abs(gx) * np.abs(jacobian - np.where(sq, 2.0 * u, 1.0))) @ _WK)
+        return *out, float(moved + bent)
 
     # Cells are [a, b] in the coordinate of their piece.  Each round
     # evaluates the new cells and joins them to the kept ones.
     b0 = np.diff(ends)
-    # The splits that border a piece narrower than _NARROW float spacings.
-    jumps = np.array(splits)[np.minimum(b0[:-1], b0[1:]) < _NARROW * ulp] if splits else b0[:0]
+    rounding = bool(b0.min() < _NARROW * math.ulp(max(abs(lo), abs(hi))))
     b0[[0, -1]] = np.sqrt(b0[[0, -1]])
     # Samples below the smallest normal float are rounded to multiples of
     # ulp(0), so the tolerance never falls below that rounding of K15 and G7:
@@ -171,32 +176,20 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
             raise ConvergenceError(
                 f"quadrature exhausted its evaluation budget ({MAX_EVALS} samples)",
                 value=total, error_estimate=err)
+        *add, floor = rules(*new, rounding)
         a, b, piece, value, error, scale = (
             np.concatenate([old, add]) for old, add in
-            zip((a, b, piece, value, error, scale), (*new, *rules(*new))))
+            zip((a, b, piece, value, error, scale), (*new, *add)))
 
         total = float(value.sum())
         err = float(error.sum())
-        resabs = float(scale.sum())
-        tol = max(REL_TOL * resabs, underflow)
-        if ulp * resabs > tol * width:
+        tol = max(REL_TOL * float(scale.sum()), underflow)
+        if floor > tol:
             raise ConvergenceError(
-                "quadrature cannot reach the requested tolerance: the domain is too "
-                "few float spacings wide for its abscissas to be exact",
-                value=total, error_estimate=max(err, ulp * resabs / width))
-        if jumps.size:
-            # Once, after the first round: g on both sides of each split
-            # that borders a narrow piece.
-            x = np.clip(np.concatenate([np.nextafter(jumps, lo), np.nextafter(jumps, hi)]),
-                        open_lo, open_hi)
-            fx = _call(g, x, lambda v: ~np.isfinite(v)).reshape(2, -1)
-            floor = float(np.sum(np.spacing(np.abs(jumps)) * np.abs(fx[1] - fx[0])))
-            jumps = jumps[:0]
-            if floor > tol:
-                raise ConvergenceError(
-                    "quadrature cannot reach the requested tolerance: a piece between "
-                    "splits is too few float spacings wide for its abscissas to be exact",
-                    value=total, error_estimate=max(err, floor))
+                "quadrature cannot reach the requested tolerance: the domain or a piece "
+                "of it is too few float spacings wide for its abscissas to be exact",
+                value=total, error_estimate=max(err, floor))
+        rounding = False
         if err <= tol:
             break
         if not math.isfinite(err):

@@ -30,7 +30,7 @@ def _sample_curve(profile: ProfileFunction) -> tuple[np.ndarray, np.ndarray]:
     xs = np.linspace(profile.domain.lo, profile.domain.hi, _SAMPLES)
     if profile.breakpoints:
         xs = sorted_insert(xs, profile.breakpoints)
-    ys = np.asarray(profile.evaluate(xs), dtype=float)
+    ys = np.broadcast_to(np.asarray(profile.evaluate(xs), dtype=float), xs.shape)
     bad = ~(np.isfinite(xs) & np.isfinite(ys))
     if bad.any():
         i = int(np.argmax(bad))

@@ -71,6 +71,14 @@ def test_disk_taxicab_circle_converges_to_sphere_volume():
     assert disk_volume_oracle(f, n=1_000_000) == pytest.approx(4.0 / 3.0, abs=1e-6)
 
 
+def test_oracles_broadcast_a_profile_that_returns_a_scalar():
+    f = ProfileFunction(lambda x: 1.0, lambda x: 0.0, Interval(0.0, 1.0), monotone_pieces=True)
+    for n in (1, 7, 1000):
+        assert polyline_arclength_oracle(f, n) == 1.0
+        assert frustum_surface_oracle(f, n) == 8.0
+        assert disk_volume_oracle(f, n) == 2.0
+
+
 def test_disk_zero_profile():
     f = profile_linear(0.0, 0.0, Interval(0.0, 1.0))
     assert disk_volume_oracle(f, n=100) == 0.0

@@ -201,6 +201,15 @@ def test_library_profiles_and_their_graphs_declare_no_monotone_pieces():
     assert graph(profile_taxicab_circle_upper(1.0)).monotone_pieces
 
 
+@pytest.mark.parametrize("c", [0.0, 1e6])
+def test_derivative_consistency_on_a_zero_width_domain_holds(c):
+    # No interior point to sample, and nothing to contradict.
+    def never(x):
+        raise AssertionError("the profile was sampled")
+
+    assert derivative_is_consistent(ProfileFunction(never, never, Interval(c, c))) is True
+
+
 def test_derivative_consistency_without_room_to_sample_raises():
     # vertex spacing 5e-5 is below twice the 1e-4 sampling margin, so no
     # point qualifies; the check used to draw candidates forever

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taximeasure import ConvergenceError, DomainError, Interval, IntegrandError
+from taximeasure import (
+    ConvergenceError,
+    DomainError,
+    Interval,
+    IntegrandError,
+    PiecewiseLinearProfile,
+)
 from taximeasure.quadrature import (
     QuadratureResult,
     _clean_splits,
@@ -212,6 +218,14 @@ def test_detect_sign_changes_single_root():
 
 def test_detect_sign_changes_none():
     assert detect_sign_changes(lambda x: 1.0, Interval(0.0, 1.0)) == []
+
+
+@pytest.mark.parametrize("c", [0.0, -7.5, 1e6])
+def test_detect_sign_changes_on_a_point_never_calls_g(c):
+    def g(x):
+        raise AssertionError("g was called")
+
+    assert detect_sign_changes(g, Interval(c, c)) == []
     # one-signed derivative of the parabola profile
     assert detect_sign_changes(lambda x: -2.0 * x, Interval(0.0, 1.0)) == []
 
@@ -332,13 +346,21 @@ def test_integrand_receives_one_dimensional_arrays():
 
 
 def test_smooth_integrand_is_called_once_per_round():
-    calls, points = [0], [0]
+    # The second input is the arc-length integrand 1 + |f'| of a tent whose
+    # pieces are 360 and 540 float spacings wide inside [0, 1]: the bound on
+    # rounded abscissas comes from the first round's own samples.
+    tent = PiecewiseLinearProfile(((0, 1), (0.5, 1), (0.50000000000004, 1.5),
+                                   (0.5000000000001, 1), (1, 1))).to_profile()
+    for fn, domain, splits in [(lambda x: np.exp(np.sin(3.0 * x)), Interval(0.0, 3.0), ()),
+                               (lambda x: 1.0 + np.abs(tent.derivative(x)), tent.domain,
+                                tent.breakpoints)]:
+        calls, points = [0], [0]
 
-    def g(x):
-        calls[0] += 1
-        points[0] += np.size(x)
-        return np.exp(np.sin(3.0 * x))
+        def g(x):
+            calls[0] += 1
+            points[0] += np.size(x)
+            return fn(x)
 
-    integrate(g, Interval(0.0, 3.0))
-    assert calls[0] <= 8
-    assert points[0] >= 30 * calls[0]
+        integrate(g, domain, splits)
+        assert calls[0] <= 8
+        assert points[0] >= 30 * calls[0]

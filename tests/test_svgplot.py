@@ -1,5 +1,8 @@
+import numpy as np
+
 from taximeasure import (
     Interval,
+    ProfileFunction,
     profile_euclidean_circle_quadrant,
     profile_linear,
     profile_taxicab_circle_upper,
@@ -18,6 +21,15 @@ def test_rendering_is_deterministic():
     f = profile_euclidean_circle_quadrant(2.0)
     assert render_profile_svg(f) == render_profile_svg(f)
     assert render_profile_svg(f, mirror=True) == render_profile_svg(f, mirror=True)
+
+
+def test_a_profile_that_returns_a_scalar_is_drawn_as_its_array_twin():
+    domain = Interval(0.0, 1.0)
+    scalar = ProfileFunction(lambda x: 1.0, lambda x: 0.0, domain, monotone_pieces=True)
+    array = ProfileFunction(np.ones_like, np.zeros_like, domain, monotone_pieces=True)
+    assert render_profile_svg(scalar) == render_profile_svg(array)
+    assert (render_profile_svg(scalar, mirror=True, overlay=scalar)
+            == render_profile_svg(array, mirror=True, overlay=array))
 
 
 def test_mirror_doubles_the_polylines():
