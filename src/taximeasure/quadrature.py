@@ -32,7 +32,11 @@ The two end pieces are integrated in u = sqrt(|x - e|) for their domain
 endpoint e (x = e +- u^2, Jacobian 2u), which turns integrable power-law
 singularities at the ends, such as the inverse square root of a Euclidean
 circle arc, into smooth integrands.  Abscissas are clipped into the open
-domain, so the integrand is never evaluated at a domain endpoint.
+domain, so the integrand is never evaluated at a domain endpoint.  Piece
+p maps its own coordinate u to x = origin + direction * t, with t = u^2 on
+the squared end pieces and t = u inside; column p of a (3, n) table holds
+its origin, direction and squared flag, and each round gathers the columns
+of its cells' pieces in one indexing.
 """
 
 from __future__ import annotations
@@ -78,17 +82,18 @@ class QuadratureResult:
     error_estimate: float
     subdivisions: int
     split_points: tuple[float, ...]
+    evals: int
+    rounds: int
 
 
-def _call(g: Callable, x: np.ndarray, bad: Callable) -> np.ndarray:
-    """g at the 1-D array x, broadcast to its shape; IntegrandError at the
-    first value flagged by bad."""
+def _call(g: Callable, x: np.ndarray) -> np.ndarray:
+    """g at the 1-D array x, broadcast to its shape; IntegrandError at its first NaN."""
     v = np.asarray(g(x), dtype=float)
     if v.shape != x.shape:
         v = np.broadcast_to(v, x.shape)
-    flags = bad(v)
-    if flags.any():
-        i = int(np.argmax(flags))
+    nan = np.isnan(v)
+    if nan.any():
+        i = int(np.argmax(nan))
         raise IntegrandError(x[i], float(v[i]))
     return v
 
@@ -115,31 +120,50 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
     """
     lo, hi = domain.lo, domain.hi
     if hi == lo:
-        return QuadratureResult(0.0, 0.0, 0, ())
+        return QuadratureResult(0.0, 0.0, 0, (), 0, 0)
     splits = _clean_splits(lo, hi, mandatory_splits)
     # Cut a split-free domain at its midpoint so that each end piece has one
     # domain endpoint to substitute around.
-    ends = np.array([lo, *(splits or [0.5 * (lo + hi)]), hi])
+    ends = [lo, *(splits or [0.5 * (lo + hi)]), hi]
     n = len(ends) - 1
-
-    # Piece p maps its own coordinate u to x = origin + direction * t(u),
-    # t = u^2 (Jacobian 2u) on the squared end pieces and t = u inside.
-    origin = ends[:-1].copy()
-    origin[-1] = hi
-    direction = np.ones(n)
-    direction[-1] = -1.0
-    squared = np.zeros(n, dtype=bool)
-    squared[[0, -1]] = True
+    # Column p holds piece p's origin, direction and squared flag.
+    table = np.array([[*ends[:-2], hi], [1.0] * (n - 1) + [-1.0],
+                      [1.0] + [0.0] * (n - 2) + [1.0]])
     open_lo, open_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
 
-    def rules(a, b, piece, rounding):
-        c = 0.5 * (a + b)[:, None]
-        h = 0.5 * (b - a)
-        u = c + h[:, None] * _XK
-        sq = squared[piece][:, None]
-        o = origin[piece][:, None]
-        x = np.clip(o + direction[piece][:, None] * np.where(sq, u * u, u), open_lo, open_hi)
-        gx = _call(g, x.ravel(), lambda v: ~np.isfinite(v)).reshape(u.shape)
+    # Cells are [a, b] in the coordinate of their piece.  The first round's
+    # cells are the pieces; each later round evaluates the halves of the
+    # bisected cells and joins them to the kept ones.
+    widths = [right - left for left, right in zip(ends, ends[1:])]
+    narrow = min(widths) < _NARROW * math.ulp(max(abs(lo), abs(hi)))
+    widths[0], widths[-1] = math.sqrt(widths[0]), math.sqrt(widths[-1])
+    new_a, new_b, new_piece = np.zeros(n), np.array(widths), np.arange(n)
+    # Samples below the smallest normal float are rounded to multiples of
+    # ulp(0), so the tolerance never falls below that rounding of K15 and G7:
+    # about _XK.size * ulp(0) per unit of u, over a total width in u that
+    # bisection keeps.
+    underflow = _XK.size * math.ulp(0.0) * float(new_b.sum())
+    evals = rounds = subdivisions = 0
+    total, err = 0.0, math.inf
+    while True:
+        evals += _XK.size * new_a.size
+        if evals > MAX_EVALS:
+            raise ConvergenceError(
+                f"quadrature exhausted its evaluation budget ({MAX_EVALS} samples)",
+                value=total, error_estimate=err)
+        rounds += 1
+        h = 0.5 * (new_b - new_a)
+        u = 0.5 * (new_a + new_b)[:, None] + h[:, None] * _XK
+        o, d, sq = table[:, new_piece, None]
+        x = np.minimum(np.maximum(o + d * np.where(sq, u * u, u), open_lo), open_hi)
+        flat = x.ravel()
+        gx = np.asarray(g(flat), dtype=float)
+        if gx.shape != flat.shape:
+            gx = np.broadcast_to(gx, flat.shape)
+        if not np.isfinite(gx).all():
+            i = int(np.argmax(~np.isfinite(gx)))
+            raise IntegrandError(flat[i], float(gx[i]))
+        gx = gx.reshape(u.shape)
         # The Jacobian 2u is taken at the abscissa actually sampled, u =
         # sqrt(|x - e|): rounding x then moves the node slightly in u, where
         # the integrand is smooth, instead of shifting a 1/sqrt(|x - e|)
@@ -147,49 +171,26 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
         jacobian = np.where(sq, 2.0 * np.sqrt(np.abs(x - o)), 1.0)
         fx = gx * jacobian
         kronrod = h * (fx @ _WK)
-        out = kronrod, np.abs(kronrod - h * (fx[:, 1::2] @ _WG)), h * (np.abs(fx) @ _WK)
-        if not rounding:
-            return *out, 0.0
-        # The module docstring's bound on what rounded abscissas cost.
-        moved = 0.5 * np.spacing(np.abs(x).max(axis=1)) @ np.abs(np.diff(gx, axis=1)).sum(axis=1)
-        bent = h @ ((np.abs(gx) * np.abs(jacobian - np.where(sq, 2.0 * u, 1.0))) @ _WK)
-        return *out, float(moved + bent)
-
-    # Cells are [a, b] in the coordinate of their piece.  Each round
-    # evaluates the new cells and joins them to the kept ones.
-    b0 = np.diff(ends)
-    rounding = bool(b0.min() < _NARROW * math.ulp(max(abs(lo), abs(hi))))
-    b0[[0, -1]] = np.sqrt(b0[[0, -1]])
-    # Samples below the smallest normal float are rounded to multiples of
-    # ulp(0), so the tolerance never falls below that rounding of K15 and G7:
-    # about _XK.size * ulp(0) per unit of u, over a total width in u that
-    # bisection keeps.
-    underflow = _XK.size * math.ulp(0.0) * float(b0.sum())
-    new = (np.zeros(n), b0, np.arange(n))
-    a = b = value = error = scale = np.zeros(0)
-    piece = np.zeros(0, dtype=int)
-    evals = subdivisions = 0
-    total, err = 0.0, math.inf
-    while True:
-        evals += _XK.size * new[0].size
-        if evals > MAX_EVALS:
-            raise ConvergenceError(
-                f"quadrature exhausted its evaluation budget ({MAX_EVALS} samples)",
-                value=total, error_estimate=err)
-        *add, floor = rules(*new, rounding)
-        a, b, piece, value, error, scale = (
-            np.concatenate([old, add]) for old, add in
-            zip((a, b, piece, value, error, scale), (*new, *add)))
+        cells = (new_a, new_b, new_piece, kronrod,
+                 np.abs(kronrod - h * (fx[:, 1::2] @ _WG)), h * (np.abs(fx) @ _WK))
+        if rounds > 1:
+            cells = (np.concatenate([old[keep], add]) for old, add in
+                     zip((a, b, piece, value, error, scale), cells))
+        a, b, piece, value, error, scale = cells
 
         total = float(value.sum())
         err = float(error.sum())
         tol = max(REL_TOL * float(scale.sum()), underflow)
-        if floor > tol:
-            raise ConvergenceError(
-                "quadrature cannot reach the requested tolerance: the domain or a piece "
-                "of it is too few float spacings wide for its abscissas to be exact",
-                value=total, error_estimate=max(err, floor))
-        rounding = False
+        if narrow and rounds == 1:
+            # The module docstring's bound on what rounded abscissas cost.
+            spacing = 0.5 * np.spacing(np.abs(x).max(axis=1))
+            bent = h @ ((np.abs(gx) * np.abs(jacobian - np.where(sq, 2.0 * u, 1.0))) @ _WK)
+            floor = float(spacing @ np.abs(np.diff(gx, axis=1)).sum(axis=1) + bent)
+            if floor > tol:
+                raise ConvergenceError(
+                    "quadrature cannot reach the requested tolerance: the domain or a piece "
+                    "of it is too few float spacings wide for its abscissas to be exact",
+                    value=total, error_estimate=max(err, floor))
         if err <= tol:
             break
         if not math.isfinite(err):
@@ -212,14 +213,12 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
         rest = (err - stuck) - np.cumsum(error[order])
         pick = order[:1 + np.count_nonzero(rest > 0.5 * (tol - stuck))]
         subdivisions += pick.size
-        new = (np.concatenate([a[pick], mid[pick]]), np.concatenate([mid[pick], b[pick]]),
-               np.tile(piece[pick], 2))
+        new_a, new_b = np.concatenate([a[pick], mid[pick]]), np.concatenate([mid[pick], b[pick]])
+        new_piece = np.tile(piece[pick], 2)
         keep = np.ones(a.size, dtype=bool)
         keep[pick] = False
-        a, b, piece, value, error, scale = (
-            arr[keep] for arr in (a, b, piece, value, error, scale))
 
-    return QuadratureResult(total, err, subdivisions, tuple(splits))
+    return QuadratureResult(total, err, subdivisions, tuple(splits), evals, rounds)
 
 
 def detect_sign_changes(g: Callable[[np.ndarray], np.ndarray],
@@ -254,7 +253,7 @@ def detect_sign_changes(g: Callable[[np.ndarray], np.ndarray],
         near = np.concatenate([np.nextafter(ks, lo), np.nextafter(ks, hi)])
         # A point scanned twice is harmless: both copies have the same sign.
         xs = np.sort(np.concatenate([xs, np.minimum(np.maximum(near, xs[0]), xs[-1])]))
-    signs = np.sign(_call(g, xs, np.isnan))
+    signs = np.sign(_call(g, xs))
 
     # A bracket ends at a nonzero sign that differs from the previous nonzero
     # one, and starts at the scan point just before it.
@@ -273,7 +272,7 @@ def detect_sign_changes(g: Callable[[np.ndarray], np.ndarray],
     while active.size:
         aa, ba, sa = a[active], b[active], sign_a[active]
         inner = aa[:, None] + (ba - aa)[:, None] * _FRACTIONS
-        s = np.sign(_call(g, inner.ravel(), np.isnan)).reshape(inner.shape)
+        s = np.sign(_call(g, inner.ravel())).reshape(inner.shape)
         # Each bracket ends at its first point whose sign differs from
         # sign_a (b's always does) and starts at the point before it.
         # An exact zero closes the bracket on itself.

@@ -12,6 +12,7 @@ from taximeasure import (
     PiecewiseLinearProfile,
 )
 from taximeasure.quadrature import (
+    MAX_EVALS,
     QuadratureResult,
     _clean_splits,
     detect_sign_changes,
@@ -57,6 +58,7 @@ def test_integrate_never_samples_domain_endpoints():
 def test_integrate_zero_width_domain():
     res = integrate(lambda x: 100.0, Interval(2.0, 2.0))
     assert res.value == 0.0 and res.error_estimate == 0.0
+    assert (res.evals, res.rounds) == (0, 0)
 
 
 def test_integrate_reports_nonfinite_sample():
@@ -333,6 +335,19 @@ def test_budget_exhaustion_is_a_convergence_error():
         integrate(lambda x: np.sign(np.sin(1e5 * x)), Interval(0.0, 1.0))
 
 
+def test_pieces_beyond_the_budget_raise_before_the_first_round():
+    # 15 samples per piece: more than MAX_EVALS // 15 splits make more pieces
+    # than the first round may evaluate.
+    def g(x):
+        raise AssertionError("g was called")
+
+    splits = np.linspace(0.0, 1.0, MAX_EVALS // 15 + 3)[1:-1]
+    with pytest.raises(ConvergenceError, match="evaluation budget") as ei:
+        integrate(g, Interval(0.0, 1.0), splits)
+    assert ei.value.value == 0.0
+    assert ei.value.error_estimate == math.inf
+
+
 # ---------------------------------------------------------------------------
 # array contract
 # ---------------------------------------------------------------------------
@@ -361,6 +376,7 @@ def test_smooth_integrand_is_called_once_per_round():
             points[0] += np.size(x)
             return fn(x)
 
-        integrate(g, domain, splits)
+        res = integrate(g, domain, splits)
         assert calls[0] <= 8
         assert points[0] >= 30 * calls[0]
+        assert (res.evals, res.rounds) == (points[0], calls[0])
