@@ -44,9 +44,11 @@ writes under .perfbench_out/ for --pairs.
    of one more, in MB.
 
 The result also gives each checkout's lines of src/taximeasure/*.py and the
-net change, in total and per file, so a change that only simplifies can
-report its net source lines, and where they went, from the same run that
-shows its outputs are unchanged.
+net change, in total and per file, and its count of public names
+(len(taximeasure.__all__), read in a child process on that checkout's src),
+so a change that only simplifies can report its net source lines, where they
+went and its public surface, from the same run that shows its outputs are
+unchanged.
 
 The last line of standard output is the JSON result, also written to --out.
 """
@@ -146,6 +148,17 @@ def line_changes(dirs: dict) -> dict:
     return {**entry({side: sum(lines[side].values()) for side in SIDES}),
             "files": {name: entry({side: lines[side].get(name, 0) for side in SIDES})
                       for name in names}}
+
+
+def public_names(dirs: dict, envs: dict) -> dict:
+    """len(taximeasure.__all__) per side, and the net change."""
+    counts = {}
+    for side in SIDES:
+        _, _, out, _ = run([sys.executable, "-c",
+                            "import taximeasure; print(len(taximeasure.__all__))"],
+                           dirs[side], envs[side])
+        counts[side] = int(out)
+    return {**counts, "net": counts["change"] - counts["parent"]}
 
 
 def run(cmd: list[str], checkout: str, env: dict) -> tuple[int, float, str, str]:
@@ -383,6 +396,7 @@ def main(argv=None) -> int:
         ops = time_ops(dirs, envs, args.seed, args.reps)
         outputs = check_outputs(dirs, envs, seeds)
         memory = oracle_memory(dirs, envs, args.seed)
+        names = public_names(dirs, envs)
 
     medians = {side: [row[side]["median_ms"] for row in ops] for side in SIDES}
     result = {
@@ -398,6 +412,7 @@ def main(argv=None) -> int:
         "outputs": outputs,
         "oracle_memory": memory,
         "source_lines": line_changes(dirs),
+        "public_names": names,
     }
     if args.pairs:
         result["workloads"] = run_pairs(dirs, args.pairs, args.seconds)

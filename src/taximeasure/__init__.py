@@ -17,10 +17,8 @@ __version__ = "0.1.0"
 # Home module -> the public names it defines.
 _HOMES = {
     "geometry": (
-        "PI_T", "AngleRad", "Interval", "Point2", "Point3",
-        "taxicab_dist_1d", "taxicab_dist_2d", "taxicab_dist_3d",
-        "euclidean_dist_2d", "euclidean_dist_3d", "segment_angle",
-        "taxicab_length_from_angle",
+        "PI_T", "AngleRad", "Interval", "Point2",
+        "euclidean_dist_2d", "segment_angle", "taxicab_length_from_angle",
         "RotationAngles", "area_scaling_factor", "taxicab_area_rotated"),
     "profiles": (
         "ProfileFunction", "ParametricCurve", "graph", "restrict",

@@ -1,10 +1,13 @@
-"""Core types and distance operations for taxicab (L1) geometry.
+"""Core types and the orientation factor of taxicab (L1) geometry.
 
 In the taxicab metric the unit circle is the diamond |x| + |y| = 1, whose
 circumference is 8, so the circle constant is 4 rather than 3.14159...
 
-Rotating a plane region out of a coordinate plane by angles (alpha, beta)
-scales its taxicab area by (|cos a| + |sin a|)(|cos b| + |sin b|).
+Taxicab length depends on orientation: a segment of Euclidean length d at
+inclination t has taxicab length d(|cos t| + |sin t|), and rotating a plane
+region out of a coordinate plane by angles (alpha, beta) scales its taxicab
+area by the product of that factor at alpha and at beta.  One function
+computes the factor for both, exactly 1 at every right-angle multiple.
 
 This module holds scalar types and closed forms, the tables of catalog
 profiles and profile quantities, which name their builders, measures and
@@ -72,14 +75,6 @@ class Point2(_Checked, namedtuple("Point2", "x y")):
         return super().__new__(cls, x, y)
 
 
-class Point3(_Checked, namedtuple("Point3", "x y z")):
-    __slots__ = ()
-
-    def __new__(cls, x: float, y: float, z: float):
-        _require_finite("Point3", x, y, z)
-        return super().__new__(cls, x, y, z)
-
-
 class Interval(_Checked, namedtuple("Interval", "lo hi")):
     """Closed interval [lo, hi] with lo <= hi, both finite."""
 
@@ -136,25 +131,8 @@ def _angle_value(theta: "AngleRad | float") -> float:
     return AngleRad(float(theta)).value
 
 
-def taxicab_dist_1d(a: float, b: float) -> float:
-    _require_finite("taxicab_dist_1d", a, b)
-    return abs(b - a)
-
-
-def taxicab_dist_2d(p: Point2, q: Point2) -> float:
-    return abs(q.x - p.x) + abs(q.y - p.y)
-
-
-def taxicab_dist_3d(p: Point3, q: Point3) -> float:
-    return abs(q.x - p.x) + abs(q.y - p.y) + abs(q.z - p.z)
-
-
 def euclidean_dist_2d(p: Point2, q: Point2) -> float:
     return math.hypot(q.x - p.x, q.y - p.y)
-
-
-def euclidean_dist_3d(p: Point3, q: Point3) -> float:
-    return math.hypot(q.x - p.x, q.y - p.y, q.z - p.z)
 
 
 def segment_angle(p: Point2, q: Point2) -> AngleRad:
@@ -164,14 +142,23 @@ def segment_angle(p: Point2, q: Point2) -> AngleRad:
     return AngleRad(math.atan2(q.y - p.y, q.x - p.x))
 
 
+def _rotation_factor(t: float) -> float:
+    """|cos t| + |sin t|: the taxicab length of a unit segment at
+    inclination t, in [1, sqrt(2)]."""
+    f = abs(math.cos(t)) + abs(math.sin(t))
+    # Right-angle multiples must scale by exactly 1, but sin(pi) evaluates to
+    # ~1.2e-16 and rounds |cos|+|sin| up one ulp; snap the factor back (near
+    # a multiple of pi/2 the factor is 1 + distance).
+    return 1.0 if f < 1.0 + 4e-16 else f
+
+
 def taxicab_length_from_angle(d_e: float, theta: "AngleRad | float") -> float:
     """Taxicab length of a straight segment of Euclidean length d_e at
     inclination theta: d_e * (|cos theta| + |sin theta|)."""
     _require_finite("taxicab_length_from_angle", d_e)
     if d_e < 0.0:
         raise DomainError(f"taxicab_length_from_angle: d_e must be >= 0, got {d_e}")
-    t = _angle_value(theta)
-    return d_e * (abs(math.cos(t)) + abs(math.sin(t)))
+    return d_e * _rotation_factor(_angle_value(theta))
 
 
 def area_scaling_factor(angles: RotationAngles) -> float:
@@ -180,17 +167,8 @@ def area_scaling_factor(angles: RotationAngles) -> float:
     The mathematical range is [1, 2]; the product is clamped to it so the
     boundary identities survive floating-point rounding of the angles.
     """
-    a = angles.alpha.value
-    b = angles.beta.value
-    fa = abs(math.cos(a)) + abs(math.sin(a))
-    fb = abs(math.cos(b)) + abs(math.sin(b))
-    # Angles that are right-angle multiples must scale by exactly 1, but
-    # sin(pi) evaluates to ~1.2e-16 and rounds |cos|+|sin| up one ulp; snap
-    # each factor back (near a multiple of pi/2 the factor is 1 + distance).
-    if fa < 1.0 + 4e-16:
-        fa = 1.0
-    if fb < 1.0 + 4e-16:
-        fb = 1.0
+    fa = _rotation_factor(angles.alpha.value)
+    fb = _rotation_factor(angles.beta.value)
     return min(2.0, max(1.0, fa * fb))
 
 

@@ -179,13 +179,15 @@ class PiecewiseLinearProfile:
         xs = np.array([v[0] for v in self.vertices], dtype=float)
         ys = np.array([v[1] for v in self.vertices], dtype=float)
         slopes = np.diff(ys) / np.diff(xs)
+        inner = xs[1:-1]
 
         def evaluate(x):
             return np.interp(x, xs, ys)
 
         def derivative(x):
-            # At a vertex the slope of the segment to its right is reported.
-            return slopes[np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)]
+            # At a vertex the slope of the segment to its right is reported;
+            # left of the domain the first slope, right of it (and at NaN) the last.
+            return slopes[np.searchsorted(inner, x, side="right")]
 
         return ProfileFunction(
             evaluate, derivative, Interval(float(xs[0]), float(xs[-1])),

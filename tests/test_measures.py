@@ -332,19 +332,100 @@ def test_a_quarter_turn_keeps_the_taxicab_length_bit_for_bit(polyline):
     assert arclength_variation(_polyline(-ys, xs)) == arclength_variation(_polyline(xs, ys))
 
 
+def _rotated(xs: np.ndarray, ys: np.ndarray, theta: float) -> ParametricCurve:
+    c, s = math.cos(theta), math.sin(theta)
+    return _polyline(xs * c - ys * s, xs * s + ys * c)
+
+
+def _segments(xs: np.ndarray, ys: np.ndarray) -> list[tuple[float, float]]:
+    """Euclidean length and inclination of each non-degenerate segment."""
+    points = [Point2(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    return [(euclidean_dist_2d(p, q), segment_angle(p, q).value)
+            for p, q in zip(points, points[1:]) if p != q]
+
+
 @settings(max_examples=60, deadline=None)
 @given(_polylines(), st.floats(min_value=0.0, max_value=2.0 * math.pi))
 def test_a_rotation_turns_every_segment_by_its_angle(polyline, theta):
     # Rotating by theta adds theta to each segment's inclination and keeps
     # its Euclidean length.
     xs, ys = polyline
-    c, s = math.cos(theta), math.sin(theta)
-    rotated = _polyline(xs * c - ys * s, xs * s + ys * c)
-    points = [Point2(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
-    expected = math.fsum(
-        taxicab_length_from_angle(euclidean_dist_2d(p, q), segment_angle(p, q).value + theta)
-        for p, q in zip(points, points[1:]) if p != q)
-    assert arclength_variation(rotated) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    expected = math.fsum(taxicab_length_from_angle(d, phi + theta)
+                         for d, phi in _segments(xs, ys))
+    assert arclength_variation(_rotated(xs, ys, theta)) == pytest.approx(
+        expected, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polylines())
+def test_an_eighth_turn_gives_sqrt2_times_the_chessboard_length(polyline):
+    # Rotating by pi/4 maps a step (dx, dy) to ((dx - dy), (dx + dy)) / sqrt(2),
+    # whose taxicab length is 2 max(|dx|, |dy|) / sqrt(2).
+    xs, ys = polyline
+    l_inf = math.fsum(np.maximum(np.abs(np.diff(xs)), np.abs(np.diff(ys))))
+    assert arclength_variation(_rotated(xs, ys, math.pi / 4.0)) == pytest.approx(
+        SQRT2 * l_inf, rel=1e-12, abs=0.0)
+
+
+def _midpoint_angles(m: int) -> tuple[float, list[float]]:
+    h = math.pi / (2 * m)
+    return h, [(j + 0.5) * h for j in range(m)]
+
+
+# The mean of L1(R_theta c) over theta is (4/pi) L2(c) (Cauchy-Crofton), and
+# an M-point midpoint mean over [0, pi/2) misses it by at most (1/4) h^2 L2,
+# h = pi/(2M).  For one segment of Euclidean length d at inclination phi,
+# L1(R_theta) = d g(phi + theta) with g = |cos| + |sin|, of period pi/2 and
+# mean 4/pi.  On one period g'' = -g, except at its kink, where g' jumps by 2.
+# The midpoint rule's sum minus the integral is +(h^2/24) * 2 from the
+# curvature, and -(h/2 - |u|)^2 from the cell whose midpoint is u away from
+# the kink; so it lies in [-h^2/6, h^2/12], and the mean's error, that over
+# pi/2, in [-h^2/(3 pi), h^2/(6 pi)].  The worst phase, 0.1061 h^2, measured
+# at M = 8, 16, 32 and 64, is that 1/(3 pi).  A curve's error is the
+# length-weighted sum of its segments' errors, so at most h^2 L2 / (3 pi);
+# 1/4 leaves room for the O(h^4) terms and the rounding.
+MEAN_BOUND = 0.25
+
+
+@pytest.mark.parametrize("m", [16, 64])
+@settings(max_examples=60, deadline=None)
+@given(polyline=_polylines())
+def test_the_mean_over_rotations_is_4_over_pi_times_the_euclidean_length(m, polyline):
+    xs, ys = polyline
+    h, thetas = _midpoint_angles(m)
+    mean = math.fsum(arclength_variation(_rotated(xs, ys, t)) for t in thetas) / m
+    segments = _segments(xs, ys)
+    # Each segment's own midpoint mean: exact for a polyline.
+    exact = math.fsum(taxicab_length_from_angle(d, phi + t)
+                      for d, phi in segments for t in thetas) / m
+    assert mean == pytest.approx(exact, rel=1e-12, abs=0.0)
+    l2 = math.fsum(d for d, _ in segments)
+    assert abs(mean - 4.0 / math.pi * l2) <= MEAN_BOUND * h * h * l2
+
+
+def _lissajous(c: float = 1.0, s: float = 0.0) -> ParametricCurve:
+    """The curve t -> (sin 3t, sin(2t + 0.5)) on [0, 2 pi], turned by the
+    angle whose cosine and sine are c and s."""
+    def turn(u, v):
+        return (lambda t: c * u(t) - s * v(t)), (lambda t: s * u(t) + c * v(t))
+
+    coords = turn(lambda t: np.sin(3.0 * t), lambda t: np.sin(2.0 * t + 0.5))
+    derivatives = turn(lambda t: 3.0 * np.cos(3.0 * t), lambda t: 2.0 * np.cos(2.0 * t + 0.5))
+    return ParametricCurve(coords, derivatives, Interval(0.0, 2.0 * math.pi))
+
+
+def test_a_quarter_turn_keeps_a_smooth_curves_taxicab_length_bit_for_bit():
+    # c = 0, s = 1 turns (x, y) into (-y, x) exactly.
+    assert arclength_parametric(_lissajous(0.0, 1.0)) == arclength_parametric(_lissajous())
+
+
+def test_the_mean_over_rotations_of_a_smooth_curve_is_4_over_pi_times_its_length():
+    c = _lissajous()
+    l2 = integrate(lambda t: np.hypot(*(d(t) for d in c.derivatives)), c.domain).value
+    h, thetas = _midpoint_angles(64)
+    mean = math.fsum(arclength_parametric(_lissajous(math.cos(t), math.sin(t)))
+                     for t in thetas) / 64
+    assert abs(mean - 4.0 / math.pi * l2) <= MEAN_BOUND * h * h * l2
 
 
 # ---------------------------------------------------------------------------

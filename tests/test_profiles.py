@@ -303,6 +303,24 @@ def test_piecewise_linear_profile():
     assert "piecewise_linear" in f.label
 
 
+@pytest.mark.parametrize("n", [2, 5, 5001])
+def test_piecewise_linear_slope_lookup_matches_the_clipped_index(n):
+    # The slope index searched among the inner vertices is the full search
+    # minus 1, clipped to the slopes, wherever x lies, NaN and infinities too.
+    rng = np.random.default_rng(n)
+    xs = np.cumsum(rng.uniform(0.01, 1.0, n)) - 3.0
+    ys = rng.uniform(-2.0, 2.0, n)
+    f = PiecewiseLinearProfile(tuple(zip(xs.tolist(), ys.tolist()))).to_profile()
+    slopes = np.diff(ys) / np.diff(xs)
+    points = np.concatenate([xs, (xs[1:] + xs[:-1]) / 2.0,
+                             [xs[0] - 1.0, xs[-1] + 1.0, -1e300, 1e300,
+                              math.nan, math.inf, -math.inf]])
+    clipped = slopes[np.clip(np.searchsorted(xs, points, side="right") - 1, 0, n - 2)]
+    assert np.array_equal(f.derivative(points), clipped)
+    for x, want in zip(points[-12:].tolist(), clipped[-12:].tolist()):
+        assert f.derivative(x) == want
+
+
 def test_piecewise_linear_validation():
     with pytest.raises(DomainError):
         PiecewiseLinearProfile(((0.0, 0.0),))
