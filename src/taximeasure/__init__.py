@@ -22,7 +22,7 @@ _HOMES = {
         "RotationAngles", "area_scaling_factor", "taxicab_area_rotated"),
     "profiles": (
         "ProfileFunction", "ParametricCurve", "graph", "restrict",
-        "PiecewiseLinearProfile", "parse_profile_spec", "derivative_is_consistent",
+        "PiecewiseLinearProfile", "parse_profile_spec",
         "profile_linear", "profile_euclidean_circle_quadrant",
         "profile_euclidean_parabola_quadrant", "profile_taxicab_circle_upper",
         "profile_taxicab_ellipse_upper", "profile_taxicab_parabola"),

@@ -76,7 +76,7 @@ class Point2(_Checked, namedtuple("Point2", "x y")):
 
 
 class Interval(_Checked, namedtuple("Interval", "lo hi")):
-    """Closed interval [lo, hi] with lo <= hi, both finite."""
+    """Closed interval [lo, hi] with lo <= hi, both finite, of finite width."""
 
     __slots__ = ()
 
@@ -84,6 +84,8 @@ class Interval(_Checked, namedtuple("Interval", "lo hi")):
         _require_finite("Interval", lo, hi)
         if lo > hi:
             raise DomainError(f"Interval requires lo <= hi, got [{lo}, {hi}]")
+        if not math.isfinite(hi - lo):
+            raise DomainError(f"Interval [{lo}, {hi}] is wider than the largest float")
         return super().__new__(cls, lo, hi)
 
     @property

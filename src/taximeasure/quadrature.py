@@ -201,6 +201,10 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
         mid = 0.5 * (a + b)
         can = (a < mid) & (mid < b)
         stuck = float(error[~can].sum())
+        # Step, spike and bit-noise integrands end at the budget, the narrow
+        # piece bound or convergence before this.  It stays as the loop's only
+        # exit when no cell can be bisected: pick would be empty, every later
+        # round would add no cell and no evaluation, and err would not change.
         if stuck >= tol:
             raise ConvergenceError(
                 "quadrature did not reach the requested tolerance: the cells "

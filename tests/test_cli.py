@@ -343,6 +343,22 @@ def test_measure_profile_with_a_nonfinite_slope_exits_3(capsys, slope, shown):
     assert err == f"error: profile_linear: slope must be finite, got {shown}\n"
 
 
+WIDE = '{"piecewise_linear": [[-1e308, 1], [1e308, 2]]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--quantity", "arclength", "--profile", WIDE],
+    ["measure", "--quantity", "surface", "--profile", WIDE, "--oracle", "10"],
+    ["table", "--quantity", "volume", "--profile", WIDE, "--ns", "10,20"],
+], ids=["measure", "measure_oracle", "table"])
+def test_a_domain_wider_than_the_largest_float_exits_3(capsys, argv):
+    # The width overflows: the interval is refused before a measure gives inf
+    # or an oracle nan.
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err == "error: Interval [-1e+308, 1e+308] is wider than the largest float\n"
+
+
 def test_measure_domain_error_exits_3(capsys):
     code, _, err = run(capsys, ["measure", "--quantity", "volume", "--shape",
                                 '{"shape": "sphere", "params": {"r": -1}}'])
@@ -619,7 +635,7 @@ def test_plot_unwritable_path_exits_5(capsys, tmp_path):
     # The samples overflow.
     ('{"catalog": "linear", "params": {"slope": 1e308, "intercept": 1e308, '
      '"lo": 0, "hi": 10}}', []),
-    # The domain's width overflows, so the sample abscissas are nan.
+    # The domain's width overflows: the interval is refused before any sample.
     ('{"piecewise_linear": [[-1e308, 0], [1e308, 1]]}', []),
     # Every sample is finite; the mirrored extent is not.
     ('{"piecewise_linear": [[0, 1e308], [1, 1e308]]}', ["--mirror"]),

@@ -98,6 +98,9 @@ def test_interval_validation():
         Interval(1.0, 0.0)
     with pytest.raises(DomainError):
         Interval(0.0, float("nan"))
+    assert Interval(-1e308, 7e307).width == 1.7e308
+    with pytest.raises(DomainError, match=r"\[-1e\+308, 1e\+308\] is wider than"):
+        Interval(-1e308, 1e308)
 
 
 @pytest.mark.parametrize("record, field, bad", [

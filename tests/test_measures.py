@@ -22,12 +22,17 @@ from taximeasure import (
     taxicab_length_from_angle,
     volume_of_revolution,
 )
-from taximeasure.oracles import frustum_surface_oracle, polyline_arclength_oracle
+from taximeasure.oracles import (
+    disk_volume_oracle,
+    frustum_surface_oracle,
+    polyline_arclength_oracle,
+)
 from taximeasure.profiles import (
     ParametricCurve,
     PiecewiseLinearProfile,
     ProfileFunction,
     graph,
+    parse_profile_spec,
     profile_euclidean_circle_quadrant,
     profile_euclidean_parabola_quadrant,
     profile_linear,
@@ -558,6 +563,21 @@ def test_volume_of_revolution_rejects_negative_profile():
     f = profile_linear(-1.0, 0.5, Interval(0.0, 1.0))
     with pytest.raises(DomainError):
         volume_of_revolution(f)
+
+
+@pytest.mark.parametrize("measure", [
+    arclength_functional, lambda f: arclength_variation(graph(f)),
+    surface_of_revolution, volume_of_revolution,
+    lambda f: polyline_arclength_oracle(f, n=10), lambda f: frustum_surface_oracle(f, n=10),
+    lambda f: disk_volume_oracle(f, n=10),
+], ids=["functional", "variation", "surface", "volume", "polyline", "frustum", "disk"])
+def test_a_domain_wider_than_the_largest_float_is_refused(measure):
+    # The width overflows: the interval is refused before a measure gives inf
+    # or an oracle nan.
+    with pytest.raises(DomainError, match=r"\[-1e\+308, 1e\+308\] is wider than"):
+        measure(parse_profile_spec({"piecewise_linear": [[-1e308, 1], [1e308, 2]]}))
+    with pytest.raises(DomainError, match="is wider than"):
+        measure(profile_taxicab_circle_upper(1e308))
 
 
 @pytest.mark.parametrize("m", [0.3, 1.0, 1.7])

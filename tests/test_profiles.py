@@ -1,17 +1,26 @@
 import math
-import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from taximeasure import DomainError, Interval, SpecError, profiles
+from taximeasure import (
+    DomainError,
+    Interval,
+    SpecError,
+    arclength_functional,
+    arclength_variation,
+    profiles,
+    surface_of_revolution,
+    volume_of_revolution,
+)
 from taximeasure.geometry import CATALOG_PARAMS
+from taximeasure.oracles import frustum_surface_oracle
 from taximeasure.profiles import (
     ParametricCurve,
     PiecewiseLinearProfile,
     ProfileFunction,
-    derivative_is_consistent,
     graph,
     parse_profile_spec,
     profile_euclidean_circle_quadrant,
@@ -24,17 +33,20 @@ from taximeasure.profiles import (
     sorted_insert,
 )
 
-ALL_CATALOG = [
-    profile_linear(-1.0, 1.0, Interval(0.0, 1.0)),
-    profile_euclidean_circle_quadrant(1.0),
-    profile_euclidean_circle_quadrant(2.5),
-    profile_euclidean_parabola_quadrant(1.0),
-    profile_taxicab_circle_upper(1.0),
-    profile_taxicab_parabola(1.0, 3.0),
-    profile_taxicab_ellipse_upper(1.0, 1.0, 2.0),
-    profile_taxicab_ellipse_upper(2.0, 1.0, 4.0),
-    profile_taxicab_ellipse_upper(2.0, 1.5, 5.0),
+# Each catalog profile as a builder of its copy under x, f -> s*x, s*f: every
+# length parameter is scaled by s, the slope of the linear one is kept.
+CATALOG_AT_SCALE = [
+    lambda s: profile_linear(-1.0, s, Interval(0.0, s)),
+    lambda s: profile_euclidean_circle_quadrant(s),
+    lambda s: profile_euclidean_circle_quadrant(2.5 * s),
+    lambda s: profile_euclidean_parabola_quadrant(s),
+    lambda s: profile_taxicab_circle_upper(s),
+    lambda s: profile_taxicab_parabola(s, 3.0 * s),
+    lambda s: profile_taxicab_ellipse_upper(s, s, 2.0 * s),
+    lambda s: profile_taxicab_ellipse_upper(2.0 * s, s, 4.0 * s),
+    lambda s: profile_taxicab_ellipse_upper(2.0 * s, 1.5 * s, 5.0 * s),
 ]
+ALL_CATALOG = [build(1.0) for build in CATALOG_AT_SCALE]
 
 
 def test_linear_profile():
@@ -140,9 +152,49 @@ def test_catalog_continuity_and_nonnegativity(prof):
         assert abs(float(prof(b - h)) - float(prof(b + h))) <= 1e-12
 
 
-@pytest.mark.parametrize("prof", ALL_CATALOG, ids=lambda p: p.label)
-def test_catalog_derivative_consistency(prof):
-    assert derivative_is_consistent(prof)
+# A measure reads f' only through |f'|, f'^2 and the points where f' changes
+# sign.  The variation of the graph and the frustum oracle read f alone, so
+# their agreement with the measures that read f' checks the declared
+# derivative over the whole domain.
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("build", CATALOG_AT_SCALE, ids=[p.label for p in ALL_CATALOG])
+def test_catalog_derivative_agrees_with_the_measures_of_f_alone(build, scale):
+    prof = build(scale)
+    assert arclength_functional(prof) == pytest.approx(
+        arclength_variation(graph(prof)), rel=1e-12, abs=0.0)
+    assert surface_of_revolution(prof) == pytest.approx(
+        frustum_surface_oracle(prof, n=10**5), rel=1e-8, abs=0.0)
+
+
+SINE = ProfileFunction(lambda x: np.sin(x) + 1.5, np.cos, Interval(0.0, 20.0), label="sin")
+ELLIPSE = profile_taxicab_ellipse_upper(2.0, 1.0, 4.0)
+
+
+def _measured(prof):
+    return (arclength_functional(prof), surface_of_revolution(prof),
+            volume_of_revolution(prof), arclength_variation(graph(prof)))
+
+
+@pytest.mark.parametrize("prof", [SINE, ELLIPSE], ids=lambda p: p.label)
+def test_a_negated_derivative_changes_no_measure(prof):
+    # No measure can tell -f' from f': where f' changes sign, so does -f'.
+    negated = replace(prof, derivative=lambda x: -prof.derivative(x))
+    assert _measured(negated) == _measured(prof)
+
+
+@pytest.mark.parametrize("prof,wrong", [
+    (SINE, lambda x: 2.0 * np.cos(x)),
+    # Wrong on (5, 6) only: the measures still see it.
+    (SINE, lambda x: np.where((5.0 < x) & (x < 6.0), 3.0, 1.0) * np.cos(x)),
+    (ELLIPSE, lambda x: 2.0 * ELLIPSE.derivative(x)),
+], ids=["sin_doubled", "sin_tripled_on_5_6", "ellipse_doubled"])
+def test_a_wrong_derivative_pulls_the_measures_apart(prof, wrong):
+    bad = replace(prof, derivative=wrong)
+    length, variation = arclength_functional(bad), arclength_variation(graph(bad))
+    assert abs(length - variation) > 1e-3 * variation
+    surface, oracle = surface_of_revolution(bad), frustum_surface_oracle(bad, n=10**5)
+    assert abs(surface - oracle) > 1e-3 * oracle
 
 
 def _keeps_its_claim(prof):
@@ -199,26 +251,6 @@ def test_library_profiles_and_their_graphs_declare_no_monotone_pieces():
     prof = ProfileFunction(np.sin, np.cos, Interval(0.0, 10.0))
     assert not prof.monotone_pieces and not graph(prof).monotone_pieces
     assert graph(profile_taxicab_circle_upper(1.0)).monotone_pieces
-
-
-@pytest.mark.parametrize("c", [0.0, 1e6])
-def test_derivative_consistency_on_a_zero_width_domain_holds(c):
-    # No interior point to sample, and nothing to contradict.
-    def never(x):
-        raise AssertionError("the profile was sampled")
-
-    assert derivative_is_consistent(ProfileFunction(never, never, Interval(c, c))) is True
-
-
-def test_derivative_consistency_without_room_to_sample_raises():
-    # vertex spacing 5e-5 is below twice the 1e-4 sampling margin, so no
-    # point qualifies; the check used to draw candidates forever
-    xs = np.linspace(0.0, 1.0, 20_001)
-    prof = PiecewiseLinearProfile(tuple(zip(xs.tolist(), np.sin(40.0 * xs).tolist())))
-    start = time.perf_counter()
-    with pytest.raises(DomainError):
-        derivative_is_consistent(prof.to_profile())
-    assert time.perf_counter() - start < 1.0
 
 
 def test_profile_function_breakpoint_validation():
