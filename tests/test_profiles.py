@@ -178,7 +178,7 @@ def _measured(prof):
 
 @pytest.mark.parametrize("prof", [SINE, ELLIPSE], ids=lambda p: p.label)
 def test_a_negated_derivative_changes_no_measure(prof):
-    # No measure can tell -f' from f': where f' changes sign, so does -f'.
+    # |-f'| = |f'|, (-f')^2 = f'^2, and -f' changes sign where f' does.
     negated = replace(prof, derivative=lambda x: -prof.derivative(x))
     assert _measured(negated) == _measured(prof)
 
