@@ -116,7 +116,9 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
     breakpoint of the integrand.  Raises IntegrandError on a non-finite
     sample and ConvergenceError when the error estimate cannot be brought
     below REL_TOL times the integral of |g| within MAX_EVALS samples, or when
-    the domain or a piece between splits is too few float spacings wide.
+    the domain or a piece between splits is too few float spacings wide.  A
+    plateau the first round samples and the second misses is lost: g = 1e20 on
+    |x - 0.12500000000000003| < 1e-9, else 0, on [0, 1] gives 0.0, estimate 0.0, not 2e11.
     """
     lo, hi = domain.lo, domain.hi
     if hi == lo:
@@ -244,7 +246,9 @@ def detect_sign_changes(g: Callable[[np.ndarray], np.ndarray],
     around a sign change at a known point is two floats wide and needs no
     refinement, while a sign change beside it still gets a bracket of its
     own.  A point found within 1e-13 of the width of a known one is that
-    point again and is left out.
+    point again and is left out.  Two sign changes between two scan points are
+    missed: g = 3e3*((x - 0.5019)**2 - 6.4e-7) on [0, 1] gives [], not the two
+    ends of (0.5011, 0.5027).
     """
     lo, hi = domain.lo, domain.hi
     width = hi - lo
