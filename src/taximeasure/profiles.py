@@ -15,10 +15,7 @@ a profile without it gets the kink scan of f' and the sampled check.
 Evaluation maps are NumPy expressions: they take an array of abscissas and
 return an array of the same shape.  The quadrature calls them with arrays
 only; a float still works and gives a NumPy scalar.  _catalog_profile builds
-a row of geometry.CATALOG_PARAMS, for parse_profile_spec and shapes.  The
-taxicab circle, parabola and ellipse rows are vertex lists of shapes, built
-by PiecewiseLinearProfile; linear keeps its formulas, as its domain may have
-zero width, which no vertex list spans.
+a row of geometry.CATALOG_PARAMS, for parse_profile_spec and shapes.
 """
 
 from __future__ import annotations
@@ -29,9 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import shapes
 from .errors import DomainError
 from .geometry import CATALOG_PARAMS, Interval, check_profile_spec
+from .shapes import CircleSpec, EllipsoidSpec, ParaboloidSpec, _require_positive
 
 
 def _checked_breakpoints(breakpoints, domain: Interval) -> tuple[float, ...]:
@@ -178,32 +175,16 @@ class PiecewiseLinearProfile:
                     f"vertex x coordinates must be strictly increasing, got {x0} then {x1}")
         object.__setattr__(self, "vertices", vs)
 
-    def to_profile(self, label: str = "") -> ProfileFunction:
+    def to_profile(self) -> ProfileFunction:
         xs = np.array([v[0] for v in self.vertices], dtype=float)
         ys = np.array([v[1] for v in self.vertices], dtype=float)
         # Checked first: no x step is wider than the domain.
         domain = Interval(float(xs[0]), float(xs[-1]))
         slopes = np.diff(ys) / np.diff(xs)
         inner = xs[1:-1]
-        # np.interp takes 5-8 ns a point, ten times r - |x|.  A sorted array of
-        # 1,024 points or more per piece (an oracle's nodes) is cut at the
-        # vertices, and each part takes np.interp's slope * (x - x0) + y0.
-        finite = bool(np.isfinite(slopes).all())
 
         def evaluate(x):
-            x = np.asarray(x, dtype=float)
-            if (not finite or x.ndim != 1 or x.size < 1024 * slopes.size
-                    or not (x[1:] >= x[:-1]).all()):
-                return np.interp(x, xs, ys)
-            cut = np.searchsorted(x, xs).tolist()
-            out = np.empty_like(x)
-            out[:cut[0]], out[cut[-1]:] = ys[0], ys[-1]
-            with np.errstate(over="ignore"):
-                for j, (a, b) in enumerate(zip(cut, cut[1:])):
-                    part = np.subtract(x[a:b], xs[j], out=out[a:b])
-                    part *= slopes[j]
-                    part += ys[j]
-            return out
+            return np.interp(x, xs, ys)
 
         def derivative(x):
             # At a vertex the slope of the segment to its right is reported;
@@ -212,7 +193,7 @@ class PiecewiseLinearProfile:
 
         return ProfileFunction(
             evaluate, derivative, domain, breakpoints=tuple(float(x) for x in xs[1:-1]),
-            label=label or f"piecewise_linear[{len(self.vertices)} vertices]",
+            label=f"piecewise_linear[{len(self.vertices)} vertices]",
             monotone_pieces=True,
         )
 
@@ -239,7 +220,7 @@ def profile_linear(slope: float, intercept: float, domain: Interval) -> ProfileF
 
 def profile_euclidean_circle_quadrant(r: float) -> ProfileFunction:
     """f(x) = sqrt(r^2 - x^2) on [0, r]; |f'| is unbounded at x = r."""
-    shapes._require_positive("profile_euclidean_circle_quadrant", r=r)
+    _require_positive("profile_euclidean_circle_quadrant", r=r)
 
     # sqrt(r + x) * sqrt(r - x) neither overflows nor underflows where r^2
     # would, and r - x is exact near x = r (Sterbenz).
@@ -256,7 +237,7 @@ def profile_euclidean_circle_quadrant(r: float) -> ProfileFunction:
 
 def profile_euclidean_parabola_quadrant(r: float) -> ProfileFunction:
     """f(x) = r - x^2/r on [0, r]: a smooth monotone arc from (0, r) to (r, 0)."""
-    shapes._require_positive("profile_euclidean_parabola_quadrant", r=r)
+    _require_positive("profile_euclidean_parabola_quadrant", r=r)
 
     def evaluate(x):
         return r - x * x / r
@@ -270,20 +251,67 @@ def profile_euclidean_parabola_quadrant(r: float) -> ProfileFunction:
 
 def profile_taxicab_circle_upper(r: float) -> ProfileFunction:
     """Upper half of the taxicab circle of radius r: f(x) = r - |x| on [-r, r]."""
-    label = f"taxicab_circle_upper(r={r:g})"
-    return PiecewiseLinearProfile(shapes.taxicab_circle_vertices(r)).to_profile(label)
+    CircleSpec(r)  # checks r as the circle does
+
+    def evaluate(x):
+        return r - np.abs(x)
+
+    def derivative(x):
+        return np.where(x < 0.0, 1.0, -1.0)
+
+    return ProfileFunction(evaluate, derivative, Interval(-r, r), breakpoints=(0.0,),
+                           label=f"taxicab_circle_upper(r={r:g})", monotone_pieces=True)
 
 
 def profile_taxicab_parabola(a: float, h: float) -> ProfileFunction:
-    """Taxicab parabola f(y) = min(y, a) on [0, h], whose revolution is the paraboloid."""
-    label = f"taxicab_parabola(a={a:g}, h={h:g})"
-    return PiecewiseLinearProfile(shapes.taxicab_parabola_vertices(a, h)).to_profile(label)
+    """Taxicab parabola profile in the axis variable y:
+
+        f(y) = y   for 0 <= y <= a,
+        f(y) = a   for a < y <= h.
+
+    Revolving it about the axis gives the taxicab paraboloid of apex half-width
+    a and height h.
+    """
+    ParaboloidSpec(a, h)  # checks a and h as the paraboloid does
+
+    def evaluate(y):
+        return np.minimum(y, a)
+
+    def derivative(y):
+        return np.where(y < a, 1.0, 0.0)
+
+    breakpoints = (a,) if a < h else ()
+    return ProfileFunction(evaluate, derivative, Interval(0.0, h), breakpoints=breakpoints,
+                           label=f"taxicab_parabola(a={a:g}, h={h:g})", monotone_pieces=True)
 
 
 def profile_taxicab_ellipse_upper(a: float, b: float, s: float) -> ProfileFunction:
-    """Upper half of the taxicab ellipse (see shapes.taxicab_ellipse_vertices)."""
-    label = f"taxicab_ellipse_upper(a={a:g}, b={b:g}, s={s:g})"
-    return PiecewiseLinearProfile(shapes.taxicab_ellipse_vertices(a, b, s)).to_profile(label)
+    """Upper half of the taxicab ellipse with semi-axes a >= b and size
+    parameter s (the constant sum of taxicab distances to the two foci):
+
+        f(x) = x + s/2   on [-a, b - s/2)      (rising side)
+        f(x) = b         on [b - s/2, s/2 - b] (flat top)
+        f(x) = s/2 - x   on (s/2 - b, a]       (falling side)
+
+    s = 2a collapses the flat top's x-extent to the degenerate hexagon case,
+    and additionally a = b gives the taxicab circle of radius a.
+    """
+    EllipsoidSpec(a, b, s)  # checks a, b and s as the ellipsoid does
+
+    p = b - s / 2.0   # end of the rising side
+    q = s / 2.0 - b   # start of the falling side
+    half_s = s / 2.0
+
+    def evaluate(x):
+        return np.where(x < p, x + half_s, np.where(x <= q, b, half_s - x))
+
+    def derivative(x):
+        return np.where(x < p, 1.0, np.where(x <= q, 0.0, -1.0))
+
+    breakpoints = tuple(sorted({v for v in (p, q) if -a < v < a}))
+    return ProfileFunction(evaluate, derivative, Interval(-a, a), breakpoints=breakpoints,
+                           label=f"taxicab_ellipse_upper(a={a:g}, b={b:g}, s={s:g})",
+                           monotone_pieces=True)
 
 
 # ---------------------------------------------------------------------------

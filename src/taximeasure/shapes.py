@@ -15,8 +15,8 @@ _SHAPES is the one table of shapes.  parse_shape_spec, closed_form, caps_area
 and revolution_profile all read it, so a new shape is one entry there.  An
 entry names its revolution profile as a row of geometry.CATALOG_PARAMS.
 
-The closed forms and the taxicab profiles' vertex lists are Python float
-arithmetic.  Only revolution_profile, which builds a row, imports NumPy.
+The closed forms are Python float arithmetic.  Only revolution_profile, which
+builds that row, imports the profiles module and NumPy.
 """
 
 from __future__ import annotations
@@ -91,30 +91,6 @@ class EllipsoidSpec(_Checked, namedtuple("EllipsoidSpec", "a b s")):
         if not s <= 2.0 * (a + b):
             raise DomainError(f"EllipsoidSpec requires s <= 2(a + b), got s={s}, a={a}, b={b}")
         return super().__new__(cls, a, b, s)
-
-
-def taxicab_circle_vertices(r: float) -> list[tuple[float, float]]:
-    """Vertices of the upper half of the taxicab circle: f(x) = r - |x| on [-r, r]."""
-    CircleSpec(r)
-    return [(-r, 0.0), (0.0, r), (r, 0.0)]
-
-
-def taxicab_parabola_vertices(a: float, h: float) -> list[tuple[float, float]]:
-    """Vertices of the taxicab parabola f(y) = min(y, a) on [0, h]."""
-    ParaboloidSpec(a, h)
-    return [(0.0, 0.0), (a, a)] + ([(h, a)] if a < h else [])
-
-
-def taxicab_ellipse_vertices(a: float, b: float, s: float) -> list[tuple[float, float]]:
-    """Vertices of the upper half of the taxicab ellipse: x + s/2 up to p = b - s/2,
-    b up to q = s/2 - b = -p, then s/2 - x.  Where q >= a, as at s = 2(a + b),
-    the domain ends take the flat top's height b, not the rounded s/2 - a."""
-    EllipsoidSpec(a, b, s)
-    p, q = b - s / 2.0, s / 2.0 - b
-    if q >= a:
-        return [(-a, b), (a, b)]
-    c = s / 2.0 - a
-    return [(-a, c)] + [(x, b) for x in sorted({p, q})] + [(a, c)]  # p = q = 0: a circle
 
 
 def circle_circumference(spec: CircleSpec) -> float:

@@ -32,11 +32,6 @@ from taximeasure.profiles import (
     restrict,
     sorted_insert,
 )
-from taximeasure.shapes import (
-    taxicab_circle_vertices,
-    taxicab_ellipse_vertices,
-    taxicab_parabola_vertices,
-)
 
 # Each catalog profile as a builder of its copy under x, f -> s*x, s*f: every
 # length parameter is scaled by s, the slope of the linear one is kept.
@@ -131,85 +126,6 @@ def test_taxicab_ellipse_octagon_case():
     assert f(-2.0) == 0.5 and f(2.0) == 0.5  # end caps of radius s/2 - a
     assert f.breakpoints == (-1.0, 1.0)
     assert f(0.0) == 1.5
-
-
-# The three taxicab profiles written as formulas, (evaluate, derivative), as a
-# reference for the vertex lists they are built from.
-def _reference_circle(r):
-    return (lambda x: r - np.abs(x)), (lambda x: np.where(x < 0.0, 1.0, -1.0))
-
-
-def _reference_parabola(a, h):
-    return (lambda y: np.minimum(y, a)), (lambda y: np.where(y < a, 1.0, 0.0))
-
-
-def _reference_ellipse(a, b, s):
-    p, q, half_s = b - s / 2.0, s / 2.0 - b, s / 2.0
-    return ((lambda x: np.where(x < p, x + half_s, np.where(x <= q, b, half_s - x))),
-            (lambda x: np.where(x < p, 1.0, np.where(x <= q, 0.0, -1.0))))
-
-
-def _interior_points(rng, f, n=64):
-    """n random points of f's domain, without its ends and breakpoints."""
-    lo, hi = f.domain.lo, f.domain.hi
-    x = rng.uniform(lo, hi, n)
-    return x[(x > lo) & (x < hi) & ~np.isin(x, f.breakpoints)]
-
-
-@pytest.mark.parametrize("exponent", range(-300, 151, 25))
-def test_taxicab_circle_and_parabola_equal_their_reference_formulas(exponent):
-    rng = np.random.default_rng(exponent + 300)
-    for _ in range(20):
-        r, a = 10.0 ** exponent * rng.uniform(0.1, 10.0, 2)
-        h = a * rng.uniform(1.0, 5.0)
-        for f, (evaluate, derivative) in (
-                (profile_taxicab_circle_upper(r), _reference_circle(r)),
-                (profile_taxicab_parabola(a, h), _reference_parabola(a, h))):
-            x = _interior_points(rng, f)
-            assert np.array_equal(f(x), evaluate(x))
-            assert np.array_equal(f.derivative(x), derivative(x))
-
-
-@pytest.mark.parametrize("exponent", range(-300, 151, 25))
-def test_taxicab_ellipse_is_within_rounding_of_its_reference_formulas(exponent):
-    # The corners b - s/2 and s/2 - b are rounded, so a side's interpolated
-    # value may move by half an ulp of s, and its slope by that over the
-    # side's width.  With b >= a/100 and s drawn uniformly, the slope moved
-    # by at most 5.1e-14 in 23,000 draws.
-    rng = np.random.default_rng(exponent + 300)
-    for _ in range(20):
-        a = 10.0 ** exponent * rng.uniform(0.1, 10.0)
-        b = a * rng.uniform(0.01, 1.0)
-        s = 2.0 * a + 2.0 * b * rng.uniform(0.0, 1.0)
-        f = profile_taxicab_ellipse_upper(a, b, s)
-        evaluate, derivative = _reference_ellipse(a, b, s)
-        x = _interior_points(rng, f)
-        assert np.all(np.abs(f(x) - evaluate(x)) <= np.spacing(s))
-        assert np.all(np.abs(f.derivative(x) - derivative(x)) <= 1e-13)
-
-
-@pytest.mark.parametrize("vertices,expected", [
-    (taxicab_circle_vertices(2.0), [(-2.0, 0.0), (0.0, 2.0), (2.0, 0.0)]),
-    (taxicab_parabola_vertices(1.0, 3.0), [(0.0, 0.0), (1.0, 1.0), (3.0, 1.0)]),
-    (taxicab_parabola_vertices(1.5, 1.5), [(0.0, 0.0), (1.5, 1.5)]),                   # h = a
-    (taxicab_ellipse_vertices(2.0, 1.5, 5.0),
-     [(-2.0, 0.5), (-1.0, 1.5), (1.0, 1.5), (2.0, 0.5)]),
-    (taxicab_ellipse_vertices(2.0, 1.0, 4.0),
-     [(-2.0, 0.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 0.0)]),                              # s = 2a
-    (taxicab_ellipse_vertices(1.0, 1.0, 2.0), [(-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)]),  # and a = b
-    (taxicab_ellipse_vertices(2.0, 1.0, 6.0), [(-2.0, 1.0), (2.0, 1.0)]),             # s = 2(a + b)
-    # s/2 - a rounds to 7.100000000000023 here; the ends take b.
-    (taxicab_ellipse_vertices(1e3, 7.1, 2.0 * (1e3 + 7.1)), [(-1e3, 7.1), (1e3, 7.1)]),
-])
-def test_taxicab_vertex_lists(vertices, expected):
-    assert vertices == expected
-
-
-def test_a_taxicab_corner_takes_the_slope_to_its_right():
-    assert profile_taxicab_circle_upper(1.0).derivative(0.0) == -1.0
-    assert profile_taxicab_parabola(1.0, 3.0).derivative(1.0) == 0.0
-    ellipse = profile_taxicab_ellipse_upper(2.0, 1.0, 4.0)
-    assert list(ellipse.derivative(np.array([-1.0, 1.0]))) == [0.0, -1.0]
 
 
 @pytest.mark.parametrize("a,b,s,frag", [
@@ -435,23 +351,6 @@ def test_piecewise_linear_slope_lookup_matches_the_clipped_index(n):
     assert np.array_equal(f.derivative(points), clipped)
     for x, want in zip(points[-12:].tolist(), clipped[-12:].tolist()):
         assert f.derivative(x) == want
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 7])
-@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
-def test_piecewise_linear_evaluates_a_long_sorted_array_as_np_interp_does(n, scale):
-    # A long sorted array is evaluated piece by piece; every float, at the
-    # vertices, between them, past the ends, at -0.0 and at NaN, is np.interp's.
-    rng = np.random.default_rng(n)
-    xs = (np.cumsum(rng.uniform(0.01, 1.0, n)) - 1.0) * scale
-    ys = rng.uniform(-1.0, 1.0, n) * scale
-    f = PiecewiseLinearProfile(tuple(zip(xs.tolist(), ys.tolist()))).to_profile()
-    inside = rng.uniform(xs[0], xs[-1], 1024 * n)
-    past = [xs[0] - scale, xs[-1] + scale, -0.0, 0.0]
-    x = np.sort(np.concatenate([inside, xs, past]))
-    assert np.array_equal(f(x), np.interp(x, xs, ys))
-    unsorted = np.concatenate([x, [math.nan], x[::-1]])
-    assert np.array_equal(f(unsorted), np.interp(unsorted, xs, ys), equal_nan=True)
 
 
 def test_piecewise_linear_validation():
