@@ -41,9 +41,12 @@ MAX_CELLS = 10**7
 
 def check_cells(ns) -> None:
     """Check the cell counts of one oracle call or of one convergence table:
-    non-empty, strictly increasing, each within 1..MAX_CELLS."""
+    non-empty integers, strictly increasing, each within 1..MAX_CELLS."""
     if not ns:
         raise DomainError("ns must not be empty")
+    for n in ns:
+        if isinstance(n, bool) or not hasattr(n, "__index__"):
+            raise DomainError(f"a cell count must be an integer, got {n!r}")
     if any(n2 <= n1 for n1, n2 in zip(ns, ns[1:])):
         raise DomainError(f"ns must be strictly increasing, got {ns}")
     for n in (ns[0], ns[-1]):

@@ -28,9 +28,10 @@ million-cell partitions.
 A block is a chunk of BLOCK uniform cells, with the nodes linspace would
 give and the breakpoints that fall among them, built as the loop reaches
 it, so no call builds the whole partition.  The kernels write their
-temporaries into one workspace per call, sized for the chunk with the most
-breakpoints, so a call holds one block and one workspace, 1.2-1.4 MB and
-~56 B more per breakpoint of that chunk, whatever n is.
+temporaries into one workspace per call, with room for BLOCK cells and
+every breakpoint, and touch no column past the largest block's cells: a
+call holds one block and one workspace, 1.2-1.4 MB, ~40 B more per
+breakpoint of the profile and 16 B per breakpoint in the block, whatever n is.
 
 The polyline and disk sums are right wherever their terms and sums are
 normal floats.  The frustum kernel sums a block whose sum is out of range
@@ -113,17 +114,6 @@ def _blocks(f: ProfileFunction, n: int):
             x, j = sorted_insert(x, pts[j:k]), k
         if x.size > 1:
             yield x
-
-
-def _most_breakpoints(f: ProfileFunction, n: int) -> int:
-    """The most breakpoints that one chunk of _blocks takes in: those up to
-    its last node and past the last node of the chunk before."""
-    pts = f.breakpoint_array
-    if n <= BLOCK or pts.size == 0:
-        return pts.size
-    last = np.append(np.arange(BLOCK, n, BLOCK), n).astype(float)
-    ends = _linspace_nodes(last, f.domain.lo, f.domain.hi, n)
-    return int(np.diff(np.searchsorted(pts, ends, side="right"), prepend=0).max())
 
 
 def workspace(cells: int) -> np.ndarray:
@@ -210,7 +200,7 @@ def _sum_cells(kernel, f: ProfileFunction, n: int, quantity: str, *,
     """The oracles' block loop: kernel sums the block's cells from f at its
     nodes, or its cell midpoints, and checks f >= 0 if quantity needs it."""
     check_cells((n,))
-    work = workspace(min(n, BLOCK) + _most_breakpoints(f, n))
+    work = workspace(min(n, BLOCK) + f.breakpoint_array.size)
     sums = []
     lowest = measures.LowestSample()
     for x in _blocks(f, n):
@@ -256,8 +246,9 @@ def convergence_table(kind: str, f: ProfileFunction, domain: Interval | None = N
     """
     if kind not in _ORACLES:
         raise DomainError(f"kind must be one of {sorted(_ORACLES)}, got {kind!r}")
-    ns = [int(n) for n in ns]
+    ns = list(ns)
     check_cells(ns)
+    ns = [int(n) for n in ns]
     if domain is not None:
         f = restrict(f, domain)
 

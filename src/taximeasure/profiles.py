@@ -8,7 +8,7 @@ every kink.
 
 A profile may also declare monotone_pieces: f is monotone on each piece
 between the domain ends and the breakpoints.  The catalog constructors and
-PiecewiseLinearProfile.to_profile declare it, so the measures take their
+profile_piecewise_linear declare it, so the measures take their
 splits from the breakpoints alone and check f >= 0 at the piece ends.  Only
 a profile without it gets the kink scan of f' and the sampled check.
 
@@ -156,51 +156,41 @@ def graph(f: ProfileFunction) -> ParametricCurve:
                            f.domain, f.breakpoints, f.label, f.monotone_pieces)
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearProfile:
-    """Polygonal curve through vertices with strictly increasing x coordinates."""
-
-    vertices: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        vs = tuple((float(x), float(y)) for x, y in self.vertices)
-        if len(vs) < 2:
-            raise DomainError("piecewise-linear profile needs at least two vertices")
-        for x, y in vs:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise DomainError(f"vertex ({x!r}, {y!r}) is not finite")
-        for (x0, _), (x1, _) in zip(vs, vs[1:]):
-            if not x1 > x0:
-                raise DomainError(
-                    f"vertex x coordinates must be strictly increasing, got {x0} then {x1}")
-        object.__setattr__(self, "vertices", vs)
-
-    def to_profile(self) -> ProfileFunction:
-        xs = np.array([v[0] for v in self.vertices], dtype=float)
-        ys = np.array([v[1] for v in self.vertices], dtype=float)
-        # Checked first: no x step is wider than the domain.
-        domain = Interval(float(xs[0]), float(xs[-1]))
-        slopes = np.diff(ys) / np.diff(xs)
-        inner = xs[1:-1]
-
-        def evaluate(x):
-            return np.interp(x, xs, ys)
-
-        def derivative(x):
-            # At a vertex the slope of the segment to its right is reported;
-            # left of the domain the first slope, right of it (and at NaN) the last.
-            return slopes[np.searchsorted(inner, x, side="right")]
-
-        return ProfileFunction(
-            evaluate, derivative, domain, breakpoints=tuple(float(x) for x in xs[1:-1]),
-            label=f"piecewise_linear[{len(self.vertices)} vertices]",
-            monotone_pieces=True,
-        )
-
-
 # ---------------------------------------------------------------------------
-# Catalog constructors
+# Profile builders
 # ---------------------------------------------------------------------------
+
+def profile_piecewise_linear(vertices) -> ProfileFunction:
+    """The polygonal curve through vertices (x, y) with strictly increasing x."""
+    vs = [(float(x), float(y)) for x, y in vertices]
+    if len(vs) < 2:
+        raise DomainError("piecewise-linear profile needs at least two vertices")
+    xs, ys = np.array(vs).T.copy()
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    if not finite.all():
+        raise DomainError(f"vertex {vs[np.argmin(finite)]!r} is not finite")
+    rises = xs[1:] > xs[:-1]
+    if not rises.all():
+        i = np.argmin(rises)
+        raise DomainError(f"vertex x coordinates must be strictly increasing, "
+                          f"got {vs[i][0]} then {vs[i + 1][0]}")
+    # Checked first: no x step is wider than the domain.
+    domain = Interval(vs[0][0], vs[-1][0])
+    slopes = np.diff(ys) / np.diff(xs)
+    inner = xs[1:-1]
+
+    def evaluate(x):
+        return np.interp(x, xs, ys)
+
+    def derivative(x):
+        # At a vertex the slope of the segment to its right is reported;
+        # left of the domain the first slope, right of it (and at NaN) the last.
+        return slopes[np.searchsorted(inner, x, side="right")]
+
+    return ProfileFunction(evaluate, derivative, domain, breakpoints=inner,
+                           label=f"piecewise_linear[{len(vs)} vertices]",
+                           monotone_pieces=True)
+
 
 def profile_linear(slope: float, intercept: float, domain: Interval) -> ProfileFunction:
     for name, v in (("slope", slope), ("intercept", intercept)):
@@ -338,5 +328,5 @@ def parse_profile_spec(spec) -> ProfileFunction:
     """
     name, values = check_profile_spec(spec)
     if name is None:
-        return PiecewiseLinearProfile(tuple(values)).to_profile()
+        return profile_piecewise_linear(values)
     return _catalog_profile(name, values)

@@ -72,12 +72,14 @@ def render_profile_svg(profile: ProfileFunction, mirror: bool = False,
         raise DomainError(f"the plot extent [{x0!r}, {x1!r}] x [{y0!r}, {y1!r}] "
                           "overflows a float")
     stroke = 0.008 * max(x1 - x0, y1 - y0)
+    label = profile.label or "profile"
+    title = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
     # viewBox in emission coordinates, where y is negated.
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="{_fmt(x0)} {_fmt(-y1)} {_fmt(x1 - x0)} {_fmt(y1 - y0)}">',
-        f'  <title>{profile.label or "profile"}</title>',
+        f'  <title>{title}</title>',
         f'  <rect x="{_fmt(x0)}" y="{_fmt(-y1)}" width="{_fmt(x1 - x0)}" '
         f'height="{_fmt(y1 - y0)}" fill="white"/>',
     ]

@@ -29,13 +29,13 @@ from taximeasure.oracles import (
 )
 from taximeasure.profiles import (
     ParametricCurve,
-    PiecewiseLinearProfile,
     ProfileFunction,
     graph,
     parse_profile_spec,
     profile_euclidean_circle_quadrant,
     profile_euclidean_parabola_quadrant,
     profile_linear,
+    profile_piecewise_linear,
     profile_taxicab_circle_upper,
     restrict,
 )
@@ -197,7 +197,7 @@ def _zigzags(draw):
                         max_size=n - 1))
     ys = draw(st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=n, max_size=n))
     xs = np.concatenate([[0.0], np.cumsum(dxs)]).tolist()
-    return PiecewiseLinearProfile(tuple(zip(xs, ys))).to_profile()
+    return profile_piecewise_linear(tuple(zip(xs, ys)))
 
 
 @st.composite
@@ -281,7 +281,7 @@ def test_narrow_pieces_raise_or_stay_within_the_tolerance(quantity):
     }[quantity]
     answered, missed = 0, []
     for xs, ys in _narrow_polylines(600, seed=7):
-        f = PiecewiseLinearProfile(tuple(zip(xs.tolist(), ys.tolist()))).to_profile()
+        f = profile_piecewise_linear(tuple(zip(xs.tolist(), ys.tolist())))
         try:
             value = measure(f)
         except ConvergenceError:
@@ -507,7 +507,7 @@ def test_surface_of_revolution_rejects_negative_profile():
 ])
 @pytest.mark.parametrize("measure", [surface_of_revolution, volume_of_revolution])
 def test_monotone_pieces_are_checked_at_their_ends(vertices, x, measure):
-    f = PiecewiseLinearProfile(vertices).to_profile()
+    f = profile_piecewise_linear(vertices)
     with pytest.raises(DomainError) as ei:
         measure(f)
     assert "nonnegative" in str(ei.value) and f"({x!r})" in str(ei.value)
@@ -643,12 +643,11 @@ def _counting_integrate(samples):
 @pytest.mark.parametrize("n_vertices", [4, 5, 7, 10])
 def test_zigzag_pieces_end_at_the_declared_kinks(monkeypatch, n_vertices):
     import taximeasure.measures as measures
-    from taximeasure import PiecewiseLinearProfile
 
     samples = []
     monkeypatch.setattr(measures, "integrate", _counting_integrate(samples))
     vertices = _zigzag(n_vertices)
-    f = PiecewiseLinearProfile(vertices).to_profile()
+    f = profile_piecewise_linear(vertices)
     arc, surface = _zigzag_exact(vertices)
     assert arclength_functional(f) == pytest.approx(arc, rel=1e-12)
     assert surface_of_revolution(f) == pytest.approx(surface, rel=1e-12)

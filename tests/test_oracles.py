@@ -9,7 +9,6 @@ import taximeasure.oracles as oracles
 from taximeasure import (
     DomainError,
     Interval,
-    PiecewiseLinearProfile,
     ProfileFunction,
     SphereSpec,
     arclength_functional,
@@ -19,6 +18,7 @@ from taximeasure import (
     polyline_arclength_oracle,
     profile_euclidean_circle_quadrant,
     profile_linear,
+    profile_piecewise_linear,
     profile_taxicab_circle_upper,
     restrict,
     revolution_profile,
@@ -103,6 +103,20 @@ def test_oracles_reject_more_than_max_cells(oracle):
     f = profile_linear(0.0, 1.0, Interval(0.0, 1.0))
     with pytest.raises(DomainError):
         oracle(f, n=oracles.MAX_CELLS + 1)
+
+
+@pytest.mark.parametrize("ns, bad", [((5.0,), 5.0), ((1.5,), 1.5), (("5",), "5"),
+                                     ((True,), True), ((1.5, 2.5), 1.5), ((4, 4.5), 4.5)])
+def test_a_cell_count_that_is_not_an_integer_is_refused(ns, bad):
+    # Not rounded, and not reported as a repeat: (4, 4.5) is refused for 4.5.
+    f = profile_taxicab_circle_upper(1.0)
+    with pytest.raises(DomainError, match=f"must be an integer, got {bad!r}"):
+        convergence_table("volume", f, None, ns)
+    for oracle in (polyline_arclength_oracle, frustum_surface_oracle, disk_volume_oracle):
+        with pytest.raises(DomainError, match=f"must be an integer, got {bad!r}"):
+            oracle(f, n=bad)
+        # A NumPy integer is an integer.
+        assert oracle(f, n=np.int64(5)) == oracle(f, n=5)
 
 
 @pytest.mark.parametrize("oracle", [frustum_surface_oracle, disk_volume_oracle])
@@ -190,7 +204,7 @@ def test_polyline_is_exact_on_monotone_piecewise_linear(ys, n):
     if ys[-1] - ys[0] < 1e-6:
         ys[-1] = ys[0] + 1.0
     xs = np.linspace(0.0, 3.0, len(ys))
-    profile = PiecewiseLinearProfile(tuple(zip(xs, ys))).to_profile()
+    profile = profile_piecewise_linear(tuple(zip(xs, ys)))
     expected = 3.0 + (ys[-1] - ys[0])
     got = polyline_arclength_oracle(profile, n=n)
     assert got == pytest.approx(expected, abs=1e-12)
@@ -230,8 +244,8 @@ def test_oracles_on_a_domain_narrower_than_n_float_spacings(oracle):
     value = oracle(f, n=100)
     assert math.isfinite(value) and value > 0.0
     assert oracle(f, n=10_000) == value
-    tent = PiecewiseLinearProfile(((1.0, 1.0), (1.0000000000000004, 1.5),
-                                   (1.000000000000001, 1.0))).to_profile()
+    tent = profile_piecewise_linear(((1.0, 1.0), (1.0000000000000004, 1.5),
+                                     (1.000000000000001, 1.0)))
     assert math.isfinite(oracle(tent, n=100_000))
 
 
@@ -302,7 +316,7 @@ def test_frustum_oracle_on_a_span_far_steeper_than_wide(n):
     # dx = 1e-300 and df = 1e-140 per span: the product with
     # sqrt(dx^2 + df^2/2) underflowed to 0, and a scale taken from dx alone
     # would overflow df^2.  A linear span is exact at any n.
-    f = PiecewiseLinearProfile(((0.0, 0.0), (1e-300, 1e-140))).to_profile()
+    f = profile_piecewise_linear(((0.0, 0.0), (1e-300, 1e-140)))
     want = 4.0 * 1e-140 * (1e-300 + 1e-140) * math.sqrt(0.5)
     assert frustum_surface_oracle(f, n=n) == pytest.approx(want, rel=1e-15, abs=0.0)
 
@@ -386,8 +400,8 @@ def test_blocks_equal_slices_of_the_whole_partition(n, dom):
         want = _reference_blocks(f, n)
         assert [x.size for x in got] == [x.size for x in want], (len(bps), bps[:3])
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), (len(bps), bps[:3])
-        # The workspace is sized for the largest block.
-        most = min(n, B) + oracles._most_breakpoints(f, n)
+        # The workspace has room for the largest block.
+        most = min(n, B) + f.breakpoint_array.size
         assert all(x.size - 1 <= most for x in got), (len(bps), bps[:3])
 
 
@@ -482,7 +496,6 @@ def test_a_block_takes_in_every_breakpoint_of_its_chunk():
     f, n = _crowded_first_chunk()
     got = [x.copy() for x in oracles._blocks(f, n)]
     assert [x.size - 1 for x in got] == [4 * B, B]
-    assert oracles._most_breakpoints(f, n) == 3 * B
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, _reference_blocks(f, n)))
     for oracle, terms in ORACLE_TERMS:
         assert oracle(f, n=n) == _blockwise_sum(f, n, terms(f, n)), oracle.__name__
@@ -564,9 +577,9 @@ def test_an_infinite_sample_excuses_every_negative_one(oracle, want, left, right
 
 
 # 5,000 vertices, so 4,998 breakpoints, at values between 1 and 2.
-PL5000 = PiecewiseLinearProfile(tuple(zip(
+PL5000 = profile_piecewise_linear(tuple(zip(
     np.linspace(0.0, 1.0, 5000).tolist(),
-    np.random.default_rng(5).uniform(1.0, 2.0, 5000).tolist()))).to_profile()
+    np.random.default_rng(5).uniform(1.0, 2.0, 5000).tolist())))
 
 
 @pytest.mark.parametrize("oracle", [polyline_arclength_oracle, frustum_surface_oracle,
@@ -576,7 +589,7 @@ PL5000 = PiecewiseLinearProfile(tuple(zip(
     (revolution_profile(SphereSpec(1.0)), 10**7, B),
     # linspace alone would take 80 MB here, to keep six distinct nodes.
     (profile_linear(1.0, 1.0, NARROW), 10**7, B),
-    # The workspace grows to the largest block, ~27 breakpoints more than B.
+    # The workspace has a column for each of the 4,998 breakpoints, ~0.2 MB.
     (PL5000, 10**7, B),
     (*_crowded_first_chunk(), 4 * B),
 ], ids=["sphere-1e6", "sphere-1e7", "narrow-1e7", "pl5000-1e7", "crowded-2B"])

@@ -19,13 +19,13 @@ from taximeasure.geometry import CATALOG_PARAMS
 from taximeasure.oracles import frustum_surface_oracle
 from taximeasure.profiles import (
     ParametricCurve,
-    PiecewiseLinearProfile,
     ProfileFunction,
     graph,
     parse_profile_spec,
     profile_euclidean_circle_quadrant,
     profile_euclidean_parabola_quadrant,
     profile_linear,
+    profile_piecewise_linear,
     profile_taxicab_circle_upper,
     profile_taxicab_ellipse_upper,
     profile_taxicab_parabola,
@@ -242,7 +242,7 @@ def test_piecewise_linear_profiles_are_monotone_on_their_declared_pieces(steps):
     for dx, y in steps:
         x += dx
         vertices.append((x, y))
-    prof = PiecewiseLinearProfile(tuple(vertices)).to_profile()
+    prof = profile_piecewise_linear(tuple(vertices))
     assert prof.monotone_pieces
     _keeps_its_claim(prof)
 
@@ -324,8 +324,7 @@ def test_restrict_rejects_a_domain_the_curve_does_not_cover(lo, hi):
 
 
 def test_piecewise_linear_profile():
-    pl = PiecewiseLinearProfile(((0.0, 0.0), (1.0, 2.0), (3.0, 1.0)))
-    f = pl.to_profile()
+    f = profile_piecewise_linear(((0.0, 0.0), (1.0, 2.0), (3.0, 1.0)))
     assert f.domain == Interval(0.0, 3.0)
     assert f.breakpoints == (1.0,)
     assert f(0.5) == 1.0
@@ -342,7 +341,7 @@ def test_piecewise_linear_slope_lookup_matches_the_clipped_index(n):
     rng = np.random.default_rng(n)
     xs = np.cumsum(rng.uniform(0.01, 1.0, n)) - 3.0
     ys = rng.uniform(-2.0, 2.0, n)
-    f = PiecewiseLinearProfile(tuple(zip(xs.tolist(), ys.tolist()))).to_profile()
+    f = profile_piecewise_linear(tuple(zip(xs.tolist(), ys.tolist())))
     slopes = np.diff(ys) / np.diff(xs)
     points = np.concatenate([xs, (xs[1:] + xs[:-1]) / 2.0,
                              [xs[0] - 1.0, xs[-1] + 1.0, -1e300, 1e300,
@@ -355,13 +354,13 @@ def test_piecewise_linear_slope_lookup_matches_the_clipped_index(n):
 
 def test_piecewise_linear_validation():
     with pytest.raises(DomainError):
-        PiecewiseLinearProfile(((0.0, 0.0),))
+        profile_piecewise_linear(((0.0, 0.0),))
     with pytest.raises(DomainError):
-        PiecewiseLinearProfile(((0.0, 0.0), (0.0, 1.0)))
+        profile_piecewise_linear(((0.0, 0.0), (0.0, 1.0)))
     with pytest.raises(DomainError):
-        PiecewiseLinearProfile(((1.0, 0.0), (0.5, 1.0)))
+        profile_piecewise_linear(((1.0, 0.0), (0.5, 1.0)))
     with pytest.raises(DomainError):
-        PiecewiseLinearProfile(((0.0, float("nan")), (1.0, 1.0)))
+        profile_piecewise_linear(((0.0, float("nan")), (1.0, 1.0)))
 
 
 @given(st.lists(st.tuples(st.floats(min_value=-100, max_value=100, allow_nan=False),
@@ -372,7 +371,7 @@ def test_piecewise_linear_interpolates_its_vertices(points):
     if len(xs) < 2:
         return
     vertices = tuple((x, y) for x, (_, y) in zip(xs, points))
-    f = PiecewiseLinearProfile(vertices).to_profile()
+    f = profile_piecewise_linear(vertices)
     for x, y in vertices:
         assert float(f(x)) == pytest.approx(y, abs=1e-9)
 

@@ -9,7 +9,7 @@ from taximeasure import (
     DomainError,
     Interval,
     IntegrandError,
-    PiecewiseLinearProfile,
+    profile_piecewise_linear,
 )
 from taximeasure.quadrature import (
     MAX_EVALS,
@@ -364,8 +364,8 @@ def test_smooth_integrand_is_called_once_per_round():
     # The second input is the arc-length integrand 1 + |f'| of a tent whose
     # pieces are 360 and 540 float spacings wide inside [0, 1]: the bound on
     # rounded abscissas comes from the first round's own samples.
-    tent = PiecewiseLinearProfile(((0, 1), (0.5, 1), (0.50000000000004, 1.5),
-                                   (0.5000000000001, 1), (1, 1))).to_profile()
+    tent = profile_piecewise_linear(((0, 1), (0.5, 1), (0.50000000000004, 1.5),
+                                     (0.5000000000001, 1), (1, 1)))
     for fn, domain, splits in [(lambda x: np.exp(np.sin(3.0 * x)), Interval(0.0, 3.0), ()),
                                (lambda x: 1.0 + np.abs(tent.derivative(x)), tent.domain,
                                 tent.breakpoints)]:

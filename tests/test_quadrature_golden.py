@@ -10,7 +10,7 @@ that leaves its arithmetic alone keeps every one of them.
 import numpy as np
 import pytest
 
-from taximeasure import ConvergenceError, Interval, IntegrandError, PiecewiseLinearProfile
+from taximeasure import ConvergenceError, Interval, IntegrandError, profile_piecewise_linear
 from taximeasure.geometry import PI_T
 from taximeasure.profiles import profile_euclidean_circle_quadrant
 from taximeasure.quadrature import detect_sign_changes, integrate
@@ -47,8 +47,8 @@ def _scanned_sin():
 
 def _tent_surface():
     # A tent whose pieces are 360 and 540 float spacings wide inside [0, 1].
-    tent = PiecewiseLinearProfile(((0, 1), (0.5, 1), (0.50000000000004, 1.5),
-                                   (0.5000000000001, 1), (1, 1))).to_profile()
+    tent = profile_piecewise_linear(((0, 1), (0.5, 1), (0.50000000000004, 1.5),
+                                     (0.5000000000001, 1), (1, 1)))
 
     def g(x):
         d = tent.derivative(x)

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from xml.etree import ElementTree
+
 import numpy as np
 
 from taximeasure import (
@@ -61,6 +64,12 @@ def test_title_carries_the_profile_label():
     assert f.label
     svg = render_profile_svg(f)
     assert f"<title>{f.label}</title>" in svg
+
+
+def test_a_label_with_markup_characters_is_escaped_in_the_title():
+    f = replace(profile_taxicab_circle_upper(1.0), label="f<g & h > 0")
+    root = ElementTree.fromstring(render_profile_svg(f))
+    assert root.find("{http://www.w3.org/2000/svg}title").text == "f<g & h > 0"
 
 
 def test_breakpoints_become_vertices():
