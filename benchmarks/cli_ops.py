@@ -38,10 +38,10 @@ writes under .perfbench_out/ for --pairs.
    traced to the calls that made it.  Then one `--trace 1` run of
    oracle_sweep per side, at the first oracle_sweep seed, gives the
    layers an oracle call spends its time in (TRACED).
-4. Memory.  Each oracle_sweep operation of --seed with at least 10^6
-   cells runs in one process per side, after a warm-up call: the median
-   minor page faults (ru_minflt) of three calls, and the tracemalloc peak
-   of one more, in MB.
+4. Memory.  Each oracle call of oracle_sweep at --seed runs, in one
+   process per side and in the workload's order, after a warm-up call: the
+   median minor page faults (ru_minflt) of three calls, and the tracemalloc
+   peak of one more, in MB.
 
 The result also gives each checkout's lines of src/taximeasure/*.py and the
 net change, in total and per file, and its count of public names
@@ -97,8 +97,7 @@ import json, resource, statistics, sys, tracemalloc
 sys.path.insert(0, "perfbench")
 import worker, workloads
 mods = worker.import_package()
-ops = [op for op in workloads.build("oracle_sweep", int(sys.argv[1]))
-       if op["kind"] == "oracle" and op["n"] >= 10**6]
+ops = [op for op in workloads.build("oracle_sweep", int(sys.argv[1])) if op["kind"] == "oracle"]
 out = {}
 for op, call in zip(ops, worker.build_ops(mods, {"ops": ops})):
     call()

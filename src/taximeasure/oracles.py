@@ -27,11 +27,9 @@ million-cell partitions.
 
 A block is a chunk of BLOCK uniform cells, with the nodes linspace would
 give and the breakpoints that fall among them, built as the loop reaches
-it, so no call builds the whole partition.  The kernels write their
-temporaries into one workspace per call, with room for BLOCK cells and
-every breakpoint, and touch no column past the largest block's cells: a
-call holds one block and one workspace, 1.2-1.4 MB, ~40 B more per
-breakpoint of the profile and 16 B per breakpoint in the block, whatever n is.
+it, so no call builds the whole partition.  Each kernel allocates its
+temporaries for the block it sums: a call holds one block and that block's
+kernel temporaries, whatever n and the profile's breakpoint count are.
 
 The polyline and disk sums are right wherever their terms and sums are
 normal floats.  The frustum kernel sums a block whose sum is out of range
@@ -116,18 +114,10 @@ def _blocks(f: ProfileFunction, n: int):
             yield x
 
 
-def workspace(cells: int) -> np.ndarray:
-    """Scratch rows for the kernels' temporaries on up to `cells` cells, and
-    one more for the disk's midpoints."""
-    return np.empty((5, cells))
-
-
-def polyline_sum(xs: np.ndarray, fx: np.ndarray, work: np.ndarray) -> float:
+def polyline_sum(xs: np.ndarray, fx: np.ndarray) -> float:
     """Sum of dx + |df| over the cells, dx and |df| summed apart."""
-    dx, df = work[:2, :xs.size - 1]
-    np.subtract(xs[1:], xs[:-1], dx)
-    np.subtract(fx[1:], fx[:-1], df)
-    return dx.sum() + np.abs(df, df).sum()
+    df = np.subtract(fx[1:], fx[:-1])
+    return np.subtract(xs[1:], xs[:-1]).sum() + np.abs(df, df).sum()
 
 
 def _frustum_terms(f0, f1, scale, rows: np.ndarray) -> np.ndarray:
@@ -158,7 +148,7 @@ def _frustum_terms(f0, f1, scale, rows: np.ndarray) -> np.ndarray:
     return b
 
 
-def frustum_sum(xs: np.ndarray, fx: np.ndarray, work: np.ndarray) -> float:
+def frustum_sum(xs: np.ndarray, fx: np.ndarray) -> float:
     """Sum of 4 (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) / sqrt(dx^2 + df^2) over the cells.
 
     (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) grows as the cube of the
@@ -170,7 +160,7 @@ def frustum_sum(xs: np.ndarray, fx: np.ndarray, work: np.ndarray) -> float:
     the sum.  Both scalings are exact: each term is the unscaled formula's
     wherever that neither overflows nor underflows.
     """
-    rows = work[:4, :xs.size - 1]
+    rows = np.empty((4, xs.size - 1))
     dx, df = rows[0], rows[1]
     np.subtract(xs[1:], xs[:-1], dx)
     np.subtract(fx[1:], fx[:-1], df)
@@ -186,12 +176,11 @@ def frustum_sum(xs: np.ndarray, fx: np.ndarray, work: np.ndarray) -> float:
     return 4.0 * total
 
 
-def disk_sum(xs: np.ndarray, fm: np.ndarray, work: np.ndarray) -> float:
+def disk_sum(xs: np.ndarray, fm: np.ndarray) -> float:
     """Sum of 2 f(mid)^2 dx over the cells, from the midpoint values fm; the
     factor 2 multiplies the sum, which is exact."""
-    term, dx = work[:2, :xs.size - 1]
-    np.multiply(fm, fm, term)
-    term *= np.subtract(xs[1:], xs[:-1], dx)
+    term = np.multiply(fm, fm)
+    term *= np.subtract(xs[1:], xs[:-1])
     return 2.0 * term.sum()
 
 
@@ -200,20 +189,19 @@ def _sum_cells(kernel, f: ProfileFunction, n: int, quantity: str, *,
     """The oracles' block loop: kernel sums the block's cells from f at its
     nodes, or its cell midpoints, and checks f >= 0 if quantity needs it."""
     check_cells((n,))
-    work = workspace(min(n, BLOCK) + f.breakpoint_array.size)
     sums = []
     lowest = measures.LowestSample()
     for x in _blocks(f, n):
         at = x
         if mids:
-            at = np.add(x[:-1], x[1:], work[4, :x.size - 1])
+            at = np.add(x[:-1], x[1:])
             at *= 0.5
         fx = np.ascontiguousarray(f.evaluate(at), dtype=float)
         if fx.shape != at.shape:  # a map that returns a scalar
             fx = np.full(at.shape, fx)
         if PROFILE_QUANTITIES[quantity].signed:
             lowest.add(at, fx)
-        sums.append(kernel(x, fx, work))
+        sums.append(kernel(x, fx))
     lowest.check_nonnegative()
     return math.fsum(sums)
 

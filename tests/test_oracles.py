@@ -400,7 +400,7 @@ def test_blocks_equal_slices_of_the_whole_partition(n, dom):
         want = _reference_blocks(f, n)
         assert [x.size for x in got] == [x.size for x in want], (len(bps), bps[:3])
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), (len(bps), bps[:3])
-        # The workspace has room for the largest block.
+        # A block has at most a chunk's cells and one more per breakpoint.
         most = min(n, B) + f.breakpoint_array.size
         assert all(x.size - 1 <= most for x in got), (len(bps), bps[:3])
 
@@ -580,6 +580,10 @@ def test_an_infinite_sample_excuses_every_negative_one(oracle, want, left, right
 PL5000 = profile_piecewise_linear(tuple(zip(
     np.linspace(0.0, 1.0, 5000).tolist(),
     np.random.default_rng(5).uniform(1.0, 2.0, 5000).tolist())))
+# 100,000 vertices, so 99,998 breakpoints, at values between 1 and 2.
+PL100K = profile_piecewise_linear(tuple(zip(
+    np.linspace(0.0, 1.0, 100_000).tolist(),
+    np.random.default_rng(6).uniform(1.0, 2.0, 100_000).tolist())))
 
 
 @pytest.mark.parametrize("oracle", [polyline_arclength_oracle, frustum_surface_oracle,
@@ -589,13 +593,16 @@ PL5000 = profile_piecewise_linear(tuple(zip(
     (revolution_profile(SphereSpec(1.0)), 10**7, B),
     # linspace alone would take 80 MB here, to keep six distinct nodes.
     (profile_linear(1.0, 1.0, NARROW), 10**7, B),
-    # The workspace has a column for each of the 4,998 breakpoints, ~0.2 MB.
+    # 4,998 breakpoints over 611 chunks, at most 9 in one.
     (PL5000, 10**7, B),
+    # 99,998 breakpoints over 62 chunks, at most 1,639 in one.
+    (PL100K, 10**6, B),
     (*_crowded_first_chunk(), 4 * B),
-], ids=["sphere-1e6", "sphere-1e7", "narrow-1e7", "pl5000-1e7", "crowded-2B"])
+], ids=["sphere-1e6", "sphere-1e7", "narrow-1e7", "pl5000-1e7", "pl100k-1e6", "crowded-2B"])
 def test_oracle_memory_does_not_grow_with_n(oracle, f, n, cells):
-    # A call holds one block and one workspace, whatever n is; a block
-    # has room for the breakpoints among its cells.
+    # A call holds one block and that block's kernel temporaries, whatever
+    # n and the profile's breakpoint count are; a block grows by the
+    # breakpoints among its cells.
     oracle(f, n=1000)
     tracemalloc.start()
     try:
