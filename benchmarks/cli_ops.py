@@ -25,7 +25,9 @@ writes under .perfbench_out/ for --pairs.
    RESULT --seconds 0`.  The output counts the operations whose exit code
    and stdout, or whose in-process output, differ, and gives for each
    differing in-process output the largest difference of its floats from
-   the parent's, relative to the parent's largest |float|.  Where such an
+   the parent's, relative to the parent's largest |float|; for a differing
+   stdout with the same exit code, the same figure for the numbers of each
+   line, the largest over the lines.  Where such an
    operation stores a float reference, it also gives each side's relative
    errors against it (one per value, one per row's oracle for a table), so
    that a rounding-level move reads as closer to or farther from the truth.
@@ -60,6 +62,7 @@ import glob
 import json
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -75,6 +78,8 @@ import workloads  # noqa: E402
 SIDES = ("parent", "change")
 PAIR_SEEDS = {"cli_cold": 400, "quad_solve": 300, "oracle_sweep": 500}
 TRACED = ("oracles.self_ms", "kernels.sum_ms", "profiles.eval_ms")
+# A number as the CLI prints it.
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 BETTER = {"setup_s": "lower", "wall_s": "lower", "op_p50_ms": "lower",
           "peak_rss_mb": "lower", "accuracy_digits": "higher"}
 
@@ -249,6 +254,27 @@ def rel_diff(parent, change) -> float | None:
     return diff / scale if scale else None
 
 
+def stdout_rel_diff(parent: str, change: str) -> float | None:
+    """rel_diff of the numbers on each pair of lines of two stdouts, so that
+    a report's error column is scaled by the values on its line; the largest
+    over the lines, or None where the lines differ in more than numbers."""
+    a, b = parent.splitlines(), change.splitlines()
+    if len(a) != len(b):
+        return None
+    worst = 0.0
+    for x, y in zip(a, b):
+        if x == y:
+            continue
+        if NUMBER.split(x) != NUMBER.split(y):
+            return None
+        diff = rel_diff([float(v) for v in NUMBER.findall(x)],
+                        [float(v) for v in NUMBER.findall(y)])
+        if diff is None:
+            return None
+        worst = max(worst, diff)
+    return worst
+
+
 def ref_errors(op: dict, out) -> list[float] | None:
     """The relative errors against op's float ref of the values in out: the
     value itself, or the oracle column of a table; None without a float ref
@@ -275,7 +301,10 @@ def check_outputs(dirs: dict, envs: dict, seeds: list[int]) -> dict:
                 got = [probe(dirs[side], envs[side], op["argv"]) for side in SIDES]
                 n += 1
                 if (got[0]["exit"], got[0]["stdout"]) != (got[1]["exit"], got[1]["stdout"]):
-                    differ.append(f"seed {seed} {op['id']}")
+                    key = f"seed {seed} {op['id']}"
+                    differ.append(key)
+                    if got[0]["exit"] == got[1]["exit"]:
+                        rel[key] = stdout_rel_diff(got[0]["stdout"], got[1]["stdout"])
             for workload in ("quad_solve", "oracle_sweep"):
                 ops = workloads.build(workload, seed)
                 with open(plan, "w", encoding="utf-8") as fh:

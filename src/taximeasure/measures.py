@@ -145,8 +145,9 @@ def surface_of_revolution(f: ProfileFunction) -> float:
     def integrand(x: np.ndarray) -> np.ndarray:
         d = f.derivative(x)
         # sqrt(1 - d^2 / (2(1 + d^2))), written so that it tends to sqrt(1/2)
-        # as |d| grows.
-        radical = np.sqrt(0.5 + 0.5 / (1.0 + d * d))
+        # as |d| grows, and is sqrt(1/2) where d * d overflows.
+        with np.errstate(over="ignore"):
+            radical = np.sqrt(0.5 + 0.5 / (1.0 + d * d))
         return 2.0 * PI_T * f.evaluate(x) * (1.0 + np.abs(d)) * radical
 
     return _measure("surface", f, integrand, f.derivative)

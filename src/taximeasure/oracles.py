@@ -5,7 +5,7 @@ profile's declared breakpoints, and sums an elementary closed-form piece per
 cell:
 
     polyline  dx + |df|                                  (taxicab chord length)
-    frustum   4 (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) / sqrt(dx^2 + df^2)
+    frustum   4 (f0 + f1)(dx + |df|) sqrt(1/2 + 1/(2(1 + t^2))),  t = |df|/dx
     disk      2 f(mid)^2 dx
 
 Because the pieces telescope, the polyline sum is exact on monotone spans at
@@ -31,12 +31,11 @@ it, so no call builds the whole partition.  Each kernel allocates its
 temporaries for the block it sums: a call holds one block and that block's
 kernel temporaries, whatever n and the profile's breakpoint count are.
 
-The polyline and disk sums are right wherever their terms and sums are
-normal floats.  The frustum kernel sums a block whose sum is out of range
-again with each cell's dx and |df| scaled by a power of two, so that its
-intermediate sqrt(dx^2 + df^2/2) (f0 + f1)(dx + |df|), which grows as the
-cube of the magnitude, stays in range: its sums hold from magnitudes of
-~1e-150 to ~1e150, past which the surface itself leaves the normal floats.
+The three sums are right wherever their terms and sums are normal floats.
+The frustum term takes its radical from the slope, which no magnitude
+moves, and squares no length, so it scales as the surface does: its sums
+hold from magnitudes of ~1e-150 to ~1e150, past which the surface itself
+leaves the normal floats.
 """
 
 from __future__ import annotations
@@ -120,60 +119,32 @@ def polyline_sum(xs: np.ndarray, fx: np.ndarray) -> float:
     return np.subtract(xs[1:], xs[:-1]).sum() + np.abs(df, df).sum()
 
 
-def _frustum_terms(f0, f1, scale, rows: np.ndarray) -> np.ndarray:
-    """The frustum terms, divided by 4, of cells with end values f0, f1,
-    from their dx and |df| in rows[0] and rows[1].  scale, None for 1 or a
-    power of two per cell, multiplies dx and |df| before they are squared.
-    Returns rows[1]."""
-    a, b, c, d = rows
-    if scale is None:
-        np.multiply(a, a, d)             # dx^2
-        a += b                           # dx + |df|
-        b *= b                           # df^2
-    else:
-        np.multiply(a, scale, c)
-        np.multiply(c, c, d)             # (s dx)^2
-        np.multiply(b, scale, c)
-        a += b
-        np.multiply(c, c, b)             # (s df)^2
-    np.multiply(b, 0.5, c)
-    c += d
-    np.sqrt(c, c)                        # s sqrt(dx^2 + df^2/2)
-    d += b
-    np.sqrt(d, d)                        # s sqrt(dx^2 + df^2)
-    np.add(f0, f1, b)
-    b *= a
-    b *= c
-    b /= d
-    return b
-
-
 def frustum_sum(xs: np.ndarray, fx: np.ndarray) -> float:
-    """Sum of 4 (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) / sqrt(dx^2 + df^2) over the cells.
+    """Sum of 4 (f0 + f1)(dx + |df|) sqrt(1/2 + 1/(2(1 + t^2))) over the
+    cells, with slope t = |df|/dx; the factor 4 multiplies the sum.
 
-    (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) grows as the cube of the
-    magnitude, and a cell whose dx and |df| are both below ~1e-162 has
-    squares that underflow to a 0/0 term.  So where the block's sum is not
-    a number between 2^-900 and 2^900, it is summed again with each cell's
-    dx and |df| multiplied, before they are squared, by the power of two
-    that brings the larger of them into [1/2, 1).  The factor 4 multiplies
-    the sum.  Both scalings are exact: each term is the unscaled formula's
-    wherever that neither overflows nor underflows.
+    The radical is sqrt(dx^2 + df^2/2) / sqrt(dx^2 + df^2) written in the
+    slope, so it lies in [sqrt(1/2), 1] and no length is squared: a term
+    holds wherever (f0 + f1)(dx + |df|) is a normal float.  A slope, or its
+    square, past the largest float gives the limit sqrt(1/2) exactly.
     """
-    rows = np.empty((4, xs.size - 1))
-    dx, df = rows[0], rows[1]
+    rows = np.empty((3, xs.size - 1))
+    dx, df, w = rows
     np.subtract(xs[1:], xs[:-1], dx)
     np.subtract(fx[1:], fx[:-1], df)
     np.abs(df, df)
-    with np.errstate(over="ignore", invalid="ignore"):  # summed again below
-        total = _frustum_terms(fx[:-1], fx[1:], None, rows).sum()
-    if not 2.0**-900 <= total <= 2.0**900:
-        np.subtract(xs[1:], xs[:-1], dx)
-        np.subtract(fx[1:], fx[:-1], df)
-        np.abs(df, df)
-        scale = np.ldexp(1.0, -np.clip(np.frexp(np.maximum(dx, df))[1], -1020, 1020))
-        total = _frustum_terms(fx[:-1], fx[1:], scale, rows).sum()
-    return 4.0 * total
+    with np.errstate(over="ignore", divide="ignore"):
+        np.divide(df, dx, w)             # t
+        w *= w                           # t^2
+    w += 1.0
+    np.divide(0.5, w, w)
+    w += 0.5
+    np.sqrt(w, w)                        # sqrt(1/2 + 1/(2(1 + t^2)))
+    dx += df                             # dx + |df|
+    term = np.add(fx[:-1], fx[1:], df)   # f0 + f1, in the row of |df|
+    term *= dx
+    term *= w
+    return 4.0 * term.sum()
 
 
 def disk_sum(xs: np.ndarray, fm: np.ndarray) -> float:

@@ -105,6 +105,18 @@ def test_measure_every_shape_oracle_against_its_closed_form(capsys, spec, quanti
         assert oracle == pytest.approx(analytic, rel=1e-12)
 
 
+def test_measure_surface_oracle_of_a_tiny_cylinder(capsys):
+    # Every term is (f0 + f1)(dx + |df|) ~ 4e-215 times a factor of the
+    # slope.  A product with a length more, ~8e-324, is subnormal here: a
+    # kernel that forms it prints 23.5 % too much, while the sum stays normal.
+    spec = {"shape": "cylinder", "params": {"r": 1e-106, "h": 2e-106}}
+    code, out, err = run(capsys, ["measure", "--quantity", "surface", "--shape",
+                                  json.dumps(spec), "--oracle", "1000", "--json"])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["abs_err_oracle"] <= 1e-15 * report["analytic"]
+
+
 def test_measure_profile_arclength(capsys):
     code, out, _ = run(capsys, ["measure", "--quantity", "arclength",
                                 "--profile", QUADRANT, "--json"])
@@ -306,8 +318,9 @@ def test_measure_with_an_oracle_on_a_zero_width_domain_is_zero(capsys, quantity)
 
 @pytest.mark.parametrize("r", ["1e-120", "1e120"])
 def test_measure_sphere_surface_oracle_at_extreme_radii(capsys, r):
-    # (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) scales as r^3: the oracle
-    # printed 0.0 with exit 0 at 1e-120 and exited 3 with inf at 1e120.
+    # A term built as (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) scales as r^3:
+    # that oracle printed 0.0 with exit 0 at 1e-120 and exited 3 with inf at
+    # 1e120.  A factor of the slope scales as 1, so each term scales as r^2.
     sphere = '{"shape": "sphere", "params": {"r": %s}}' % r
     code, out, err = run(capsys, ["measure", "--quantity", "surface", "--shape", sphere,
                                   "--oracle", "64", "--json"])

@@ -24,12 +24,20 @@ def test_frustum_sum_constant_profile():
 
 
 def test_frustum_sum_gives_a_cell_whose_squares_underflow_its_own_term():
-    # Beside a unit cell, the squares of [0, 1e-200] underflow to 0 and its
-    # term was 0/0; alone, the cell is f = 1 over dx = 1e-200.
+    # The squares of [0, 1e-200] underflow to 0, so a term built from them
+    # is 0/0 beside a unit cell.  The kernel squares only the slope, 0 here,
+    # and the cell alone is f = 1 over dx = 1e-200.
     xs, fx = np.array([0.0, 1e-200, 1.0]), np.array([1.0, 1.0, 2.0])
     tiny = kernels.frustum_sum(xs[:2], fx[:2])
     assert tiny == 8e-200
     assert kernels.frustum_sum(xs, fx) == tiny + kernels.frustum_sum(xs[1:], fx[1:])
+
+
+def test_frustum_sum_of_a_cell_whose_slope_overflows():
+    # |df|/dx = 1/1e-320 overflows to inf, and the radical is its limit
+    # sqrt(1/2): the term is 4 (f0 + f1)(dx + |df|) sqrt(1/2).
+    xs, fx = np.array([0.0, 1e-320]), np.array([1.0, 2.0])
+    assert kernels.frustum_sum(xs, fx) == 12.0 * (1.0 + 1e-320) * math.sqrt(0.5)
 
 
 def test_disk_sum_constant_profile():

@@ -551,6 +551,13 @@ def test_surface_of_revolution_cylinder():
     assert surface_of_revolution(f) == pytest.approx(16.0, abs=1e-10)
 
 
+def test_surface_of_revolution_of_a_slope_whose_square_overflows():
+    # Slope 1e200: d * d overflows to inf, and the radical is its limit
+    # sqrt(1/2), without a warning.  The surface is 8 * 1.5 * 1 * sqrt(1/2).
+    f = profile_piecewise_linear(((0.0, 1.0), (1e-200, 2.0)))
+    assert surface_of_revolution(f) == pytest.approx(12.0 * math.sqrt(0.5), rel=1e-15)
+
+
 def test_surface_of_revolution_degenerate_axis():
     f = profile_linear(0.0, 0.0, Interval(0.0, 1.0))
     assert surface_of_revolution(f) == pytest.approx(0.0, abs=1e-12)

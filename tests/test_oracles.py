@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 import taximeasure.oracles as oracles
 from taximeasure import (
+    CylinderSpec,
     DomainError,
+    EllipsoidSpec,
     Interval,
+    ParaboloidSpec,
     ProfileFunction,
     SphereSpec,
     arclength_functional,
@@ -24,6 +27,7 @@ from taximeasure import (
     revolution_profile,
     sphere_surface,
 )
+from taximeasure.shapes import caps_area, closed_form
 
 SQRT3 = math.sqrt(3.0)
 
@@ -303,9 +307,10 @@ def test_breakpoint_augmentation_matters():
 @pytest.mark.parametrize("n", [64, 3 * oracles.BLOCK + 7])
 @pytest.mark.parametrize("lam", [2.0**400, 2.0**-400], ids=["2^400", "2^-400"])
 def test_frustum_oracle_scales_as_lambda_squared_at_extreme_magnitudes(lam, n):
-    # x, f -> lam x, lam f scales every node, value and term exactly.  The
-    # product (f0 + f1)(dx + |df|) sqrt(dx^2 + df^2/2) scales as lam^3: it
-    # overflowed at 2^400 and underflowed at 2^-400.
+    # x, f -> lam x, lam f scales every node, value and term exactly: each
+    # term is (f0 + f1)(dx + |df|), which scales as lam^2, times a factor of
+    # the slope, which lam leaves alone.  A term built from squared lengths
+    # would pass through lam^3, past the floats at both magnitudes.
     unit = frustum_surface_oracle(revolution_profile(SphereSpec(1.0)), n=n)
     scaled = frustum_surface_oracle(revolution_profile(SphereSpec(lam)), n=n)
     assert scaled == lam * lam * unit
@@ -313,12 +318,36 @@ def test_frustum_oracle_scales_as_lambda_squared_at_extreme_magnitudes(lam, n):
 
 @pytest.mark.parametrize("n", [1, 10])
 def test_frustum_oracle_on_a_span_far_steeper_than_wide(n):
-    # dx = 1e-300 and df = 1e-140 per span: the product with
-    # sqrt(dx^2 + df^2/2) underflowed to 0, and a scale taken from dx alone
-    # would overflow df^2.  A linear span is exact at any n.
+    # dx = 1e-300 and df = 1e-140 per span: dx^2 underflows, and the slope
+    # 1e160 has a square past the largest float, whose factor is the limit
+    # sqrt(1/2).  A linear span is exact at any n.
     f = profile_piecewise_linear(((0.0, 0.0), (1e-300, 1e-140)))
     want = 4.0 * 1e-140 * (1e-300 + 1e-140) * math.sqrt(0.5)
     assert frustum_surface_oracle(f, n=n) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+# Surface shapes, each as a function of a magnitude m; the ellipsoid has caps.
+SURFACE_SHAPES = {
+    "sphere": lambda m: SphereSpec(m),
+    "paraboloid": lambda m: ParaboloidSpec(m, 3.0 * m),
+    "ellipsoid": lambda m: EllipsoidSpec(2.0 * m, 1.5 * m, 5.0 * m),
+    "cylinder": lambda m: CylinderSpec(m, 2.0 * m),
+}
+
+
+@pytest.mark.parametrize("shape", SURFACE_SHAPES)
+def test_frustum_oracle_matches_each_closed_form_at_every_magnitude(shape):
+    # Every surface profile is linear between its breakpoints, so the sum is
+    # exact at any n, at magnitudes 1e-150 to 1e150, where every term is a
+    # normal float.
+    worst = []
+    for k in range(-150, 151):
+        spec = SURFACE_SHAPES[shape](10.0**k)
+        got = frustum_surface_oracle(revolution_profile(spec), n=1000) + caps_area(spec)
+        want = closed_form(spec, "surface")
+        if abs(got - want) > 1e-13 * want:
+            worst.append((k, got / want - 1.0))
+    assert worst == []
 
 
 def test_oracles_never_touch_the_quadrature_engine(monkeypatch):
@@ -414,10 +443,9 @@ def _polyline_terms(f, n):
 def _frustum_terms(f, n):
     xs = _full_partition(f, n)
     fx = np.asarray(f.evaluate(xs), dtype=float)
-    dx, df = np.diff(xs), np.diff(fx)
-    slant = np.sqrt(dx * dx + 0.5 * df * df)
-    chord = np.sqrt(dx * dx + df * df)
-    return [4.0 * (fx[:-1] + fx[1:]) * (dx + np.abs(df)) * slant / chord]
+    dx, df = np.diff(xs), np.abs(np.diff(fx))
+    t = df / dx
+    return [4.0 * (fx[:-1] + fx[1:]) * (dx + df) * np.sqrt(0.5 + 0.5 / (1.0 + t * t))]
 
 
 def _disk_terms(f, n):
