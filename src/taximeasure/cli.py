@@ -14,10 +14,9 @@ Quadrature runs at the library's one relative tolerance, quadrature.REL_TOL,
 which holds at every magnitude of the input; nothing changes it.
 
 The profile quantities are those of geometry.PROFILE_QUANTITIES.  A shape's
-closed forms, flat end caps and revolution profile come from the shapes
-registry (shapes.closed_form, caps_area, revolution_profile); its oracle is
-its profile's, with the caps added to a surface and a circumference doubled.
-verify's shape rows are its spec, quantity, cell count and tolerance.
+closed form and its oracle come from the shapes registry: shapes.closed_form,
+and shapes.from_profile applied to the profile oracle.  verify's shape rows
+are its spec, quantity, cell count and tolerance.
 
 Every command checks all of its arguments before it evaluates a profile:
 the spec's structure, names and parameter keys, --quantity against the
@@ -38,15 +37,12 @@ import contextlib
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import shapes
 from .errors import ConvergenceError, DomainError, IntegrandError, SpecError
 from .geometry import (MAX_CELLS, PROFILE_QUANTITIES, AngleRad, Interval, RotationAngles,
                        area_scaling_factor, check_cells, check_profile_spec)
-
-if TYPE_CHECKING:
-    from .profiles import ProfileFunction
 
 
 @contextlib.contextmanager
@@ -106,20 +102,6 @@ def _emit_report(report: dict, as_json: bool) -> None:
             print(f"{k} = {v}")
 
 
-def _shape_oracle(spec, quantity: str, n: int) -> float:
-    if quantity == "area":
-        raise SpecError("no oracle is defined for the flat circle area")
-    check_cells((n,))
-    from . import oracles
-
-    with _array_path():
-        prof = shapes.revolution_profile(spec)
-        if quantity == "circumference":  # twice the circle's upper half
-            return 2.0 * oracles._ORACLES["arclength"](prof, n=n)
-        caps = shapes.caps_area(spec) if quantity == "surface" else 0.0
-        return oracles._ORACLES[quantity](prof, n=n) + caps
-
-
 def cmd_measure(args) -> int:
     quantity = args.quantity
     has_angles = args.alpha is not None or args.beta is not None
@@ -149,7 +131,14 @@ def cmd_measure(args) -> int:
         spec = shapes.parse_shape_spec(params)
         analytic = shapes.closed_form(spec, quantity)
         if args.oracle is not None:
-            oracle = _shape_oracle(spec, quantity, args.oracle)
+            if quantity == "area":
+                raise SpecError("no oracle is defined for the flat circle area")
+            check_cells((args.oracle,))
+            from . import oracles
+
+            with _array_path():
+                oracle = shapes.from_profile(
+                    spec, quantity, lambda q, prof: oracles._ORACLES[q](prof, n=args.oracle))
             abs_err_oracle = abs(oracle - analytic)
     else:
         params = _profile_spec(args.profile)
@@ -181,14 +170,13 @@ def cmd_measure(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _VerifyCase(NamedTuple):
-    """A row of verify: kind's quadrature and oracle on profile, plus caps."""
+    """A row of verify: value(measure) gives its quadrature and its oracle
+    from the profile measure measure(profile_quantity, profile)."""
 
     suite: str
     case: str
-    kind: str
-    profile: ProfileFunction
+    value: Callable[[Callable], float]
     analytic: float
-    caps: float = 0.0
     oracle_n: int = 10_000
     oracle_tol: float = 1e-9
 
@@ -203,15 +191,16 @@ def _verify_cases() -> list[_VerifyCase]:
         for case, prof in ((f"taxicab_quadrant_r{r:g}", profile_linear(-1.0, r, Interval(0.0, r))),
                            (f"euclidean_quadrant_r{r:g}", profile_euclidean_circle_quadrant(r)),
                            (f"euclidean_parabola_r{r:g}", profile_euclidean_parabola_quadrant(r))):
-            cases.append(_VerifyCase("arclength", case, "arclength", prof, 2.0 * r))
-    cases.append(_VerifyCase("arclength", "taxicab_halfcircle_r1", "arclength",
-                             profile_taxicab_circle_upper(1.0), 4.0))
+            cases.append(_VerifyCase("arclength", case,
+                                     lambda m, prof=prof: m("arclength", prof), 2.0 * r))
+    halfcircle = profile_taxicab_circle_upper(1.0)
+    cases.append(_VerifyCase("arclength", "taxicab_halfcircle_r1",
+                             lambda m: m("arclength", halfcircle), 4.0))
 
     def add(kind: str, case: str, spec, n: int, tol: float) -> None:
         suite = "ellipsoid" if case.startswith("ellipsoid") else kind
-        caps = shapes.caps_area(spec) if kind == "surface" else 0.0
-        cases.append(_VerifyCase(suite, case, kind, shapes.revolution_profile(spec),
-                                 shapes.closed_form(spec, kind), caps, n, tol))
+        cases.append(_VerifyCase(suite, case, lambda m: shapes.from_profile(spec, kind, m),
+                                 shapes.closed_form(spec, kind), n, tol))
 
     for r in (0.5, 1.0, 2.0):
         add("surface", f"sphere_r{r:g}", shapes.SphereSpec(r), 2, 1e-12)
@@ -242,8 +231,8 @@ def cmd_verify(args) -> int:
         for case in sorted(_verify_cases(), key=lambda case: (case.suite, case.case)):
             if args.suite is not None and case.suite != args.suite:
                 continue
-            quad = measures.quadrature_measure(case.kind)(case.profile) + case.caps
-            oracle = oracles._ORACLES[case.kind](case.profile, n=case.oracle_n) + case.caps
+            quad = case.value(lambda q, prof: measures.quadrature_measure(q)(prof))
+            oracle = case.value(lambda q, prof: oracles._ORACLES[q](prof, n=case.oracle_n))
             err_quad = abs(quad - case.analytic)
             err_oracle = abs(oracle - case.analytic)
             passed = err_quad <= tol and err_oracle <= case.oracle_tol

@@ -11,7 +11,7 @@ in floating point (for example a paraboloid with h = a is exactly half a
 sphere, because its surface and volume terms are 2x-scalings of the sphere
 ones and scaling by powers of two is exact).
 
-_SHAPES is the one table of shapes.  parse_shape_spec, closed_form, caps_area
+_SHAPES is the one table of shapes.  parse_shape_spec, closed_form, from_profile
 and revolution_profile all read it, so a new shape is one entry there.  An
 entry names its revolution profile as a row of geometry.CATALOG_PARAMS.
 
@@ -26,7 +26,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import DomainError, SpecError
-from .geometry import PI_T, _Checked, take_params
+from .geometry import PI_T, PROFILE_QUANTITIES, _Checked, take_params
 
 if TYPE_CHECKING:
     from .profiles import ProfileFunction
@@ -199,11 +199,6 @@ def closed_form(spec, quantity: str) -> float:
     return fn(spec)
 
 
-def caps_area(spec) -> float:
-    """Area of the flat end caps that revolving the profile leaves out."""
-    return _shape_of(spec).caps_area(spec)
-
-
 def revolution_profile(spec) -> ProfileFunction:
     """Radius profile whose revolution generates the shape (the upper-half
     cross-section curve for the 2D circle)."""
@@ -211,6 +206,20 @@ def revolution_profile(spec) -> ProfileFunction:
 
     shape = _shape_of(spec)
     return _catalog_profile(shape.profile, shape.profile_params(spec))
+
+
+def from_profile(spec, quantity: str, measure: Callable[[str, ProfileFunction], float]) -> float:
+    """quantity of the shape spec describes from measure(profile_quantity,
+    profile), a quadrature or an oracle, on its revolution profile: a surface
+    adds the flat end caps, a circumference doubles the circle's upper half."""
+    shape = _shape_of(spec)
+    of_profile = "arclength" if quantity == "circumference" else quantity
+    if quantity not in shape.closed_forms or of_profile not in PROFILE_QUANTITIES:
+        raise SpecError(f"no profile measure gives the {quantity} of {type(spec).__name__}")
+    value = measure(of_profile, revolution_profile(spec))
+    if quantity == "circumference":
+        return 2.0 * value
+    return value + shape.caps_area(spec) if quantity == "surface" else value
 
 
 def parse_shape_spec(spec):

@@ -36,7 +36,7 @@ from taximeasure.profiles import (
     profile_taxicab_ellipse_upper,
     profile_taxicab_parabola,
 )
-from taximeasure.shapes import caps_area
+from taximeasure.shapes import from_profile
 
 SQRT3 = math.sqrt(3.0)
 
@@ -261,8 +261,16 @@ def test_ellipsoid_at_s_equal_2_a_plus_b_is_a_cylinder_with_caps(a, b):
     prof = revolution_profile(ell)
     assert prof.breakpoints == ()
     assert volume_of_revolution(prof) == pytest.approx(ellipsoid_volume(ell), rel=1e-15)
-    assert surface_of_revolution(prof) + caps_area(ell) == pytest.approx(
+    assert from_profile(ell, "surface", lambda q, f: surface_of_revolution(f)) == pytest.approx(
         ellipsoid_surface(ell), rel=1e-15)
+
+
+@pytest.mark.parametrize("spec,quantity", [(CircleSpec(1.0), "area"),
+                                           (CircleSpec(1.0), "surface"),
+                                           (SphereSpec(1.0), "circumference")])
+def test_from_profile_refuses_a_quantity_no_profile_measure_gives(spec, quantity):
+    with pytest.raises(SpecError):
+        from_profile(spec, quantity, lambda q, f: 1.0)
 
 
 # ---------------------------------------------------------------------------
