@@ -6,17 +6,15 @@ Subcommands:
     table     oracle convergence table for a profile quantity
     plot      render a profile or shape cross-section to SVG
 
-Exit codes: 0 success; 1 verify found a failing case; 2 malformed
-spec/arguments; 3 domain violation, or a JSON integer, plot or result that
-overflows a float; 4 quadrature non-convergence; 5 I/O error.
+Exit codes: 0 success; 1 verify found a failing case; 2 malformed spec or
+arguments; 3 domain violation, a JSON integer, plot or result that overflows
+a float, or a subnormal result; 4 quadrature non-convergence; 5 I/O error.
 
 Quadrature runs at the library's one relative tolerance, quadrature.REL_TOL,
 which holds at every magnitude of the input; nothing changes it.
 
-The profile quantities are those of geometry.PROFILE_QUANTITIES.  A shape's
-closed form and its oracle come from the shapes registry: shapes.closed_form,
-and shapes.from_profile applied to the profile oracle.  verify's shape rows
-are its spec, quantity, cell count and tolerance.
+The profile quantities are those of geometry.PROFILE_QUANTITIES; a shape's
+closed form and its oracle come from shapes.closed_form and from_profile.
 
 Every command checks all of its arguments before it evaluates a profile:
 the spec's structure, names and parameter keys, --quantity against the
@@ -84,6 +82,10 @@ def _check_finite(values: dict) -> None:
     for k, v in values.items():
         if isinstance(v, float) and not math.isfinite(v):
             raise DomainError(f"{k} = {v!r}: the result is not representable as a float")
+        # A subnormal keeps too few bits to print; an error column may be one.
+        if (k in ("analytic", "quadrature", "oracle", "reference")
+                and 0.0 < abs(v) < sys.float_info.min):
+            raise DomainError(f"{k} = {v!r}: the result is below the smallest normal float")
 
 
 def _emit_report(report: dict, as_json: bool) -> None:
@@ -170,8 +172,7 @@ def cmd_measure(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _VerifyCase(NamedTuple):
-    """A row of verify: value(measure) gives its quadrature and its oracle
-    from the profile measure measure(profile_quantity, profile)."""
+    """A row of verify: value(measure) applies a profile measure to its input."""
 
     suite: str
     case: str
@@ -186,16 +187,14 @@ def _verify_cases() -> list[_VerifyCase]:
                            profile_euclidean_parabola_quadrant, profile_linear,
                            profile_taxicab_circle_upper)
 
-    cases: list[_VerifyCase] = []
+    arclengths = [("taxicab_halfcircle_r1", 4.0, profile_taxicab_circle_upper(1.0))]
     for r in (1.0, 2.5):
-        for case, prof in ((f"taxicab_quadrant_r{r:g}", profile_linear(-1.0, r, Interval(0.0, r))),
-                           (f"euclidean_quadrant_r{r:g}", profile_euclidean_circle_quadrant(r)),
-                           (f"euclidean_parabola_r{r:g}", profile_euclidean_parabola_quadrant(r))):
-            cases.append(_VerifyCase("arclength", case,
-                                     lambda m, prof=prof: m("arclength", prof), 2.0 * r))
-    halfcircle = profile_taxicab_circle_upper(1.0)
-    cases.append(_VerifyCase("arclength", "taxicab_halfcircle_r1",
-                             lambda m: m("arclength", halfcircle), 4.0))
+        arclengths += [(f"{name}_r{r:g}", 2.0 * r, prof) for name, prof in (
+            ("taxicab_quadrant", profile_linear(-1.0, r, Interval(0.0, r))),
+            ("euclidean_quadrant", profile_euclidean_circle_quadrant(r)),
+            ("euclidean_parabola", profile_euclidean_parabola_quadrant(r)))]
+    cases = [_VerifyCase("arclength", case, lambda m, prof=prof: m("arclength", prof), length)
+             for case, length, prof in arclengths]
 
     def add(kind: str, case: str, spec, n: int, tol: float) -> None:
         suite = "ellipsoid" if case.startswith("ellipsoid") else kind

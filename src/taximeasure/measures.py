@@ -65,9 +65,9 @@ class LowestSample:
 
     def check_nonnegative(self) -> None:
         """Raise DomainError if the lowest sample is negative beyond
-        rounding, -1e-12 * max(1, max |f|), naming the first lowest sample.
-        Without samples there is nothing to check."""
-        if self.low < -1e-12 * max(1.0, self.high, -self.low):
+        rounding, -1e-12 * max |f| at any magnitude, naming the first lowest
+        sample.  Without samples there is nothing to check."""
+        if self.low < -1e-12 * max(self.high, -self.low):
             raise DomainError(
                 f"profile must be nonnegative on the domain: "
                 f"f({float(self.x)!r}) = {float(self.low)!r}")

@@ -229,8 +229,9 @@ def profile_euclidean_parabola_quadrant(r: float) -> ProfileFunction:
     """f(x) = r - x^2/r on [0, r]: a smooth monotone arc from (0, r) to (r, 0)."""
     _require_positive("profile_euclidean_parabola_quadrant", r=r)
 
+    # (r - x)(r + x)/r neither underflows nor overflows where x*x would.
     def evaluate(x):
-        return r - x * x / r
+        return (r - x) * ((r + x) / r)
 
     def derivative(x):
         return -2.0 * x / r

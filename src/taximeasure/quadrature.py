@@ -157,7 +157,8 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], domain: Interval,
         h = 0.5 * (new_b - new_a)
         u = 0.5 * (new_a + new_b)[:, None] + h[:, None] * _XK
         o, d, sq = table[:, new_piece, None]
-        x = np.minimum(np.maximum(o + d * np.where(sq, u * u, u), open_lo), open_hi)
+        # u * u only where sq: on an interior piece it may overflow, and warn.
+        x = np.minimum(np.maximum(o + d * (u * np.where(sq, u, 1.0)), open_lo), open_hi)
         flat = x.ravel()
         gx = np.asarray(g(flat), dtype=float)
         if gx.shape != flat.shape:

@@ -117,6 +117,39 @@ def test_measure_surface_oracle_of_a_tiny_cylinder(capsys):
     assert report["abs_err_oracle"] <= 1e-15 * report["analytic"]
 
 
+@pytest.mark.parametrize("r", [1e-181, 1e-160, 1e155])
+def test_measure_euclidean_parabola_arclength_at_extreme_radii(capsys, r):
+    # f = r - x^2/r on [0, r]: x * x underflows below r ~ 2e-154 and
+    # overflows above r ~ 9.4e153, but every way gives 2r.
+    spec = {"catalog": "euclidean_parabola_quadrant", "params": {"r": r}}
+    code, out, err = run(capsys, ["measure", "--quantity", "arclength", "--profile",
+                                  json.dumps(spec), "--oracle", "1000", "--json"])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    for key in ("analytic", "quadrature", "oracle"):
+        assert report[key] == pytest.approx(2.0 * r, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("quantity", ["surface", "volume"])
+def test_measure_refuses_a_negative_profile_at_a_tiny_magnitude(capsys, quantity):
+    # Negative by its whole height: the check forgives 1e-12 of max |f|,
+    # which here is 1e-25, not 1e-12.
+    profile = '{"piecewise_linear": [[0, -1e-13], [1e-13, 1e-13], [2e-13, -5e-14]]}'
+    code, out, err = run(capsys, ["measure", "--quantity", quantity, "--profile", profile])
+    assert code == 3 and out == ""
+    assert "nonnegative" in err
+
+
+def test_measure_refuses_a_subnormal_result(capsys):
+    # 4 r^3 / 3 is ~4.1e-324, below the smallest normal float: it would print
+    # as 5e-324, with one significant bit, and the oracle as 0.
+    spec = {"shape": "sphere", "params": {"r": 1.45e-108}}
+    code, out, err = run(capsys, ["measure", "--quantity", "volume", "--shape",
+                                  json.dumps(spec), "--oracle", "7"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: analytic = ") and "smallest normal float" in err
+
+
 def test_measure_profile_arclength(capsys):
     code, out, _ = run(capsys, ["measure", "--quantity", "arclength",
                                 "--profile", QUADRANT, "--json"])
@@ -579,6 +612,15 @@ def test_table_rejects_nonfinite_rows(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_table_refuses_subnormal_rows(capsys):
+    # The volume 4 r^3 / 3 is ~3.6e-320, below the smallest normal float.
+    profile = '{"catalog": "taxicab_circle_upper", "params": {"r": 3e-107}}'
+    code, out, err = run(capsys, ["table", "--profile", profile, "--quantity", "volume",
+                                  "--ns", "4,64"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: oracle = ") and "smallest normal float" in err
 
 
 def test_overflowing_oracle_prints_only_the_error_line():

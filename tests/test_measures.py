@@ -558,6 +558,13 @@ def test_surface_of_revolution_of_a_slope_whose_square_overflows():
     assert surface_of_revolution(f) == pytest.approx(12.0 * math.sqrt(0.5), rel=1e-15)
 
 
+def test_arclength_of_pieces_whose_nodes_square_past_the_largest_float():
+    # Interior pieces 1e160 wide: quadrature squares its node u only on an
+    # end piece, as u * u would overflow here, and warn.
+    f = profile_piecewise_linear(((0.0, 0.0), (1e160, 1e160), (2e160, 0.0), (3e160, 1e160)))
+    assert arclength_functional(f) == pytest.approx(6e160, rel=1e-15)
+
+
 def test_surface_of_revolution_degenerate_axis():
     f = profile_linear(0.0, 0.0, Interval(0.0, 1.0))
     assert surface_of_revolution(f) == pytest.approx(0.0, abs=1e-12)

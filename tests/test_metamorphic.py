@@ -2,16 +2,24 @@
 
 Scaling a profile by lam in both axes scales its arc length, surface and
 volume by lam, lam^2 and lam^3; translating or reflecting it along the axis
-changes none of them.  The family f = s (sin x + 1.5) has f' changing sign
-many times and, for large s, a surface integrand far from 1; it is also
-checked against mpmath where that is installed.
+changes none of them.  Scaling by a power of 4 scales every way of
+computing them exactly, at any magnitude where the result is a normal float.
+The family f = s (sin x + 1.5) has f' changing sign many times and, for large
+s, a surface integrand far from 1; it is also checked against mpmath where
+that is installed.
 """
+
+import math
+import random
+from functools import partial
 
 import numpy as np
 import pytest
 
-from taximeasure import Interval, ProfileFunction
-from taximeasure.measures import quadrature_measure
+from taximeasure import (DomainError, Interval, ProfileFunction, disk_volume_oracle,
+                         frustum_surface_oracle, graph, polyline_arclength_oracle)
+from taximeasure.measures import arclength_variation, quadrature_measure
+from taximeasure.oracles import BLOCK
 from taximeasure.profiles import parse_profile_spec
 
 POWER = {"arclength": 1, "surface": 2, "volume": 3}
@@ -48,7 +56,84 @@ def _family(name: str, lam: float = 1.0) -> ProfileFunction:
 def test_scale_law(family, quantity, lam):
     measure = quadrature_measure(quantity)
     expected = lam ** POWER[quantity] * measure(_family(family))
-    assert measure(_family(family, lam)) == pytest.approx(expected, rel=1e-8)
+    assert measure(_family(family, lam)) == pytest.approx(expected, rel=1e-8, abs=0.0)
+
+
+ORACLES = {"arclength": polyline_arclength_oracle, "surface": frustum_surface_oracle,
+           "volume": disk_volume_oracle}
+NS = (1000, BLOCK + 1000)
+_rng = random.Random(0)
+POLYGON = [[i + _rng.uniform(0.0, 0.9), _rng.uniform(0.0, 2.0)] for i in range(6)]
+
+
+def _scaled(family: str, k: int) -> ProfileFunction:
+    """The catalog row, or the seeded polygon, scaled by 4^k in both axes."""
+    if family == "polygon":
+        return parse_profile_spec(
+            {"piecewise_linear": [[math.ldexp(x, 2 * k), math.ldexp(f, 2 * k)]
+                                  for x, f in POLYGON]})
+    return _catalog(family, math.ldexp(1.0, 2 * k))
+
+
+def _ways(quantity: str):
+    """Every way the package computes quantity: the quadrature, each oracle at
+    a single-block n and at a multi-block n, and the variation of a length."""
+    yield "quadrature", quadrature_measure(quantity)
+    for n in NS:
+        yield f"oracle n={n}", partial(ORACLES[quantity], n=n)
+    if quantity == "arclength":
+        yield "variation", lambda f: arclength_variation(graph(f))
+
+
+def _normal(x: float, twos: int) -> bool:
+    """Whether x * 2^twos is a normal float, for x > 0."""
+    return -1021 <= math.frexp(x)[1] + twos <= 1024
+
+
+@pytest.mark.parametrize("family", [*CATALOG, "polygon"])
+def test_scale_law_by_powers_of_four_is_exact(family):
+    # 4^k = 2^(2k) scales every sample, node, cell and breakpoint exactly, and
+    # the tolerances are relative, so each way gives its unit result times
+    # 4^(k p) bit for bit wherever that result and a mean cell's term of the
+    # finer oracle stay normal.  Below that, cell terms round to subnormals.
+    profiles = {k: _scaled(family, k) for k in range(-510, 511, 5)}
+    misses = []
+    for quantity, p in POWER.items():
+        for name, way in _ways(quantity):
+            unit = way(profiles[0])
+            for k, f in profiles.items():
+                if _normal(unit, 2 * k * p) and _normal(unit / NS[-1], 2 * k * p):
+                    got = way(f)
+                    if got != math.ldexp(unit, 2 * k * p):
+                        misses.append((quantity, name, k, got / math.ldexp(unit, 2 * k * p)))
+    assert misses == []
+
+
+# Polygons below zero by their whole height, and by less than the rounding the
+# nonnegativity check forgives (1e-12 of max |f|).
+SIGNED = {"negative": [[0.0, -1.0], [1.0, 1.0], [2.0, -0.5]],
+          "rounding": [[0.0, -1e-13], [1.0, 1.0], [2.0, 0.5]]}
+
+
+@pytest.mark.parametrize("polygon", SIGNED)
+def test_nonnegativity_verdict_does_not_change_with_scale(polygon):
+    def verdict(k: int) -> list[bool]:
+        f = parse_profile_spec({"piecewise_linear": [[math.ldexp(x, 2 * k), math.ldexp(y, 2 * k)]
+                                                     for x, y in SIGNED[polygon]]})
+        accepted = []
+        for way in (quadrature_measure("surface"), quadrature_measure("volume"),
+                    partial(frustum_surface_oracle, n=100), partial(disk_volume_oracle, n=100)):
+            try:
+                way(f)
+                accepted.append(True)
+            except DomainError:
+                accepted.append(False)
+        return accepted
+
+    unit = verdict(0)
+    assert unit == [polygon == "rounding"] * 4
+    ks = range(-160, 161, 10)
+    assert {k: verdict(k) for k in ks} == dict.fromkeys(ks, unit)
 
 
 def _moved(f: ProfileFunction, shift: float, flip: bool) -> ProfileFunction:
